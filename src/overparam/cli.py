@@ -215,15 +215,16 @@ def _lemma_oracles(config: dict) -> dict:
 
 def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
     dataset = _dataset_from_config(config)
-    params0 = network.init_network(_dims_from_config(config),
-                                   int(config["seed"]) + INIT_SEED_OFFSET)
+    dims = _dims_from_config(config)
+    init_seed = int(config["seed"]) + INIT_SEED_OFFSET
+    params0 = network.init_network(dims, init_seed)
     items = config["verify_items"]
     report = verify.verify_init_properties(
         params0, dataset,
         beta=None if config["beta"] is None else float(config["beta"]),
         sparsity_s=None if config["s"] is None else int(config["s"]),
         trials=int(config["trials"]),
-        seed=int(config["seed"]) + INIT_SEED_OFFSET,
+        seed=init_seed,
         allowed_failures=int(config["allowed_failures"]),
         delta=float(config["delta"]),
         spectral_tol=float(config["spectral_tol"]),
@@ -238,13 +239,25 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
     if checkpoint is not None:
         trained = network.load_params(checkpoint)
+        # the perturbation battery compares the checkpoint with this config's
+        # initialisation, which is only meaningful if it was trained from it
+        if trained.seed is None:
+            print(f"checkpoint {checkpoint} records no init seed; cannot check "
+                  f"that it was trained from this config's network", file=sys.stderr)
+            return EXIT_CONFIG
+        if trained.seed != init_seed or list(trained.layer_dims) != dims:
+            print(f"checkpoint {checkpoint} was trained from another network: "
+                  f"init seed {trained.seed}, layer_dims {list(trained.layer_dims)}; "
+                  f"this config initialises seed {init_seed}, layer_dims {dims}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         loss = builtin_loss(str(config["loss"]))
         pert = verify.verify_perturbation_properties(
             params0, trained, params0, dataset, loss=loss,
             declared_tau=float(config["tau"]),
             spectral_tol=float(config["spectral_tol"]),
             probes=int(config["probes"]),
-            seed=int(config["seed"]) + INIT_SEED_OFFSET,
+            seed=init_seed,
         )
         write_json(pert.as_dict(), out_dir / "perturbation_properties.json")
         print(f"perturbation battery: passed={pert.passed} "

@@ -26,6 +26,11 @@ _INV_2_53 = 2.0 ** -53
 # supplied.  Any fixed value works; it only has to be deterministic.
 _START_SEED = 0x5EED_0001
 
+# Krylov steps per Lanczos cycle in power_iteration.  A cycle that has not
+# converged restarts from its top Ritz vector, which caps the stored basis
+# at this many vectors.
+_LANCZOS_CYCLE = 32
+
 
 class PortableRng:
     """Seeded random stream with a pinned, documented algorithm.
@@ -142,12 +147,20 @@ def pattern_diff_count(a: np.ndarray, b: np.ndarray) -> int:
 
 def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray, float, int]:
-    """Largest singular value of `a` by power iteration on A^T A.
+    """Largest singular value of `a` by restarted Lanczos on A^T A.
 
-    Returns ``(sigma, right_vector, residual, iterations)``.  Convergence is
-    declared when the Rayleigh-quotient residual ``||A^T A v - lam v|| / lam``
-    drops to `tol`; since the Rayleigh quotient never overshoots the top
-    eigenvalue, this bounds the relative error of ``sigma**2`` by `tol`.
+    Returns ``(sigma, right_vector, residual, iterations)``; `iterations`
+    counts products with A^T A.  Each cycle builds an orthonormal Krylov
+    basis of up to ``_LANCZOS_CYCLE`` vectors from the current start vector,
+    with full reorthogonalisation, and after every step takes the top Ritz
+    pair ``(theta, x)`` of the tridiagonal projection T.  Convergence is
+    declared when the Ritz residual ``||A^T A x - theta x|| / theta``, which
+    Lanczos gives for free as ``|beta_j y_j| / theta``, drops to `tol`; since
+    the Ritz value never overshoots the top eigenvalue, this bounds the
+    relative error of ``sigma**2`` by `tol`.  A cycle that ends unconverged
+    restarts from its top Ritz vector.  The first step of a cycle is one
+    power-iteration step: its Ritz value is the Rayleigh quotient of the
+    start vector and its residual is ``||A^T A v - lam v|| / lam``.
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
@@ -172,24 +185,42 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
         raise ValueError("start vector has wrong length")
     v = v / np.linalg.norm(v)
 
-    lam = 0.0
+    basis = np.empty((_LANCZOS_CYCLE, a.shape[1]))
+    tri = np.zeros((_LANCZOS_CYCLE, _LANCZOS_CYCLE))
+    theta = 0.0
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        u = a.T @ (a @ v)
-        lam = float(v @ u)
-        if lam <= 0.0:
-            # start vector fell in the null space; reseed once
-            v = PortableRng(_START_SEED + it).normals(a.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        residual = float(np.linalg.norm(u - lam * v)) / lam
-        v = u / np.linalg.norm(u)
-        if residual <= tol:
-            return float(np.sqrt(lam)), v, residual, it
+    it = 0
+    while it < max_iter:
+        basis[0] = v
+        for j in range(_LANCZOS_CYCLE):
+            it += 1
+            q = basis[: j + 1]
+            w = a.T @ (a @ q[j])
+            tri[j, j] = q[j] @ w
+            if j == 0 and tri[0, 0] <= 0.0:
+                # start vector fell in the null space; reseed
+                v = PortableRng(_START_SEED + it).normals(a.shape[1])
+                v /= np.linalg.norm(v)
+                break
+            # full reorthogonalisation: classical Gram-Schmidt, twice
+            w -= q.T @ (q @ w)
+            w -= q.T @ (q @ w)
+            beta = float(np.linalg.norm(w))
+            ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
+            theta, y = float(ritz[-1]), vecs[:, -1]
+            residual = abs(beta * y[-1]) / theta
+            if residual <= tol or j + 1 == _LANCZOS_CYCLE or it == max_iter:
+                v = y @ q
+                v /= np.linalg.norm(v)
+                if residual <= tol:
+                    return float(np.sqrt(theta)), v, residual, it
+                break
+            basis[j + 1] = w / beta
+            tri[j + 1, j] = tri[j, j + 1] = beta
     raise SpectralNormError(
         f"power iteration did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {residual:g})",
-        sigma=float(np.sqrt(max(lam, 0.0))), vector=v,
+        sigma=float(np.sqrt(max(theta, 0.0))), vector=v,
         residual=residual, iterations=max_iter)
 
 

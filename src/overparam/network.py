@@ -26,6 +26,7 @@ __all__ = [
     "batch_forward",
     "batch_loss",
     "forward",
+    "gradient_factors",
     "gradient_norms",
     "init_network",
     "load_params",
@@ -215,19 +216,24 @@ def backprop_signals(params: NetworkParams, trace: BatchTrace) -> list:
     return out
 
 
-def _gradients_from_trace(params: NetworkParams, trace: BatchTrace,
-                          coeff: np.ndarray, rows: np.ndarray | None = None) -> list:
-    """Gradients sum_i coeff_i * x_{l-1,i} g_{l,i}^T, optionally on a row subset."""
-    signals = backprop_signals(params, trace)
-    grads = []
-    for l in range(params.depth):
-        h = trace.hidden[l]
-        g = signals[l]
+def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarray,
+                     loss, rows: np.ndarray | None = None) -> list:
+    """Per-layer factors ``(A_l, B_l)`` of the (batch) mean-loss gradient.
+
+    The gradient w.r.t. ``weights[l-1]`` is ``A_l^T B_l``: ``A_l`` holds the
+    layer inputs ``hidden[l-1]`` of the batch rows (all rows when `rows` is
+    None) and ``B_l`` their backprop signals weighted by
+    ``l'(y_i f(x_i)) y_i / batch size``.  One backprop pass serves every layer.
+    """
+    y = labels if rows is None else labels[rows]
+    outs = trace.outputs if rows is None else trace.outputs[rows]
+    coeff = np.asarray(loss.deriv(y * outs), dtype=np.float64) * y / y.shape[0]
+    factors = []
+    for h, g in zip(trace.hidden, backprop_signals(params, trace)):
         if rows is not None:
-            h = h[rows]
-            g = g[rows]
-        grads.append(h.T @ (coeff[:, None] * g))
-    return grads
+            h, g = h[rows], g[rows]
+        factors.append((h, coeff[:, None] * g))
+    return factors
 
 
 def loss_gradient(params: NetworkParams, dataset, loss) -> list:
@@ -237,38 +243,28 @@ def loss_gradient(params: NetworkParams, dataset, loss) -> list:
     parameters (derivative 0 at ReLU kinks).
     """
     trace = batch_forward(params, dataset.inputs)
-    y = dataset.labels
-    n = y.shape[0]
-    coeff = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64) * y / n
-    return _gradients_from_trace(params, trace, coeff)
+    return [a.T @ b for a, b in gradient_factors(params, trace, dataset.labels, loss)]
 
 
-def gradient_norms(params: NetworkParams, trace: BatchTrace, labels: np.ndarray,
-                   loss, rows: np.ndarray | None = None) -> tuple:
-    """(spectral, frobenius) norms per layer of the (batch) loss gradient.
+def gradient_norms(factors: list) -> tuple:
+    """(spectral, frobenius) norms per layer of the gradients ``A^T B``.
 
-    Exploits that each layer gradient is A^T B with n-row factors, so its
-    nonzero singular values are those of an n x n problem: exact norms at
-    O(n^2 m) cost without materializing anything beyond the factors.
+    `factors` are the n-row ``(A, B)`` pairs of `gradient_factors`, so the
+    nonzero singular values of each gradient are those of an n x n problem:
+    exact norms at O(n^2 m) cost without materializing the gradient.
     """
-    y = labels if rows is None else labels[rows]
-    outs = trace.outputs if rows is None else trace.outputs[rows]
-    coeff = np.asarray(loss.deriv(y * outs), dtype=np.float64) * y / y.shape[0]
-    signals = backprop_signals(params, trace)
     spectral = []
     frobenius = []
-    for l in range(params.depth):
-        a = trace.hidden[l]
-        g = signals[l]
-        if rows is not None:
-            a = a[rows]
-            g = g[rows]
-        b = coeff[:, None] * g
+    for a, b in factors:
         gram_a = a @ a.T
         gram_b = b @ b.T
         frobenius.append(float(np.sqrt(max(0.0, np.sum(gram_a * gram_b)))))
-        eigs = np.linalg.eigvals(gram_b @ gram_a)
-        spectral.append(float(np.sqrt(max(0.0, float(np.max(eigs.real))))))
+        # ||A^T B||^2 is the top eigenvalue of gram_b gram_a, which for
+        # gram_b = S S^T shares its eigenvalues with the symmetric S^T gram_a S
+        lam, vec = np.linalg.eigh(gram_b)
+        s = vec * np.sqrt(np.maximum(lam, 0.0))
+        top = np.linalg.eigvalsh(s.T @ gram_a @ s)[-1]
+        spectral.append(float(np.sqrt(max(0.0, top))))
     return spectral, frobenius
 
 

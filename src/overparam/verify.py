@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PortableRng, pattern_diff_count, spectral_norm
-from .network import (NetworkParams, batch_forward, gradient_norms,
-                      init_network)
+from .network import (NetworkParams, batch_forward, gradient_factors,
+                      gradient_norms, init_network)
 
 __all__ = [
     "PropertyEntry",
@@ -525,8 +525,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     ratios_lower = []
     ratios_upper = []
     for trace in (trace_a, trace_b):
-        spec, fro = gradient_norms(
-            params_a if trace is trace_a else params_b, trace, y, loss)
+        spec, fro = gradient_norms(gradient_factors(
+            params_a if trace is trace_a else params_b, trace, y, loss))
         sum_lp = float(np.sum(loss.deriv(y * trace.outputs)))
         ratios_lower.append(
             fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi * sum_lp ** 2)
@@ -549,7 +549,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     lp_a = np.asarray(loss.deriv(y * trace_a.outputs), dtype=np.float64)
     for _ in range(batch_draws):
         batch = rng.sample_without_replacement(n, batch_size)
-        spec, _ = gradient_norms(params_a, trace_a, y, loss, rows=batch)
+        spec, _ = gradient_norms(gradient_factors(params_a, trace_a, y, loss,
+                                                  rows=batch))
         batch_sum = float(np.sum(lp_a[batch]))
         if batch_sum != 0.0:
             worst = max(worst, max(spec) * batch_size /

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from overparam.cli import DEFAULT_CONFIG, main
+from overparam.network import init_network, save_params
 
 TINY = {
     "n": 8, "d": 4, "mu": 0.5, "phi": 0.05,
@@ -136,6 +137,36 @@ class TestVerify:
                      "--checkpoint", str(run / "checkpoint.net")]) == 0
         pert = json.loads((out / "perturbation_properties.json").read_text())
         assert pert["meta"]["measured_tau"] > 0
+
+    @pytest.mark.parametrize("verify_args, checkpoint_overrides", [
+        (["--seed", "7"], {}),          # trained from seed 0's network
+        ([], {"m": 12}),                # trained at other layer dims
+    ])
+    def test_checkpoint_from_another_network_rejected(
+            self, tmp_path, capsys, verify_args, checkpoint_overrides):
+        quick = {"trials": 1, "verify_items": ["output_magnitude"]}
+        cfg_train = write_config(tmp_path, checkpoint_overrides, name="train.json")
+        cfg = write_config(tmp_path, quick)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_train), "--out", str(run)]) == 0
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.net")] + verify_args) == 2
+        assert "trained from another network" in capsys.readouterr().err
+        assert not (out / "perturbation_properties.json").exists()
+
+    def test_checkpoint_without_seed_rejected(self, tmp_path, capsys):
+        params = init_network([4, 16, 16], seed=1)
+        params.seed = None
+        path = tmp_path / "unseeded.net"
+        save_params(params, path)
+        cfg = write_config(tmp_path, {"trials": 1,
+                                      "verify_items": ["output_magnitude"]})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(path)]) == 2
+        assert "records no init seed" in capsys.readouterr().err
+        assert not (out / "perturbation_properties.json").exists()
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg = write_config(tmp_path)

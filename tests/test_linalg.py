@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overparam.linalg import (PortableRng, SpectralNormError, frobenius_norm,
-                              gaussian_matrix, pattern_diff_count,
-                              power_iteration, spectral_norm)
+from overparam.linalg import (_LANCZOS_CYCLE, PortableRng, SpectralNormError,
+                              frobenius_norm, gaussian_matrix,
+                              pattern_diff_count, power_iteration,
+                              spectral_norm)
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+dims = st.integers(min_value=1, max_value=40)
+examples = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def jacobi_sigma_max(a, sweeps=60, tol=1e-14):
@@ -94,6 +101,87 @@ class TestSpectralNorm:
         base = spectral_norm(a)
         for c in (-2.5, 0.3, 7.0):
             assert spectral_norm(c * a) == pytest.approx(abs(c) * base, rel=1e-8)
+
+
+class TestLanczos:
+    """power_iteration against dense SVD norms."""
+
+    @examples
+    @given(rows=dims, cols=dims, seed=seeds)
+    def test_gaussian_matches_dense(self, rows, cols, seed):
+        a = np.random.default_rng(seed).standard_normal((rows, cols))
+        sigma, vec, residual, _ = power_iteration(a, tol=1e-12)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+        assert residual <= 1e-12
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+
+    @examples
+    @given(rows=dims, cols=dims, rank=st.integers(min_value=1, max_value=5),
+           zero_rows=st.integers(min_value=0, max_value=5), seed=seeds)
+    def test_rank_deficient_matches_dense(self, rows, cols, rank, zero_rows, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        a[: min(zero_rows, rows - 1)] = 0.0
+        sigma, _, _, _ = power_iteration(a, tol=1e-12)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+
+    def test_clustered_spectrum_needs_restarts(self):
+        # the top singular values of a square Gaussian matrix crowd at the
+        # edge of its spectrum, the slow case for Krylov methods
+        a = gaussian_matrix(1000, 1000, 1.0, PortableRng(42))
+        sigma, _, residual, iters = power_iteration(a, tol=1e-12)
+        assert iters > _LANCZOS_CYCLE
+        assert residual <= 1e-12
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
+    def test_wide_and_tall(self, shape):
+        a = gaussian_matrix(*shape, 1.0, PortableRng(7))
+        sigma, _, _, iters = power_iteration(a, tol=1e-12)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+        # the Krylov space of A^T A has at most min(shape) + 1 dimensions;
+        # roundoff in the null-space direction can cost one more step
+        assert iters <= min(shape) + 2
+
+    def test_start_in_null_space_reseeds(self):
+        rng = PortableRng(3)
+        u = rng.normals(30)
+        w = rng.normals(20)
+        a = np.outer(u, w)
+        start = rng.normals(20)
+        start -= (start @ w) / (w @ w) * w     # orthogonal to the row space
+        assert np.linalg.norm(a @ start) <= 1e-12 * np.linalg.norm(start)
+        sigma, _, _, _ = power_iteration(a, tol=1e-12, start=start)
+        assert sigma == pytest.approx(np.linalg.norm(u) * np.linalg.norm(w),
+                                      rel=1e-10)
+
+    def test_exact_null_start_reseeds(self):
+        a = np.diag([3.0, 2.0, 0.0, 0.0])
+        sigma, _, _, iters = power_iteration(a, start=np.array([0.0, 0.0, 1.0, 1.0]))
+        assert sigma == pytest.approx(3.0, rel=1e-12)
+        assert iters >= 2    # the null-space step counts
+
+    def test_warm_start_beats_cold_start(self):
+        rng = PortableRng(11)
+        a = gaussian_matrix(300, 300, 1.0, rng)
+        _, vec, _, cold = power_iteration(a, tol=1e-10)
+        nudged = a + 1e-4 * gaussian_matrix(300, 300, 1.0, rng)
+        _, _, _, cold_nudged = power_iteration(nudged, tol=1e-10)
+        sigma, _, _, warm = power_iteration(nudged, tol=1e-10, start=vec)
+        assert warm < cold_nudged
+        assert sigma == pytest.approx(np.linalg.norm(nudged, 2), rel=1e-8)
+
+    def test_first_step_is_a_power_step(self):
+        a = PortableRng(13).normals(48).reshape(8, 6)
+        v = PortableRng(14).normals(6)
+        v /= np.linalg.norm(v)
+        u = a.T @ (a @ v)
+        lam = v @ u
+        sigma, _, residual, iters = power_iteration(a, tol=1e6, start=v)
+        assert iters == 1
+        assert sigma ** 2 == pytest.approx(lam, rel=1e-14)
+        assert residual == pytest.approx(np.linalg.norm(u - lam * v) / lam,
+                                         rel=1e-12)
 
 
 class TestFrobeniusNorm:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng, gaussian_matrix
 from overparam.losses import LossSpec, builtin_loss
 from overparam.network import (NetworkParams, batch_forward, batch_loss,
-                               forward, init_network, load_params,
-                               loss_gradient, output_telescope, save_params)
+                               forward, gradient_factors, gradient_norms,
+                               init_network, load_params, loss_gradient,
+                               output_telescope, save_params)
 
 LOG2 = 0.6931471805599453
 
@@ -226,6 +229,61 @@ class TestLossGradient:
                 an = grads[l][idx]
                 assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-4), \
                     (l, idx, fd, an)
+
+
+def assert_norms_match_dense(a, b):
+    """gradient_norms of one factor pair against dense norms of A^T B.
+
+    Any method that goes through the n x n Gram matrices resolves the
+    squared spectral norm to about eps * ||A||_F^2 ||B||_F^2 in absolute
+    terms; the bounds below are that with a safety factor.
+    """
+    (spec,), (fro,) = gradient_norms([(a, b)])
+    dense = a.T @ b
+    scale = np.sum(a * a) * np.sum(b * b)
+    assert spec ** 2 == pytest.approx(np.linalg.norm(dense, 2) ** 2,
+                                      rel=1e-9, abs=1e-12 * scale)
+    assert fro ** 2 == pytest.approx(np.sum(dense * dense),
+                                     rel=1e-9, abs=1e-12 * scale)
+
+
+class TestGradientNorms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), p=st.integers(1, 30), q=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_factors(self, n, p, q, seed):
+        rng = np.random.default_rng(seed)
+        assert_norms_match_dense(rng.standard_normal((n, p)),
+                                 rng.standard_normal((n, q)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12), p=st.integers(1, 30), q=st.integers(1, 30),
+           rank=st.integers(1, 3), zero_rows=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rank_deficient_factors(self, n, p, q, rank, zero_rows, seed):
+        # rows of A repeat (rank-deficient A A^T) and some rows of B vanish,
+        # as for examples whose loss derivative or ReLU signals are zero
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rank, p))[rng.integers(0, rank, size=n)]
+        b = rng.standard_normal((n, q))
+        b[: min(zero_rows, n - 1)] = 0.0
+        assert_norms_match_dense(a, b)
+
+    def test_zero_gradient(self):
+        (spec,), (fro,) = gradient_norms([(np.ones((3, 4)), np.zeros((3, 5)))])
+        assert spec == 0.0
+        assert fro == 0.0
+
+    def test_factors_give_the_loss_gradient(self):
+        params = random_net(15, dims=[4, 8, 6])
+        ds = generate_separated(n=6, d=4, mu=0.5, phi=0.05, seed=8)
+        loss = builtin_loss("logistic")
+        trace = batch_forward(params, ds.inputs)
+        factors = gradient_factors(params, trace, ds.labels, loss)
+        spec, fro = gradient_norms(factors)
+        for g, s, f in zip(loss_gradient(params, ds, loss), spec, fro):
+            assert s == pytest.approx(np.linalg.norm(g, 2), rel=1e-10)
+            assert f == pytest.approx(np.linalg.norm(g), rel=1e-10)
 
 
 def _net_with_preactivation_margin(dims, n, margin, start_seed=0):

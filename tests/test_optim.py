@@ -1,11 +1,15 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
+from overparam import network
 from overparam.data import generate_separated
+from overparam.linalg import PortableRng
 from overparam.losses import builtin_loss
-from overparam.network import batch_forward, init_network, loss_gradient
+from overparam.network import (NetworkParams, backprop_signals, batch_forward,
+                               gradient_factors, init_network, loss_gradient)
 from overparam.optim import (TrainConfig, delta_bound_ratios,
                              perturbation_radius, run_gd, run_sgd,
                              theoretical_step_size, write_trajectory_csv,
@@ -16,6 +20,29 @@ def small_problem(n=8, d=4, m=16, depth=2, phi=0.05, data_seed=1, net_seed=2):
     ds = generate_separated(n=n, d=d, mu=0.5, phi=phi, seed=data_seed)
     params = init_network([d] + [m] * depth, seed=net_seed)
     return params, ds
+
+
+def oracle_iterates(params, ds, loss, eta, steps, batch_size=None, seed=0):
+    """Weights W_0..W_steps of the update loop written out directly: every
+    step backpropagates, gathers the batch rows and forms a fresh
+    ``W - eta * G`` per layer.  Batches follow the "fresh" sampler."""
+    n = ds.n
+    y = ds.labels
+    rng = PortableRng(seed)
+    weights = [w.copy() for w in params.weights]
+    iterates = [weights]
+    for _ in range(steps):
+        net = NetworkParams(params.layer_dims, weights, params.output_vector)
+        trace = batch_forward(net, ds.inputs)
+        lprime = loss.deriv(y * trace.outputs)
+        batch = np.arange(n) if batch_size is None \
+            else rng.sample_without_replacement(n, batch_size)
+        coeff = lprime[batch] * y[batch] / batch.shape[0]
+        signals = backprop_signals(net, trace)
+        weights = [w - eta * (h[batch].T @ (coeff[:, None] * g[batch]))
+                   for w, h, g in zip(weights, trace.hidden, signals)]
+        iterates.append(weights)
+    return iterates
 
 
 class TestStepSize:
@@ -159,14 +186,11 @@ class TestRunSgd:
         batch_size = 2
         sums = [np.zeros_like(w) for w in params.weights]
         count = 0
-        from overparam.network import _gradients_from_trace
         for subset in itertools.combinations(range(6), batch_size):
             rows = np.asarray(subset)
-            coeff = np.asarray(loss.deriv(y[rows] * trace.outputs[rows])) \
-                * y[rows] / batch_size
-            grads = _gradients_from_trace(params, trace, coeff, rows=rows)
-            for acc, g in zip(sums, grads):
-                acc += g
+            factors = gradient_factors(params, trace, y, loss, rows=rows)
+            for acc, (a, b) in zip(sums, factors):
+                acc += a.T @ b
             count += 1
         for acc, g in zip(sums, full):
             assert np.allclose(acc / count, g, rtol=1e-12, atol=1e-14)
@@ -196,6 +220,63 @@ class TestRunSgd:
                          TrainConfig(max_iters=12, eta=0.01, tau=1.0,
                                      batch_size=3, batch_mode="epoch"))
         assert rec.n_rows == 12
+
+
+class TestTrainingPath:
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_matches_oracle_loop_bitwise(self, batch_size):
+        params, ds = small_problem()
+        loss = builtin_loss("logistic")
+        config = TrainConfig(max_iters=12, eta=0.05, tau=10.0, seed=4,
+                             batch_size=batch_size)
+        run = run_gd if batch_size is None else run_sgd
+        final, rec = run(params, ds, loss, config)
+        assert rec.stop_reason == "max_iters"
+        iterates = oracle_iterates(params, ds, loss, 0.05, rec.iterations,
+                                   batch_size=batch_size, seed=4)
+        for w, expected in zip(final.weights, iterates[-1]):
+            assert np.array_equal(w, expected)
+        # every recorded radius against a dense norm of that row's iterate
+        for k, radii in zip(rec.ks, rec.radii):
+            for r, w, w0 in zip(radii, iterates[k], params.weights):
+                dense = np.linalg.norm(w - w0, 2)
+                assert r == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_one_backprop_pass_per_update_step(self, monkeypatch, batch_size):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return backprop_signals(*args, **kwargs)
+
+        monkeypatch.setattr(network, "backprop_signals", counting)
+        params, ds = small_problem()
+        run = run_gd if batch_size is None else run_sgd
+        _, rec = run(params, ds, builtin_loss("logistic"),
+                     TrainConfig(max_iters=9, eta=0.02, tau=10.0,
+                                 batch_size=batch_size))
+        assert rec.stop_reason == "max_iters"
+        assert len(calls) == rec.iterations == 9
+
+    def test_budget_warnings_logged_once_per_layer(self, caplog):
+        params, ds = small_problem()
+        loss = builtin_loss("logistic")
+        with caplog.at_level(logging.WARNING, logger="overparam.optim"):
+            _, rec = run_gd(params, ds, loss,
+                            TrainConfig(max_iters=40, eta=0.05, tau=1e-4))
+        assert len(rec.warnings) > 3 * params.depth  # over budget for many steps
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.WARNING]
+        assert 1 <= len(lines) <= params.depth
+        for layer in range(1, params.depth + 1):
+            events = [w for w in rec.warnings if w[1] == layer]
+            if not events:
+                continue
+            k, _, radius = events[0]
+            line, = [m for m in lines if m.startswith(f"layer {layer} ")]
+            assert f"at iteration {k} " in line
+            assert f"{len(events)} recorded iterations over budget" in line
 
 
 class TestZeroErrorCheck:

@@ -116,7 +116,6 @@ def _train_config(config: dict) -> optim.TrainConfig:
         target_loss=float(config["epsilon"]),
         tau=float(config["tau"]),
         seed=int(config["seed"]) + TRAIN_SEED_OFFSET,
-        loss_name=str(config["loss"]),
         record_patterns=bool(config["record_patterns"]),
         batch_mode=str(config["batch_mode"]),
     )
@@ -214,9 +213,26 @@ def _lemma_oracles(config: dict) -> dict:
 
 
 def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
-    dataset = _dataset_from_config(config)
     dims = _dims_from_config(config)
     init_seed = int(config["seed"]) + INIT_SEED_OFFSET
+    if checkpoint is not None:
+        # the perturbation battery compares the checkpoint with this config's
+        # initialisation, which is only meaningful if it was trained from it.
+        # Only the header is read here, so that a bad checkpoint fails before
+        # the init battery runs without its weights held through that battery.
+        trained_dims, trained_seed = network.checkpoint_header(checkpoint)
+        if trained_seed is None:
+            print(f"checkpoint {checkpoint} records no init seed; cannot check "
+                  f"that it was trained from this config's network", file=sys.stderr)
+            return EXIT_CONFIG
+        if trained_seed != init_seed or list(trained_dims) != dims:
+            print(f"checkpoint {checkpoint} was trained from another network: "
+                  f"init seed {trained_seed}, layer_dims {list(trained_dims)}; "
+                  f"this config initialises seed {init_seed}, layer_dims {dims}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+
+    dataset = _dataset_from_config(config)
     params0 = network.init_network(dims, init_seed)
     items = config["verify_items"]
     report = verify.verify_init_properties(
@@ -239,18 +255,6 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
     if checkpoint is not None:
         trained = network.load_params(checkpoint)
-        # the perturbation battery compares the checkpoint with this config's
-        # initialisation, which is only meaningful if it was trained from it
-        if trained.seed is None:
-            print(f"checkpoint {checkpoint} records no init seed; cannot check "
-                  f"that it was trained from this config's network", file=sys.stderr)
-            return EXIT_CONFIG
-        if trained.seed != init_seed or list(trained.layer_dims) != dims:
-            print(f"checkpoint {checkpoint} was trained from another network: "
-                  f"init seed {trained.seed}, layer_dims {list(trained.layer_dims)}; "
-                  f"this config initialises seed {init_seed}, layer_dims {dims}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
         loss = builtin_loss(str(config["loss"]))
         pert = verify.verify_perturbation_properties(
             params0, trained, params0, dataset, loss=loss,
@@ -391,6 +395,9 @@ def main(argv=None) -> int:
                 print("empty --values", file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_sweep(config, out_dir, args.axis, values)
+    except network.CorruptCheckpointError as exc:
+        print(f"corrupt checkpoint: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, data_mod.DataGenerationError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

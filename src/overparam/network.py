@@ -11,6 +11,7 @@ choice, but finite-difference checks must avoid kink-adjacent coordinates).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,14 @@ from .linalg import PortableRng, gaussian_matrix
 
 __all__ = [
     "BatchTrace",
+    "CorruptCheckpointError",
     "ForwardTrace",
     "LayerGradients",
     "NetworkParams",
     "backprop_signals",
     "batch_forward",
     "batch_loss",
+    "checkpoint_header",
     "forward",
     "gradient_factors",
     "gradient_norms",
@@ -292,19 +295,53 @@ def save_params(params: NetworkParams, path) -> None:
         fh.write(np.ascontiguousarray(params.output_vector, dtype="<f8").tobytes())
 
 
-def load_params(path) -> NetworkParams:
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != _MAGIC:
-            raise ValueError(f"{path}: not a network checkpoint")
+class CorruptCheckpointError(ValueError):
+    """A checkpoint whose header cannot be read, whose payload is not
+    exactly the size its header's layer_dims call for, or whose values do
+    not form a valid network."""
+
+
+def _read_header(fh, path) -> tuple:
+    """(layer_dims, seed, sizes) from an open checkpoint positioned at its
+    start, after checking that the rest of the file is exactly the payload
+    of those dims; `sizes` counts the float64 values of W_1..W_L and v."""
+    if fh.readline().strip() != _MAGIC:
+        raise ValueError(f"{path}: not a network checkpoint")
+    try:
         header = json.loads(fh.readline().decode("ascii"))
         dims = tuple(int(m) for m in header["layer_dims"])
-        weights = []
-        for l in range(len(dims) - 1):
-            count = dims[l] * dims[l + 1]
-            buf = fh.read(8 * count)
-            weights.append(np.frombuffer(buf, dtype="<f8").reshape(dims[l], dims[l + 1]).copy())
-        v = np.frombuffer(fh.read(8 * dims[-1]), dtype="<f8").copy()
-    params = NetworkParams(layer_dims=dims, weights=weights, output_vector=v,
-                           seed=header.get("seed"))
-    params.validate()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if len(dims) < 2 or any(m < 1 for m in dims):
+        raise CorruptCheckpointError(f"{path}: bad layer_dims {list(dims)}")
+    sizes = [dims[l] * dims[l + 1] for l in range(len(dims) - 1)] + [dims[-1]]
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != 8 * sum(sizes):
+        raise CorruptCheckpointError(
+            f"{path}: {payload} payload bytes, but layer_dims {list(dims)} "
+            f"need {8 * sum(sizes)}")
+    return dims, header.get("seed"), sizes
+
+
+def checkpoint_header(path) -> tuple:
+    """(layer_dims, seed) of a checkpoint, read without its weights.  Raises
+    as `load_params` does on a bad header or a payload of the wrong size."""
+    with open(path, "rb") as fh:
+        dims, seed, _ = _read_header(fh, path)
+    return dims, seed
+
+
+def load_params(path) -> NetworkParams:
+    with open(path, "rb") as fh:
+        dims, seed, sizes = _read_header(fh, path)
+        values = np.frombuffer(fh.read(), dtype="<f8")
+    pieces = np.split(values, np.cumsum(sizes)[:-1])
+    weights = [w.reshape(dims[l], dims[l + 1]).copy()
+               for l, w in enumerate(pieces[:-1])]
+    params = NetworkParams(layer_dims=dims, weights=weights,
+                           output_vector=pieces[-1].copy(), seed=seed)
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CorruptCheckpointError(f"{path}: {exc}") from exc
     return params

@@ -65,7 +65,6 @@ class TrainConfig:
     target_loss: float = 1e-4
     tau: float = 0.1                    # perturbation budget (warning threshold)
     seed: int = 0
-    loss_name: str = "logistic"
     record_patterns: bool = False
     batch_mode: str = "fresh"           # "fresh": resample per step; "epoch": shuffle
 

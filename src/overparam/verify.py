@@ -27,6 +27,7 @@ from .network import (NetworkParams, batch_forward, gradient_factors,
                       gradient_norms, init_network)
 
 __all__ = [
+    "MaskedChain",
     "PropertyEntry",
     "PropertyReport",
     "concavity_inequality_check",
@@ -49,11 +50,6 @@ INIT_ITEMS = (
     "active_gradient_nodes",
     "pairwise_inner_product",
 )
-
-# Items priced per (layer-pair, example) with big-matrix work; worth
-# skipping at large width when only the thresholded checks are needed.
-HEAVY_INIT_ITEMS = ("chain_product_norm", "sparse_output_probe",
-                    "sparse_bilinear_probe")
 
 
 @dataclass
@@ -151,50 +147,92 @@ def _min_pair_distance(h: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) ->
     return float(np.min(d))
 
 
-def _apply_chain(weights, patterns, first: int, last: int, block: np.ndarray,
-                 example: int) -> np.ndarray:
-    """Masked product over layers first..last applied to columns of `block`."""
-    t = block
-    for r in range(first, last + 1):
-        t = patterns[r - 1][example][:, None] * (weights[r - 1].T @ t)
-    return t
+def _example_mask(pattern: np.ndarray) -> np.ndarray:
+    """(m, n, 1) mask of an (n, m) pattern, C-ordered so that products with
+    a (m, n, b) block come out C-ordered and reshape without a copy."""
+    return np.ascontiguousarray(pattern.T)[:, :, None]
 
 
-def _apply_chain_t(weights, patterns, first: int, last: int, block: np.ndarray,
-                   example: int) -> np.ndarray:
-    t = block
-    for r in range(last, first - 1, -1):
-        t = weights[r - 1] @ (patterns[r - 1][example][:, None] * t)
-    return t
+def _layer(w: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``w @ block`` over the leading axis of a (dim, ...) block, as one GEMM."""
+    return (w @ block.reshape(block.shape[0], -1)).reshape(w.shape[0], *block.shape[1:])
 
 
-def _chain_operator_norm(weights, patterns, l1: int, l2: int, example: int,
-                         rng: PortableRng, include_head: bool,
-                         block: int = 4, iters: int = 24) -> float:
-    """Block power estimate of the chain product spectral norm.
+class MaskedChain:
+    """Masked chain products of all n examples at once.
 
-    ``include_head`` appends a final W_{l2}^T factor after the masked chain
-    l1..l2-1; otherwise the product runs over l1..l2 with both masks.  The
-    estimate approaches the true norm from below.
+    Example i's operator is ``D_{last,i} W_last^T ... D_{first,i} W_first^T``,
+    where ``D_{r,i}`` masks to the active units of its layer-r pattern; with
+    `head` it gains a final unmasked ``W_head^T``.  ``apply`` and
+    ``apply_t`` (the transpose) act on blocks of shape ``(dim, n, b)``,
+    multiplying example i's b columns by example i's operator, so each
+    layer is one GEMM over n*b columns.  ``first > last`` leaves no masked
+    layers.
     """
-    dim = weights[l1 - 1].shape[0]
-    q = rng.normals(dim * block).reshape(dim, block)
-    q, _ = np.linalg.qr(q)
-    chain_last = l2 - 1 if include_head else l2
 
-    def fwd(b):
-        t = _apply_chain(weights, patterns, l1, chain_last, b, example)
-        return weights[l2 - 1].T @ t if include_head else t
+    def __init__(self, weights, patterns, first: int, last: int,
+                 head: int | None = None):
+        self.weights = weights
+        self.first, self.last, self.head = first, last, head
+        self.n = patterns[0].shape[0]
+        self.masks = {r: _example_mask(patterns[r - 1])
+                      for r in range(first, last + 1)}
 
-    def bwd(b):
-        t = weights[l2 - 1] @ b if include_head else b
-        return _apply_chain_t(weights, patterns, l1, chain_last, t, example)
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        t = block
+        for r in range(self.first, self.last + 1):
+            t = _layer(self.weights[r - 1].T, t)
+            t *= self.masks[r]
+        if self.head is not None:
+            t = _layer(self.weights[self.head - 1].T, t)
+        return t
 
-    for _ in range(iters):
-        z = bwd(fwd(q))
-        q, _ = np.linalg.qr(z)
-    s = np.linalg.svd(fwd(q), compute_uv=False)
-    return float(s[0])
+    def apply_t(self, block: np.ndarray) -> np.ndarray:
+        t = block
+        if self.head is not None:
+            t = _layer(self.weights[self.head - 1], t)
+        for r in range(self.last, self.first - 1, -1):
+            t = _layer(self.weights[r - 1], self.masks[r] * t)
+        return t
+
+    def norms(self, rng: PortableRng, block: int = 4, iters: int = 24) -> np.ndarray:
+        """Block power estimates of each example's operator spectral norm.
+
+        The n start blocks are one draw of ``n * dim * block`` normals, the
+        same stream as n consecutive per-example draws.  Each estimate
+        approaches the true norm from below.
+        """
+        dim = self.weights[self.first - 1].shape[0]
+        # QR and SVD stack over the leading example axis: (n, dim, block)
+        q, _ = np.linalg.qr(rng.normals(self.n * dim * block).reshape(self.n, dim, block))
+        for _ in range(iters):
+            z = self.apply_t(self.apply(q.transpose(1, 0, 2)))
+            q, _ = np.linalg.qr(z.transpose(1, 0, 2))
+        top = self.apply(q.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return np.linalg.svd(top, compute_uv=False)[:, 0]
+
+
+def _output_probe(params: NetworkParams, patterns, layer: int,
+                  block: np.ndarray) -> float:
+    """max over examples i and probe columns u of ``|v . chain_i u|``, with
+    chain_i the masked layers layer..L: v is backpropagated once per example
+    and then met with all the probes."""
+    chain = MaskedChain(params.weights, patterns, layer, params.depth)
+    v = params.output_vector
+    back = chain.apply_t(np.broadcast_to(v[:, None, None], (v.shape[0], chain.n, 1)))
+    return float(np.max(np.abs(block.T @ back[:, :, 0])))
+
+
+def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
+                    a_block: np.ndarray, b_block: np.ndarray) -> float:
+    """max over examples and probe pairs of ``|b . W_l2^T chain_i a|``, with
+    chain_i the masked layers l1..l2-1.  The outer GEMMs do not depend on
+    the example, so only the middle layers run per example."""
+    w = params.weights
+    first = _example_mask(patterns[l1 - 1]) * (w[l1 - 1].T @ a_block)[:, None, :]
+    middle = MaskedChain(w, patterns, l1 + 1, l2 - 1).apply(first)
+    vals = (w[l2 - 1] @ b_block).T @ middle.reshape(middle.shape[0], -1)
+    return float(np.max(np.abs(vals)))
 
 
 def _sparse_probes(dim: int, s: int, count: int, rng: PortableRng) -> np.ndarray:
@@ -336,21 +374,15 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
         if "chain_product_norm" in entries:
             worst = 0.0
             for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-                for i in range(n):
-                    worst = max(worst, _chain_operator_norm(
-                        net.weights, trace.patterns, l1, l2, i, rng,
-                        include_head=True))
+                chain = MaskedChain(net.weights, trace.patterns, l1, l2 - 1, head=l2)
+                worst = max(worst, float(np.max(chain.norms(rng))))
             entries["chain_product_norm"].per_trial.append(worst)
 
         if "sparse_output_probe" in entries:
             worst = 0.0
             for l in range(1, depth + 1):
                 block = _sparse_probes(dims[l - 1], sparsity_s, probes, rng)
-                for i in range(n):
-                    prop = _apply_chain(net.weights, trace.patterns, l, depth,
-                                        block, i)
-                    worst = max(worst, float(np.max(np.abs(
-                        net.output_vector @ prop))))
+                worst = max(worst, _output_probe(net, trace.patterns, l, block))
             entries["sparse_output_probe"].per_trial.append(worst)
 
         if "sparse_bilinear_probe" in entries:
@@ -358,11 +390,8 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
             for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
                 a_block = _sparse_probes(dims[l1 - 1], sparsity_s, probes, rng)
                 b_block = _sparse_probes(dims[l2], sparsity_s, probes, rng)
-                for i in range(n):
-                    prop = _apply_chain(net.weights, trace.patterns, l1, l2 - 1,
-                                        a_block, i)
-                    vals = b_block.T @ (net.weights[l2 - 1].T @ prop)
-                    worst = max(worst, float(np.max(np.abs(vals))))
+                worst = max(worst, _bilinear_probe(net, trace.patterns, l1, l2,
+                                                   a_block, b_block))
             entries["sparse_bilinear_probe"].per_trial.append(worst)
 
         if "active_gradient_nodes" in entries:
@@ -494,10 +523,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     if depth >= 2:
         worst = 0.0
         for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-            for i in range(n):
-                worst = max(worst, _chain_operator_norm(
-                    params_a.weights, trace_a.patterns, l1, l2, i, rng,
-                    include_head=False))
+            chain = MaskedChain(params_a.weights, trace_a.patterns, l1, l2)
+            worst = max(worst, float(np.max(chain.norms(rng))))
         entries.append(PropertyEntry(
             name="perturbed_chain_norm", direction="upper",
             per_trial=[worst / depth], bound=1.0))
@@ -509,11 +536,7 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
         worst = 0.0
         for l in range(1, depth + 1):
             block = _sparse_probes(dims[l - 1], s_pert, probes, rng)
-            for i in range(n):
-                prop = _apply_chain(params_a.weights, trace_a.patterns, l,
-                                    depth, block, i)
-                worst = max(worst, float(np.max(np.abs(
-                    params_a.output_vector @ prop))))
+            worst = max(worst, _output_probe(params_a, trace_a.patterns, l, block))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
         entries.append(PropertyEntry(

@@ -153,6 +153,8 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--checkpoint", str(run / "checkpoint.net")] + verify_args) == 2
         assert "trained from another network" in capsys.readouterr().err
+        # the checkpoint is checked before the init battery runs
+        assert not (out / "init_properties.json").exists()
         assert not (out / "perturbation_properties.json").exists()
 
     def test_checkpoint_without_seed_rejected(self, tmp_path, capsys):
@@ -167,6 +169,20 @@ class TestVerify:
                      "--checkpoint", str(path)]) == 2
         assert "records no init seed" in capsys.readouterr().err
         assert not (out / "perturbation_properties.json").exists()
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8)],
+                             ids=["truncated", "trailing_bytes"])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        path = run / "checkpoint.net"
+        path.write_bytes(edit(path.read_bytes()))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(path)]) == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err
+        assert not (out / "init_properties.json").exists()
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg = write_config(tmp_path)

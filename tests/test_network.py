@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng, gaussian_matrix
 from overparam.losses import LossSpec, builtin_loss
-from overparam.network import (NetworkParams, batch_forward, batch_loss,
-                               forward, gradient_factors, gradient_norms,
-                               init_network, load_params, loss_gradient,
-                               output_telescope, save_params)
+from overparam.network import (CorruptCheckpointError, NetworkParams,
+                               batch_forward, batch_loss, forward,
+                               gradient_factors, gradient_norms, init_network,
+                               load_params, loss_gradient, output_telescope,
+                               save_params)
 
 LOG2 = 0.6931471805599453
 
@@ -320,4 +321,19 @@ class TestSerialization:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b[:-8], "payload bytes"),
+        (lambda b: b[:-3], "payload bytes"),
+        (lambda b: b + bytes(8), "payload bytes"),
+        (lambda b: b.replace(b'"layer_dims"', b'"layer_dimz"', 1), "unreadable header"),
+        (lambda b: b[:-8] + np.array([0.5]).tobytes(), "output vector"),
+    ], ids=["truncated", "truncated_mid_value", "trailing_bytes",
+            "header_without_dims", "bad_output_vector"])
+    def test_rejects_corrupt_checkpoint(self, tmp_path, edit, message):
+        path = tmp_path / "net.ckpt"
+        save_params(random_net(79), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorruptCheckpointError, match=message):
             load_params(path)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng
 from overparam.losses import builtin_loss
-from overparam.network import init_network
-from overparam.verify import (INIT_ITEMS, concavity_inequality_check,
-                              mc_relu_kernel, relu_kernel_closed_form,
-                              subset_mean_variance, verify_init_properties,
+from overparam.network import batch_forward, init_network
+from overparam.verify import (INIT_ITEMS, MaskedChain, _sparse_probes,
+                              concavity_inequality_check, mc_relu_kernel,
+                              relu_kernel_closed_form, subset_mean_variance,
+                              verify_init_properties,
                               verify_perturbation_properties)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
@@ -268,3 +270,164 @@ class TestPerturbationBattery:
         other = init_network([6, 24, 24, 48], seed=9)
         with pytest.raises(ValueError):
             verify_perturbation_properties(params, other, params, ds)
+
+
+# --- per-example reference for the batched masked-chain operator ------------
+
+def _apply_chain(weights, patterns, first, last, block, example):
+    """Masked product over layers first..last applied to columns of `block`."""
+    t = block
+    for r in range(first, last + 1):
+        t = patterns[r - 1][example][:, None] * (weights[r - 1].T @ t)
+    return t
+
+
+def _apply_chain_t(weights, patterns, first, last, block, example):
+    t = block
+    for r in range(last, first - 1, -1):
+        t = weights[r - 1] @ (patterns[r - 1][example][:, None] * t)
+    return t
+
+
+def _chain_operator_norm(weights, patterns, l1, l2, example, rng, include_head,
+                         block=4, iters=24):
+    """Block power estimate of one example's chain norm: with `include_head`
+    the masked chain l1..l2-1 followed by W_{l2}^T, else l1..l2 with both
+    masks."""
+    dim = weights[l1 - 1].shape[0]
+    q = rng.normals(dim * block).reshape(dim, block)
+    q, _ = np.linalg.qr(q)
+    chain_last = l2 - 1 if include_head else l2
+
+    def fwd(b):
+        t = _apply_chain(weights, patterns, l1, chain_last, b, example)
+        return weights[l2 - 1].T @ t if include_head else t
+
+    def bwd(b):
+        t = weights[l2 - 1] @ b if include_head else b
+        return _apply_chain_t(weights, patterns, l1, chain_last, t, example)
+
+    for _ in range(iters):
+        z = bwd(fwd(q))
+        q, _ = np.linalg.qr(z)
+    return float(np.linalg.svd(fwd(q), compute_uv=False)[0])
+
+
+def _dense_chain(weights, patterns, l1, l2, example, include_head):
+    dim = weights[l1 - 1].shape[0]
+    last = l2 - 1 if include_head else l2
+    m = _apply_chain(weights, patterns, l1, last, np.eye(dim), example)
+    return weights[l2 - 1].T @ m if include_head else m
+
+
+def _chain(weights, patterns, l1, l2, include_head):
+    if include_head:
+        return MaskedChain(weights, patterns, l1, l2 - 1, head=l2)
+    return MaskedChain(weights, patterns, l1, l2)
+
+
+def _oracle_output_probe(params, patterns, layer, block):
+    return max(float(np.max(np.abs(params.output_vector @ _apply_chain(
+        params.weights, patterns, layer, params.depth, block, i))))
+        for i in range(patterns[0].shape[0]))
+
+
+PAIRS_AND_FORMS = [(l1, l2, head)
+                   for l1, l2 in itertools.combinations(range(1, 4), 2)
+                   for head in (True, False)]
+
+
+class TestMaskedChain:
+    @pytest.fixture
+    def net(self):
+        params, ds = small_battery_inputs(m=48, depth=3, n=6)
+        return params, batch_forward(params, ds.inputs).patterns
+
+    @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
+    def test_apply_matches_dense_products(self, net, l1, l2, head):
+        params, patterns = net
+        chain = _chain(params.weights, patterns, l1, l2, head)
+        rng = PortableRng(3)
+        dim_in = params.weights[l1 - 1].shape[0]
+        dim_out = params.weights[l2 - 1].shape[1]
+        x = rng.normals(dim_in * 6 * 3).reshape(dim_in, 6, 3)
+        y = rng.normals(dim_out * 6 * 2).reshape(dim_out, 6, 2)
+        fx, ty = chain.apply(x), chain.apply_t(y)
+        assert fx.shape == (dim_out, 6, 3) and ty.shape == (dim_in, 6, 2)
+        for i in range(6):
+            dense = _dense_chain(params.weights, patterns, l1, l2, i, head)
+            np.testing.assert_allclose(fx[:, i], dense @ x[:, i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ty[:, i], dense.T @ y[:, i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
+    def test_norms_match_per_example_loop(self, net, l1, l2, head):
+        params, patterns = net
+        loop_rng, batch_rng = PortableRng(17), PortableRng(17)
+        loop = [_chain_operator_norm(params.weights, patterns, l1, l2, i, loop_rng,
+                                     include_head=head) for i in range(6)]
+        batched = _chain(params.weights, patterns, l1, l2, head).norms(batch_rng)
+        np.testing.assert_allclose(batched, loop, rtol=1e-10, atol=0)
+        # one draw for all examples leaves the stream where n draws would
+        assert loop_rng.raw(1)[0] == batch_rng.raw(1)[0]
+        for i, value in enumerate(batched):
+            exact = np.linalg.norm(
+                _dense_chain(params.weights, patterns, l1, l2, i, head), 2)
+            assert value <= exact * (1.0 + 1e-12)
+
+
+class TestChainItemsAgainstLoops:
+    """Each chain item of both batteries against the per-example loop, fed
+    the same random stream."""
+
+    def test_init_battery(self):
+        params, ds = small_battery_inputs(m=48, depth=3, n=6)
+        patterns = batch_forward(params, ds.inputs).patterns
+        items = ("chain_product_norm", "sparse_output_probe",
+                 "sparse_bilinear_probe")
+        pairs = list(itertools.combinations(range(1, 4), 2))
+        for name in items:
+            rng = PortableRng(21)   # trial 0 stream of seed 21
+            if name == "chain_product_norm":
+                value = max(_chain_operator_norm(params.weights, patterns, l1, l2,
+                                                 i, rng, include_head=True)
+                            for l1, l2 in pairs for i in range(6))
+            elif name == "sparse_output_probe":
+                value = max(_oracle_output_probe(
+                    params, patterns, l, _sparse_probes(params.layer_dims[l - 1],
+                                                        3, 8, rng))
+                    for l in range(1, 4))
+            else:
+                value = 0.0
+                for l1, l2 in pairs:
+                    a = _sparse_probes(params.layer_dims[l1 - 1], 3, 8, rng)
+                    b = _sparse_probes(params.layer_dims[l2], 3, 8, rng)
+                    for i in range(6):
+                        prop = _apply_chain(params.weights, patterns, l1, l2 - 1, a, i)
+                        value = max(value, float(np.max(np.abs(
+                            b.T @ (params.weights[l2 - 1].T @ prop)))))
+            report = verify_init_properties(params, ds, sparsity_s=3, trials=1,
+                                            seed=21, probes=8, items=(name,))
+            assert report.entry(name).per_trial[0] == pytest.approx(value, rel=1e-10)
+
+    def test_perturbation_battery(self):
+        params, ds = small_battery_inputs(m=48, depth=3, n=6)
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.01 * PortableRng(4).normals(
+            48 * 48).reshape(48, 48)
+        report = verify_perturbation_properties(params, tilde, params, ds,
+                                                probes=8, sparsity_s=3, seed=5)
+        patterns = batch_forward(tilde, ds.inputs).patterns
+        rng = PortableRng(5 + 104729)
+        chain = max(_chain_operator_norm(tilde.weights, patterns, l1, l2, i, rng,
+                                         include_head=False)
+                    for l1, l2 in itertools.combinations(range(1, 4), 2)
+                    for i in range(6))
+        probe = max(_oracle_output_probe(
+            tilde, patterns, l, _sparse_probes(tilde.layer_dims[l - 1], 3, 8, rng))
+            for l in range(1, 4))
+        tau = report.meta["measured_tau"]
+        scale = 3 ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * math.sqrt(48 * math.log(48))
+        assert report.entry("perturbed_chain_norm").measured * 3 == \
+            pytest.approx(chain, rel=1e-10)
+        assert report.entry("perturbed_sparse_probe").measured * scale == \
+            pytest.approx(probe, rel=1e-10)

@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _INV_2_53 = 2.0 ** -53
+_TWO_64 = 1 << 64
 
 # Seed of the fixed start vector used by spectral_norm when no warm start is
 # supplied.  Any fixed value works; it only has to be deterministic.
@@ -83,21 +84,37 @@ class PortableRng:
         """Unbiased integer in [0, bound) via rejection on the raw stream."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        limit = _TWO_64 - _TWO_64 % bound
         while True:
             r = int(self.raw(1)[0])
             if r < limit:
                 return r % bound
 
     def sample_without_replacement(self, population: int, size: int) -> np.ndarray:
-        """`size` distinct indices from range(population), partial Fisher-Yates."""
+        """`size` distinct indices from range(population), partial Fisher-Yates.
+
+        Swap i takes ``integer_below(population - i)``.  All `size` raws are
+        drawn at once and checked against their rejection limits; only when
+        one is rejected is the stream rewound and each index drawn in turn,
+        so the indices and the stream position are those of the per-index
+        draws either way.
+        """
         if not 0 <= size <= population:
             raise ValueError("size must be in [0, population]")
-        pool = np.arange(population)
-        for i in range(size):
-            j = i + self.integer_below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:size].copy()
+        state = self._bits.state
+        picks = []
+        for i, r in enumerate(self.raw(size).tolist()):
+            bound = population - i
+            if r >= _TWO_64 - _TWO_64 % bound:
+                self._bits.state = state
+                picks = [i + self.integer_below(population - i) for i in range(size)]
+                break
+            picks.append(i + r % bound)
+        # the swaps on range(population), holding only the moved entries
+        pool = {}
+        for i, j in enumerate(picks):
+            pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+        return np.array([pool[i] for i in range(size)], dtype=np.intp)
 
     def permutation(self, count: int) -> np.ndarray:
         return self.sample_without_replacement(count, count)

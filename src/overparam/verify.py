@@ -196,13 +196,26 @@ class MaskedChain:
         return t
 
     def norms(self, rng: PortableRng, block: int = 4, iters: int = 24) -> np.ndarray:
-        """Block power estimates of each example's operator spectral norm.
+        """Spectral norm of each example's operator, exact on thin chains.
 
-        The n start blocks are one draw of ``n * dim * block`` normals, the
-        same stream as n consecutive per-example draws.  Each estimate
-        approaches the true norm from below.
+        A thin chain, whose input dimension is at most ``4 * block`` (such
+        as one that starts at layer 1 and acts on R^d), is applied once to
+        the identity, and one stacked SVD of the n (m_out, dim) operators
+        gives the exact norms; its working blocks are at most 4 times the
+        power path's.  The stream is then advanced past the start block the
+        power path would have drawn, so the items after it keep their stream.
+
+        Wider chains run `iters` block power steps.  The n start blocks are
+        one draw of ``n * dim * block`` normals, the same stream as n
+        consecutive per-example draws.  Each estimate approaches the true
+        norm from below.
         """
         dim = self.weights[self.first - 1].shape[0]
+        if dim <= 4 * block:
+            rng.advance(2 * math.ceil(self.n * dim * block / 2))
+            eye = np.broadcast_to(np.eye(dim)[:, None, :], (dim, self.n, dim))
+            ops = self.apply(eye).transpose(1, 0, 2)
+            return np.linalg.svd(ops, compute_uv=False)[:, 0]
         # QR and SVD stack over the leading example axis: (n, dim, block)
         q, _ = np.linalg.qr(rng.normals(self.n * dim * block).reshape(self.n, dim, block))
         for _ in range(iters):
@@ -275,6 +288,19 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     to a ``log``-sized support for the sparse probes.
     """
     params.validate()
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
+    if gradient_probes < 1:
+        raise ValueError(f"gradient_probes must be at least 1, "
+                         f"got {gradient_probes}")
+    if allowed_failures < 0:
+        raise ValueError(f"allowed_failures must be non-negative, "
+                         f"got {allowed_failures}")
+    if isinstance(items, str):
+        raise ValueError(f"items must be a list of item names, "
+                         f"not the string {items!r}")
     dims = params.layer_dims
     depth = params.depth
     widths = dims[1:]
@@ -399,15 +425,21 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
             # (1/n) sum_i a_i y_i 1{<w_j, x_{L-1,i}> > 0} x_{L-1,i}
             # clears rank ceil(m_L phi / n); report that norm in units of
             # ||a||_inf / n, minimized over random nonnegative probes a.
+            # Node j's vector is column j of h_prev^T x, x = c * active: its
+            # squared norm x_j^T G x_j, with G the n x n Gram matrix of h_prev,
+            # needs no (m_{L-1}, m_L) temporary.  Roundoff can leave a zero
+            # norm's square slightly negative, hence the clamp.
             need = max(1, int(math.ceil(widths[-1] * dataset.phi / n)))
             h_prev = trace.hidden[depth - 1]
+            gram = h_prev @ h_prev.T
             active = trace.patterns[depth - 1].astype(np.float64)
             low = math.inf
             for _ in range(gradient_probes):
                 a = np.abs(rng.normals(n))
                 c = a * dataset.labels / n
-                node_vecs = h_prev.T @ (c[:, None] * active)
-                norms = np.sort(np.linalg.norm(node_vecs, axis=0))[::-1]
+                x = c[:, None] * active
+                sq = np.einsum("ij,ij->j", x, gram @ x)
+                norms = np.sort(np.sqrt(np.maximum(sq, 0.0)))[::-1]
                 low = min(low, norms[need - 1] * n / float(np.max(a)))
             entries["active_gradient_nodes"].per_trial.append(low)
 

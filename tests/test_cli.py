@@ -184,6 +184,22 @@ class TestVerify:
         assert "corrupt checkpoint" in capsys.readouterr().err
         assert not (out / "init_properties.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("delta", 0),
+        ("probes", 0),
+        ("gradient_probes", 0),
+        ("allowed_failures", -1),
+        ("verify_items", "output_magnitude"),
+    ])
+    def test_bad_battery_argument_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"n": 6, "m": 40, "trials": 1, key: value})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key.removeprefix('verify_')} must" in err
+        assert "Traceback" not in err
+        assert not (out / "init_properties.json").exists()
+
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", str(cfg), "--out",

@@ -254,6 +254,42 @@ class TestPatternDiffCount:
             pattern_diff_count(np.ones(3, bool), np.ones(4, bool))
 
 
+def per_index_sample(rng, population, size):
+    """Reference partial Fisher-Yates: one integer_below call per index."""
+    pool = np.arange(population)
+    for i in range(size):
+        j = i + rng.integer_below(population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:size].copy()
+
+
+class ScriptedBits:
+    """Stand-in bit generator that replays a fixed list of raw outputs."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+
+    def random_raw(self, count):
+        out = self.values[self.pos:self.pos + count]
+        self.pos += count
+        return np.array(out, dtype=np.uint64)
+
+    @property
+    def state(self):
+        return {"pos": self.pos}
+
+    @state.setter
+    def state(self, value):
+        self.pos = value["pos"]
+
+
+def scripted_rng(values):
+    rng = PortableRng(0)
+    rng._bits = ScriptedBits(values)
+    return rng
+
+
 class TestPortableRng:
     def test_deterministic_streams(self):
         a, b = PortableRng(31337), PortableRng(31337)
@@ -293,3 +329,27 @@ class TestPortableRng:
         draws = [rng.integer_below(7) for _ in range(200)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
+
+    @pytest.mark.parametrize("population, size", [
+        (0, 0), (1, 0), (1, 1), (7, 0), (7, 3), (7, 7), (40, 10), (40, 40),
+        (1000, 8), (100_003, 5)])
+    def test_sample_matches_per_index_draws(self, population, size):
+        for seed in range(20):
+            ref, fast = PortableRng(seed), PortableRng(seed)
+            expected = per_index_sample(ref, population, size)
+            got = fast.sample_without_replacement(population, size)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert ref.raw(1)[0] == fast.raw(1)[0]
+
+    def test_rejected_draw_falls_back_to_per_index_draws(self):
+        # 2**64 % 5 == 1, so the first draw, 2**64 - 1, is rejected for
+        # bound 5; later bounds 4, 2 and 1 divide 2**64 and reject nothing
+        top = 2 ** 64 - 1
+        script = [top, 11, 22, 33, top, 44, 55, 66]
+        for population, size in [(5, 3), (5, 5)]:
+            ref, fast = scripted_rng(script), scripted_rng(script)
+            expected = per_index_sample(ref, population, size)
+            got = fast.sample_without_replacement(population, size)
+            assert np.array_equal(got, expected)
+            assert fast._bits.pos == ref._bits.pos > size

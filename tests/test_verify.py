@@ -198,6 +198,38 @@ class TestInitBattery:
             assert a > 0 and b > 0
             assert max(a, b) / min(a, b) <= 10.0
 
+    def test_active_gradient_nodes_match_dense_columns(self):
+        params, ds = small_battery_inputs(m=64, depth=3, n=8)
+        trace = batch_forward(params, ds.inputs)
+        h_prev = trace.hidden[2]
+        active = trace.patterns[2].astype(np.float64)
+        need = max(1, math.ceil(64 * ds.phi / 8))
+        rng = PortableRng(13)   # trial 0 stream of seed 13
+        low = math.inf
+        for _ in range(4):
+            a = np.abs(rng.normals(8))
+            c = a * ds.labels / 8
+            dense = np.linalg.norm(h_prev.T @ (c[:, None] * active), axis=0)
+            low = min(low, np.sort(dense)[::-1][need - 1] * 8 / np.max(a))
+        report = verify_init_properties(params, ds, trials=1, seed=13,
+                                        gradient_probes=4,
+                                        items=("active_gradient_nodes",))
+        assert report.entry("active_gradient_nodes").per_trial[0] == \
+            pytest.approx(low, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"delta": 0.0}, "delta"),
+        ({"delta": 1.0}, "delta"),
+        ({"probes": 0}, "probes"),
+        ({"gradient_probes": 0}, "gradient_probes"),
+        ({"allowed_failures": -1}, "allowed_failures"),
+        ({"items": "output_magnitude"}, "items"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, name):
+        params, ds = small_battery_inputs()
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            verify_init_properties(params, ds, trials=1, **kwargs)
+
     def test_sparsity_out_of_range(self):
         params, ds = small_battery_inputs(m=16)
         with pytest.raises(ValueError):
@@ -313,6 +345,20 @@ def _chain_operator_norm(weights, patterns, l1, l2, example, rng, include_head,
     return float(np.linalg.svd(fwd(q), compute_uv=False)[0])
 
 
+def _item_chain_norm(weights, patterns, l1, l2, example, rng, include_head,
+                     block=4):
+    """One example's chain norm as the batteries take it: exact on chains
+    acting on at most 4 * block dimensions, after skipping the start block
+    the power iteration would have drawn; the power estimate otherwise."""
+    dim = weights[l1 - 1].shape[0]
+    if dim <= 4 * block:
+        rng.advance(2 * math.ceil(dim * block / 2))
+        return float(np.linalg.norm(
+            _dense_chain(weights, patterns, l1, l2, example, include_head), 2))
+    return _chain_operator_norm(weights, patterns, l1, l2, example, rng,
+                                include_head, block=block)
+
+
 def _dense_chain(weights, patterns, l1, l2, example, include_head):
     dim = weights[l1 - 1].shape[0]
     last = l2 - 1 if include_head else l2
@@ -340,7 +386,14 @@ PAIRS_AND_FORMS = [(l1, l2, head)
 class TestMaskedChain:
     @pytest.fixture
     def net(self):
+        # d=6: chains from layer 1 are thin (dense path), from layer 2 wide
         params, ds = small_battery_inputs(m=48, depth=3, n=6)
+        return params, batch_forward(params, ds.inputs).patterns
+
+    @pytest.fixture
+    def wide_net(self):
+        # d=20 > 4 * block: every chain takes the block power iteration
+        params, ds = small_battery_inputs(m=64, depth=3, n=3, d=20)
         return params, batch_forward(params, ds.inputs).patterns
 
     @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
@@ -360,11 +413,12 @@ class TestMaskedChain:
             np.testing.assert_allclose(ty[:, i], dense.T @ y[:, i], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
-    def test_norms_match_per_example_loop(self, net, l1, l2, head):
-        params, patterns = net
+    def test_norms_match_per_example_loop(self, wide_net, l1, l2, head):
+        params, patterns = wide_net
+        n = patterns[0].shape[0]
         loop_rng, batch_rng = PortableRng(17), PortableRng(17)
         loop = [_chain_operator_norm(params.weights, patterns, l1, l2, i, loop_rng,
-                                     include_head=head) for i in range(6)]
+                                     include_head=head) for i in range(n)]
         batched = _chain(params.weights, patterns, l1, l2, head).norms(batch_rng)
         np.testing.assert_allclose(batched, loop, rtol=1e-10, atol=0)
         # one draw for all examples leaves the stream where n draws would
@@ -373,6 +427,21 @@ class TestMaskedChain:
             exact = np.linalg.norm(
                 _dense_chain(params.weights, patterns, l1, l2, i, head), 2)
             assert value <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("l1, l2, head",
+                             [case for case in PAIRS_AND_FORMS if case[0] == 1])
+    def test_thin_norms_are_exact(self, net, l1, l2, head):
+        params, patterns = net
+        power_rng, dense_rng = PortableRng(17), PortableRng(17)
+        for i in range(6):
+            _chain_operator_norm(params.weights, patterns, l1, l2, i, power_rng,
+                                 include_head=head)
+        norms = _chain(params.weights, patterns, l1, l2, head).norms(dense_rng)
+        exact = [np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2, i,
+                                             head), 2) for i in range(6)]
+        np.testing.assert_allclose(norms, exact, rtol=1e-12, atol=0)
+        # the stream is left where the power iteration would leave it
+        assert power_rng.raw(1)[0] == dense_rng.raw(1)[0]
 
 
 class TestChainItemsAgainstLoops:
@@ -388,8 +457,8 @@ class TestChainItemsAgainstLoops:
         for name in items:
             rng = PortableRng(21)   # trial 0 stream of seed 21
             if name == "chain_product_norm":
-                value = max(_chain_operator_norm(params.weights, patterns, l1, l2,
-                                                 i, rng, include_head=True)
+                value = max(_item_chain_norm(params.weights, patterns, l1, l2,
+                                             i, rng, include_head=True)
                             for l1, l2 in pairs for i in range(6))
             elif name == "sparse_output_probe":
                 value = max(_oracle_output_probe(
@@ -418,8 +487,8 @@ class TestChainItemsAgainstLoops:
                                                 probes=8, sparsity_s=3, seed=5)
         patterns = batch_forward(tilde, ds.inputs).patterns
         rng = PortableRng(5 + 104729)
-        chain = max(_chain_operator_norm(tilde.weights, patterns, l1, l2, i, rng,
-                                         include_head=False)
+        chain = max(_item_chain_norm(tilde.weights, patterns, l1, l2, i, rng,
+                                     include_head=False)
                     for l1, l2 in itertools.combinations(range(1, 4), 2)
                     for i in range(6))
         probe = max(_oracle_output_probe(

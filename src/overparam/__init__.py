@@ -1,16 +1,3 @@
 """Over-parameterized deep ReLU network training and verification toolkit."""
 
-from .data import Dataset, generate_separated, validate_dataset
-from .linalg import (PortableRng, frobenius_norm, gaussian_matrix,
-                     pattern_diff_count, spectral_norm)
-from .losses import LossSpec, builtin_loss, check_loss_assumptions
-from .network import (ForwardTrace, NetworkParams, batch_forward, batch_loss,
-                      forward, init_network, load_params, loss_gradient,
-                      output_telescope, save_params)
-from .optim import (TrainConfig, TrajectoryRecord, perturbation_radius,
-                    run_gd, run_sgd, theoretical_step_size, zero_error_check)
-from .verify import (concavity_inequality_check, mc_relu_kernel,
-                     relu_kernel_closed_form, subset_mean_variance,
-                     verify_init_properties, verify_perturbation_properties)
-
 __version__ = "0.1.0"

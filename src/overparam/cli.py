@@ -12,7 +12,6 @@ import copy
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -269,23 +268,13 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_value(config: dict, axis: str, value: float) -> dict:
-    run = copy.deepcopy(config)
-    if axis == "phi":
-        run["phi"] = float(value)
-    else:
-        run[{"m": "m", "n": "n", "L": "L", "B": "B"}[axis]] = int(value)
-    return run
-
-
-def _sweep_worker(job) -> dict:
-    axis, value, run_config, run_dir = job
-    os.makedirs(run_dir, exist_ok=True)
+def _sweep_row(axis: str, value: float, run_config: dict, run_dir: Path) -> dict:
+    run_dir.mkdir(exist_ok=True)
     row = {"axis": axis, "value": value, "status": "ok", "error": "",
            "iterations": "", "iterations_to_zero_error": "", "final_loss": "",
            "max_radius": "", "stop_reason": ""}
     try:
-        summary = train_once(run_config, Path(run_dir))
+        summary = train_once(run_config, run_dir)
     except Exception as exc:  # sub-run failures become rows, the sweep survives
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -302,18 +291,12 @@ def _sweep_worker(job) -> dict:
 
 
 def cmd_sweep(config: dict, out_dir: Path, axis: str, values: list) -> int:
-    jobs = []
+    rows = []
     for value in values:
-        run_config = _sweep_value(config, axis, value)
-        tag = f"{value:g}" if axis == "phi" else f"{int(value)}"
-        jobs.append((axis, value, run_config, str(out_dir / f"run_{axis}_{tag}")))
-
-    workers = int(os.environ.get("OVERPARAM_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+        setting = float(value) if axis == "phi" else int(value)
+        tag = f"{setting:g}" if axis == "phi" else f"{setting}"
+        rows.append(_sweep_row(axis, value, dict(config, **{axis: setting}),
+                               out_dir / f"run_{axis}_{tag}"))
 
     rows.sort(key=lambda r: r["value"])
     columns = ["axis", "value", "iterations", "iterations_to_zero_error",

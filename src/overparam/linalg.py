@@ -13,9 +13,7 @@ from numpy.random import PCG64
 __all__ = [
     "PortableRng",
     "SpectralNormError",
-    "frobenius_norm",
     "gaussian_matrix",
-    "pattern_diff_count",
     "power_iteration",
     "spectral_norm",
 ]
@@ -147,19 +145,6 @@ def gaussian_matrix(rows: int, cols: int, variance: float, rng: PortableRng) -> 
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("gaussian_matrix produced non-finite entries")
     return out
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
-
-
-def pattern_diff_count(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of positions where two bit vectors differ."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ValueError(f"pattern length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
 
 
 def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,

@@ -21,25 +21,17 @@ from .linalg import PortableRng, gaussian_matrix
 __all__ = [
     "BatchTrace",
     "CorruptCheckpointError",
-    "ForwardTrace",
-    "LayerGradients",
     "NetworkParams",
     "backprop_signals",
     "batch_forward",
-    "batch_loss",
     "checkpoint_header",
-    "forward",
     "gradient_factors",
     "gradient_norms",
     "init_network",
     "load_params",
-    "loss_gradient",
-    "output_telescope",
+    "max_pattern_distance",
     "save_params",
 ]
-
-# One gradient matrix per layer, same shapes as NetworkParams.weights.
-LayerGradients = list
 
 
 @dataclass
@@ -89,20 +81,6 @@ class NetworkParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Single-example forward pass: hidden outputs, patterns, output.
-
-    ``hidden[0]`` is the input; ``hidden[l]`` the layer-l output;
-    ``patterns[l-1]`` the bool mask of strictly positive layer-l
-    pre-activations.
-    """
-
-    hidden: list
-    patterns: list
-    output: float
-
-
-@dataclass
 class BatchTrace:
     """Vectorized forward pass over a batch of inputs (one row per example)."""
 
@@ -139,25 +117,6 @@ def init_network(layer_dims, seed: int) -> NetworkParams:
     return params
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass of one input, capturing hidden outputs and patterns."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.layer_dims[0],):
-        raise ValueError(
-            f"input has shape {x.shape}, expected ({params.layer_dims[0]},)")
-    hidden = [x]
-    patterns = []
-    h = x
-    for w in params.weights:
-        z = w.T @ h
-        p = z > 0
-        h = np.where(p, z, 0.0)
-        patterns.append(p)
-        hidden.append(h)
-    return ForwardTrace(hidden=hidden, patterns=patterns,
-                        output=float(params.output_vector @ h))
-
-
 def batch_forward(params: NetworkParams, inputs: np.ndarray) -> BatchTrace:
     """Forward pass of a whole batch (rows of `inputs`)."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -179,26 +138,15 @@ def batch_forward(params: NetworkParams, inputs: np.ndarray) -> BatchTrace:
                       outputs=h @ params.output_vector)
 
 
-def output_telescope(params: NetworkParams, trace: ForwardTrace, layer: int) -> float:
-    """Recompute the output from `layer` onward using the captured patterns.
-
-    For ``layer = L + 1`` the masked product is empty and the result is
-    ``v . hidden[L]``; every valid `layer` must reproduce ``trace.output``
-    up to roundoff.
-    """
-    depth = params.depth
-    if not 1 <= layer <= depth + 1:
-        raise ValueError(f"layer must be in [1, {depth + 1}], got {layer}")
-    t = trace.hidden[layer - 1]
-    for r in range(layer, depth + 1):
-        t = np.where(trace.patterns[r - 1], params.weights[r - 1].T @ t, 0.0)
-    return float(params.output_vector @ t)
-
-
-def batch_loss(params: NetworkParams, dataset, loss) -> float:
-    """Mean loss of y_i * f(x_i) over the dataset."""
-    trace = batch_forward(params, dataset.inputs)
-    return float(np.mean(loss.value(dataset.labels * trace.outputs)))
+def max_pattern_distance(patterns: list, reference: list) -> list:
+    """Per layer, the largest number of units whose activation differs
+    between an example's two patterns, over all examples (rows)."""
+    out = []
+    for p, p0 in zip(patterns, reference):
+        if p.shape != p0.shape:
+            raise ValueError(f"pattern shapes differ: {p.shape} vs {p0.shape}")
+        out.append(int(np.max(np.count_nonzero(p != p0, axis=1))))
+    return out
 
 
 def backprop_signals(params: NetworkParams, trace: BatchTrace) -> list:
@@ -237,16 +185,6 @@ def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarra
             h, g = h[rows], g[rows]
         factors.append((h, coeff[:, None] * g))
     return factors
-
-
-def loss_gradient(params: NetworkParams, dataset, loss) -> list:
-    """Analytic gradient of the mean loss, one matrix per layer.
-
-    Patterns are the ones captured by the forward pass at the current
-    parameters (derivative 0 at ReLU kinks).
-    """
-    trace = batch_forward(params, dataset.inputs)
-    return [a.T @ b for a, b in gradient_factors(params, trace, dataset.labels, loss)]
 
 
 def gradient_norms(factors: list) -> tuple:

@@ -1,33 +1,36 @@
 """Full-batch and minibatch gradient descent with per-iteration telemetry.
 
-Each recorded row describes the iterate *before* its update step: loss,
-misclassified count, the derivative sum, per-layer distances from the
-initial weights (spectral norm), and per-layer norms of the update
-gradient.  Training stops at the iteration cap, at the target loss, or at
-zero training error (strict: a zero-margin example counts as an error).
+A run's trajectory is a list of `TrajectoryRow`s, one per recorded
+iteration, each describing the iterate *before* its update step: loss,
+misclassified count, the derivative sums, the largest output change since
+the previous row, per-layer distances from the initial weights (spectral
+norm), per-layer norms of the update gradient and, at snapshot iterations
+and the last row, per-layer pattern drift from the initial network.  The
+row's fields are the columns of the trajectory CSV.  Training stops at the
+iteration cap, at the target loss, at zero training error (strict: a
+zero-margin example counts as an error), or at a loss that is not finite.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .linalg import PortableRng, power_iteration, spectral_norm
 from .network import (NetworkParams, batch_forward, gradient_factors,
-                      gradient_norms)
+                      gradient_norms, max_pattern_distance)
 
 __all__ = [
     "TrainConfig",
     "TrajectoryRecord",
-    "delta_bound_ratios",
+    "TrajectoryRow",
     "perturbation_radius",
     "run_gd",
     "run_sgd",
     "theoretical_step_size",
     "write_trajectory_csv",
-    "zero_error_check",
 ]
 
 log = logging.getLogger(__name__)
@@ -89,6 +92,60 @@ class TrainConfig:
         return theoretical_step_size(n, depth, width, phi, scale)
 
 
+def _per_layer(**kwargs):
+    """A `TrajectoryRow` field with one value per layer, one CSV column each."""
+    return field(metadata={"per_layer": True}, **kwargs)
+
+
+@dataclass
+class TrajectoryRow:
+    """Telemetry of one recorded iteration; its fields are the CSV columns.
+
+    None leaves a field's cells empty: the first row has no previous
+    outputs for `delta_max`, and `pattern_drift` is taken only at snapshot
+    iterations and at the last row.
+    """
+
+    k: int
+    loss: float
+    misclassified: int
+    sum_lprime: float                   # over the full set
+    batch_sum_lprime: float             # over the update batch
+    delta_max: float | None             # max_i |yhat_k - yhat_{k-1}|
+    radius: list = _per_layer()         # ||W_l - W_l^(0)||_2
+    grad_spec: list = _per_layer()      # ||G_l||_2 of the update gradient
+    grad_fro: list = _per_layer()       # ||G_l||_F
+    pattern_drift: list | None = _per_layer(default=None)   # max_i l0 drift
+
+    @staticmethod
+    def csv_header(layers: int) -> list:
+        cols = []
+        for f in fields(TrajectoryRow):
+            if f.metadata.get("per_layer"):
+                cols += [f"{f.name}_{l}" for l in range(1, layers + 1)]
+            else:
+                cols.append(f.name)
+        return cols
+
+    def csv_cells(self, layers: int) -> list:
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not f.metadata.get("per_layer"):
+                cells.append(_cell(value))
+            elif value is None:
+                cells += [""] * layers
+            else:
+                cells += [_cell(v) for v in value]
+        return cells
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 @dataclass
 class TrajectoryRecord:
     """Per-iteration telemetry of one training run."""
@@ -96,16 +153,7 @@ class TrajectoryRecord:
     layer_count: int
     eta: float = float("nan")
     tau: float = float("nan")
-    ks: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    misclassified: list = field(default_factory=list)
-    sum_lprime: list = field(default_factory=list)         # over the full set
-    batch_sum_lprime: list = field(default_factory=list)   # over the update batch
-    delta_max: list = field(default_factory=list)          # max_i |yhat_k - yhat_{k-1}|
-    radii: list = field(default_factory=list)              # per-layer ||W - W0||_2
-    grad_spectral: list = field(default_factory=list)      # per-layer, update gradient
-    grad_frobenius: list = field(default_factory=list)
-    pattern_drift: dict = field(default_factory=dict)      # k -> per-layer max_i l0 drift
+    rows: list = field(default_factory=list)               # TrajectoryRow per iteration
     warnings: list = field(default_factory=list)           # (k, layer, radius) with radius > tau
     stop_reason: str = ""
     iterations: int = 0                                    # update steps performed
@@ -113,21 +161,17 @@ class TrajectoryRecord:
     final_misclassified: int = -1
     final_radii: list = field(default_factory=list)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.ks)
-
     def first_zero_error_iteration(self):
-        for k, count in zip(self.ks, self.misclassified):
-            if count == 0:
-                return k
+        for row in self.rows:
+            if row.misclassified == 0:
+                return row.k
         return None
 
     def summary(self) -> dict:
-        max_radius = max((max(r) for r in self.radii), default=0.0)
+        max_radius = max((max(row.radius) for row in self.rows), default=0.0)
         return {
             "iterations": self.iterations,
-            "rows": self.n_rows,
+            "rows": len(self.rows),
             "stop_reason": self.stop_reason,
             "eta": self.eta,
             "tau": self.tau,
@@ -140,40 +184,18 @@ class TrajectoryRecord:
         }
 
 
-def _trajectory_header(layers: int) -> list:
-    cols = ["k", "loss", "misclassified", "sum_lprime", "batch_sum_lprime",
-            "delta_max"]
-    cols += [f"radius_{l}" for l in range(1, layers + 1)]
-    cols += [f"grad_spec_{l}" for l in range(1, layers + 1)]
-    cols += [f"grad_fro_{l}" for l in range(1, layers + 1)]
-    cols += [f"pattern_drift_{l}" for l in range(1, layers + 1)]
-    return cols
-
-
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """One row per recorded iteration; pattern drift cells are empty off-snapshot."""
+    """A header of `TrajectoryRow`'s fields, then one line per row.
+
+    Per-layer fields take one column per layer.  Floats are written with
+    17 significant digits, so they read back exactly; empty cells are the
+    row's None values.
+    """
     layers = record.layer_count
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(_trajectory_header(layers)) + "\n")
-        for i, k in enumerate(record.ks):
-            cells = [str(k), f"{record.losses[i]:.17g}",
-                     str(record.misclassified[i]),
-                     f"{record.sum_lprime[i]:.17g}",
-                     f"{record.batch_sum_lprime[i]:.17g}"]
-            delta = record.delta_max[i]
-            cells.append("" if np.isnan(delta) else f"{delta:.17g}")
-            cells += [f"{r:.17g}" for r in record.radii[i]]
-            cells += [f"{s:.17g}" for s in record.grad_spectral[i]]
-            cells += [f"{s:.17g}" for s in record.grad_frobenius[i]]
-            drift = record.pattern_drift.get(k)
-            cells += [str(c) for c in drift] if drift is not None else [""] * layers
-            fh.write(",".join(cells) + "\n")
-
-
-def zero_error_check(params: NetworkParams, dataset) -> int:
-    """Number of examples with y_i * f(x_i) <= 0 (ties count as errors)."""
-    trace = batch_forward(params, dataset.inputs)
-    return int(np.count_nonzero(dataset.labels * trace.outputs <= 0.0))
+        fh.write(",".join(TrajectoryRow.csv_header(layers)) + "\n")
+        for row in record.rows:
+            fh.write(",".join(row.csv_cells(layers)) + "\n")
 
 
 def perturbation_radius(params: NetworkParams, reference: NetworkParams,
@@ -248,19 +270,15 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
     while True:
         trace = batch_forward(live, x)
         if config.record_patterns and init_patterns is None:
-            init_patterns = [p.copy() for p in trace.patterns]
+            init_patterns = trace.patterns
         margins = y * trace.outputs
         loss_k = float(np.mean(loss.value(margins)))
+        miscount = int(np.count_nonzero(margins <= 0.0))
         if not np.isfinite(loss_k):
-            record.ks.append(k)
-            record.losses.append(loss_k)
-            record.misclassified.append(-1)
-            record.sum_lprime.append(float("nan"))
-            record.batch_sum_lprime.append(float("nan"))
-            record.delta_max.append(float("nan"))
-            record.radii.append([float("nan")] * depth)
-            record.grad_spectral.append([float("nan")] * depth)
-            record.grad_frobenius.append([float("nan")] * depth)
+            nan = float("nan")
+            record.rows.append(TrajectoryRow(k, loss_k, -1, nan, nan, None,
+                                             [nan] * depth, [nan] * depth,
+                                             [nan] * depth))
             stop = "diverged"
             break
         if k >= config.max_iters and config.max_iters > 0:
@@ -268,7 +286,6 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
             break
 
         lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
-        miscount = int(np.count_nonzero(margins <= 0.0))
         batch = sampler.next_batch() if sampler is not None else np.arange(n)
 
         radii = [0.0] * depth
@@ -285,34 +302,25 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
                                    rows=None if batch_size == n else batch)
         spec, fro = gradient_norms(factors)
 
-        record.ks.append(k)
-        record.losses.append(loss_k)
-        record.misclassified.append(miscount)
-        record.sum_lprime.append(float(lprime.sum()))
-        record.batch_sum_lprime.append(float(lprime[batch].sum()))
-        if prev_outputs is None:
-            record.delta_max.append(float("nan"))
-        else:
-            record.delta_max.append(float(np.max(np.abs(trace.outputs - prev_outputs))))
-        record.radii.append(radii)
-        record.grad_spectral.append(spec)
-        record.grad_frobenius.append(fro)
-        if config.record_patterns and (k in snapshots):
-            record.pattern_drift[k] = [
-                int(np.max(np.count_nonzero(p != p0, axis=1)))
-                for p, p0 in zip(trace.patterns, init_patterns)
-            ]
-        prev_outputs = trace.outputs
-
         if loss_k <= config.target_loss:
             stop = "target_loss"
-            break
-        if miscount == 0:
+        elif miscount == 0:
             stop = "zero_error"
-            break
-        if config.max_iters == 0:
+        elif config.max_iters == 0:
             stop = "max_iters"
+        drift = None
+        if config.record_patterns and (k in snapshots or stop is not None):
+            drift = max_pattern_distance(trace.patterns, init_patterns)
+        record.rows.append(TrajectoryRow(
+            k=k, loss=loss_k, misclassified=miscount,
+            sum_lprime=float(lprime.sum()),
+            batch_sum_lprime=float(lprime[batch].sum()),
+            delta_max=None if prev_outputs is None
+            else float(np.max(np.abs(trace.outputs - prev_outputs))),
+            radius=radii, grad_spec=spec, grad_fro=fro, pattern_drift=drift))
+        if stop is not None:
             break
+        prev_outputs = trace.outputs
 
         for w, (a, b) in zip(live.weights, factors):
             step = np.matmul(a.T, b, out=scratch[w.shape])
@@ -320,19 +328,13 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
             w -= step
         k += 1
 
+    # the last trace of the loop is of the returned weights
     record.stop_reason = stop
     record.iterations = k
-    final_trace = batch_forward(live, x)
-    final_margins = y * final_trace.outputs
-    record.final_loss = float(np.mean(loss.value(final_margins)))
-    record.final_misclassified = int(np.count_nonzero(final_margins <= 0.0))
+    record.final_loss = loss_k
+    record.final_misclassified = miscount
     if stop != "diverged":
         record.final_radii = perturbation_radius(live, params0, tol=_RADIUS_TOL)
-        if config.record_patterns and record.iterations not in record.pattern_drift:
-            record.pattern_drift[record.iterations] = [
-                int(np.max(np.count_nonzero(p != p0, axis=1)))
-                for p, p0 in zip(final_trace.patterns, init_patterns)
-            ]
     _log_budget_warnings(record.warnings, config.tau)
     return live, record
 
@@ -366,23 +368,3 @@ def run_sgd(params0: NetworkParams, dataset, loss, config: TrainConfig):
         raise ValueError("run_sgd needs batch_size set (use run_gd for full batch)")
     return _train(params0, dataset, loss, config, stochastic=True)
 
-
-def delta_bound_ratios(record: TrajectoryRecord, depth: int, max_width: int,
-                       n: int) -> np.ndarray:
-    """Per-step ratios max_i|Delta_i| / (eta L^4 M |mean l'|).
-
-    The per-step output change of a run in the lazy regime is bounded by a
-    run constant times eta L^4 M |mean l'|; a well-behaved run keeps these
-    ratios within a fixed multiple of their own median.  Row k+1's delta is
-    aligned with row k's derivative sum (the step that produced it).
-    """
-    ratios = []
-    for i in range(1, record.n_rows):
-        if record.ks[i] != record.ks[i - 1] + 1:
-            continue
-        delta = record.delta_max[i]
-        mean_lp = abs(record.sum_lprime[i - 1]) / n
-        if np.isnan(delta) or mean_lp == 0.0:
-            continue
-        ratios.append(delta / (record.eta * depth ** 4 * max_width * mean_lp))
-    return np.asarray(ratios)

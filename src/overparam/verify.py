@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PortableRng, pattern_diff_count, spectral_norm
+from .linalg import PortableRng, spectral_norm
 from .network import (NetworkParams, batch_forward, gradient_factors,
-                      gradient_norms, init_network)
+                      gradient_norms, init_network, max_pattern_distance)
 
 __all__ = [
     "MaskedChain",
@@ -37,20 +37,6 @@ __all__ = [
     "verify_init_properties",
     "verify_perturbation_properties",
 ]
-
-INIT_ITEMS = (
-    "hidden_norm_deviation",
-    "weight_spectral_norm",
-    "cross_class_separation",
-    "output_magnitude",
-    "near_threshold_fraction",
-    "chain_product_norm",
-    "sparse_output_probe",
-    "sparse_bilinear_probe",
-    "active_gradient_nodes",
-    "pairwise_inner_product",
-)
-
 
 @dataclass
 class PropertyEntry:
@@ -264,11 +250,151 @@ def _sparse_probes(dim: int, s: int, count: int, rng: PortableRng) -> np.ndarray
 
 # --- initialization battery -------------------------------------------------
 
-DEFAULT_THRESHOLDS = {
-    "hidden_norm_deviation": 0.2,
-    "output_magnitude": 6.0,
-    "near_threshold_fraction": 1.0,
+@dataclass(frozen=True)
+class _InitRun:
+    """Settings shared by every trial of one init battery run."""
+
+    dataset: object
+    widths: tuple
+    beta: float
+    sparsity: int
+    delta: float
+    probes: int
+    gradient_probes: int
+    spectral_tol: float
+
+    @property
+    def depth(self) -> int:
+        return len(self.widths)
+
+
+# Each item measures one trial's worst value from (run, net, trace, rng).
+
+def _hidden_norm_deviation(run, net, trace, rng) -> float:
+    return max(float(np.max(np.abs(np.linalg.norm(h, axis=1) - 1.0)))
+               for h in trace.hidden[1:])
+
+
+def _weight_spectral_norm(run, net, trace, rng) -> float:
+    return max(spectral_norm(w, tol=run.spectral_tol) for w in net.weights)
+
+
+def _cross_class_separation(run, net, trace, rng) -> float:
+    pos = run.dataset.labels > 0
+    return min(_min_pair_distance(_normalized_rows(h), pos, ~pos)
+               for h in trace.hidden[1:])
+
+
+def _output_magnitude(run, net, trace, rng) -> float:
+    return float(np.max(np.abs(trace.outputs)))
+
+
+def _near_threshold_fraction(run, net, trace, rng) -> float:
+    """Most pre-activations of one example within beta of zero, in units of
+    2 m^1.5 beta (the raw count when beta is 0), over layers."""
+    worst = 0.0
+    for m, z in zip(run.widths, trace.preacts):
+        top = float(np.max(np.count_nonzero(np.abs(z) <= run.beta, axis=1)))
+        worst = max(worst, top if run.beta == 0.0
+                    else top / (2.0 * m ** 1.5 * run.beta))
+    return worst
+
+
+def _chain_product_norm(run, net, trace, rng) -> float:
+    worst = 0.0
+    for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
+        chain = MaskedChain(net.weights, trace.patterns, l1, l2 - 1, head=l2)
+        worst = max(worst, float(np.max(chain.norms(rng))))
+    return worst
+
+
+def _sparse_output_probe(run, net, trace, rng) -> float:
+    worst = 0.0
+    for l in range(1, run.depth + 1):
+        block = _sparse_probes(net.layer_dims[l - 1], run.sparsity, run.probes, rng)
+        worst = max(worst, _output_probe(net, trace.patterns, l, block))
+    return worst
+
+
+def _sparse_bilinear_probe(run, net, trace, rng) -> float:
+    dims = net.layer_dims
+    worst = 0.0
+    for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
+        a_block = _sparse_probes(dims[l1 - 1], run.sparsity, run.probes, rng)
+        b_block = _sparse_probes(dims[l2], run.sparsity, run.probes, rng)
+        worst = max(worst, _bilinear_probe(net, trace.patterns, l1, l2,
+                                           a_block, b_block))
+    return worst
+
+
+def _active_gradient_nodes(run, net, trace, rng) -> float:
+    # labeled form: nodes j where the norm of
+    # (1/n) sum_i a_i y_i 1{<w_j, x_{L-1,i}> > 0} x_{L-1,i}
+    # clears rank ceil(m_L phi / n); report that norm in units of
+    # ||a||_inf / n, minimized over random nonnegative probes a.
+    # Node j's vector is column j of h_prev^T x, x = c * active: its
+    # squared norm x_j^T G x_j, with G the n x n Gram matrix of h_prev,
+    # needs no (m_{L-1}, m_L) temporary.  Roundoff can leave a zero
+    # norm's square slightly negative, hence the clamp.
+    n = run.dataset.n
+    need = max(1, int(math.ceil(run.widths[-1] * run.dataset.phi / n)))
+    h_prev = trace.hidden[run.depth - 1]
+    gram = h_prev @ h_prev.T
+    active = trace.patterns[run.depth - 1].astype(np.float64)
+    low = math.inf
+    for _ in range(run.gradient_probes):
+        a = np.abs(rng.normals(n))
+        c = a * run.dataset.labels / n
+        x = c[:, None] * active
+        sq = np.einsum("ij,ij->j", x, gram @ x)
+        norms = np.sort(np.sqrt(np.maximum(sq, 0.0)))[::-1]
+        low = min(low, norms[need - 1] * n / float(np.max(a)))
+    return low
+
+
+def _pairwise_inner_product(run, net, trace, rng) -> float:
+    iu = np.triu_indices(run.dataset.n, k=1)
+    low = math.inf
+    for h in trace.hidden[1:]:
+        h = _normalized_rows(h)
+        low = min(low, float(np.min((h @ h.T)[iu])))
+    return low
+
+
+# name -> (measure, direction, threshold, bound).  `threshold` (None: the
+# entry only fits a constant) and `bound`, the scale that constant is fitted
+# against, are functions of the run.  Every trial measures its items in this
+# order, whatever order they were asked for in, because the probe items
+# share the trial's random stream.
+_INIT_TABLE = {
+    "hidden_norm_deviation": (
+        _hidden_norm_deviation, "upper", lambda r: 0.2,
+        lambda r: r.depth * math.sqrt(math.log(r.dataset.n * r.depth / r.delta)
+                                      / min(r.widths))),
+    "weight_spectral_norm": (_weight_spectral_norm, "upper", None, lambda r: 1.0),
+    "cross_class_separation": (
+        _cross_class_separation, "lower", lambda r: r.dataset.phi / 2.0,
+        lambda r: r.dataset.phi / 2.0),
+    "output_magnitude": (
+        _output_magnitude, "upper", lambda r: 6.0,
+        lambda r: math.sqrt(math.log(r.dataset.n / r.delta))),
+    "near_threshold_fraction": (
+        _near_threshold_fraction, "upper", lambda r: 1.0, lambda r: 1.0),
+    "chain_product_norm": (
+        _chain_product_norm, "upper", None, lambda r: float(r.depth)),
+    "sparse_output_probe": (
+        _sparse_output_probe, "upper", None,
+        lambda r: r.depth * math.sqrt(r.sparsity * math.log(max(r.widths)))),
+    "sparse_bilinear_probe": (
+        _sparse_bilinear_probe, "upper", None,
+        lambda r: r.depth * math.sqrt(r.sparsity * math.log(max(r.widths))
+                                      / min(r.widths))),
+    "active_gradient_nodes": (_active_gradient_nodes, "lower", None, lambda r: 1.0),
+    "pairwise_inner_product": (
+        _pairwise_inner_product, "lower", lambda r: r.dataset.mu ** 2 / 2.0,
+        lambda r: r.dataset.mu ** 2 / 2.0),
 }
+INIT_ITEMS = tuple(_INIT_TABLE)
 
 
 def verify_init_properties(params: NetworkParams, dataset, beta: float | None = None,
@@ -276,13 +402,15 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
                            seed: int = 0, *, allowed_failures: int = 1,
                            delta: float = 0.05, spectral_tol: float = 1e-3,
                            probes: int = 64, gradient_probes: int = 8,
-                           items=None, thresholds: dict | None = None) -> PropertyReport:
+                           items=None) -> PropertyReport:
     """Measure the initialization properties over `trials` fresh networks.
 
     Trial 0 evaluates `params` itself; trial t re-initializes the same
     architecture with seed ``seed + t``.  An item passes when at most
     `allowed_failures` trials miss its threshold (entries without a
     threshold instead fit a constant and only require it to be finite).
+    `items` selects and orders the report's entries; each item's values do
+    not depend on which others are selected.
 
     `beta` defaults to ``m^-1/2`` (near-threshold window) and `sparsity_s`
     to a ``log``-sized support for the sparse probes.
@@ -303,9 +431,7 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
                          f"not the string {items!r}")
     dims = params.layer_dims
     depth = params.depth
-    widths = dims[1:]
-    m_min = min(widths)
-    m_max = max(widths)
+    m_min = min(dims[1:])
     n = dataset.n
     if beta is None:
         beta = 1.0 / math.sqrt(m_min)
@@ -320,130 +446,28 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     unknown = set(selected) - set(INIT_ITEMS)
     if unknown:
         raise ValueError(f"unknown items {sorted(unknown)}")
-    limits = dict(DEFAULT_THRESHOLDS)
-    limits["cross_class_separation"] = dataset.phi / 2.0
-    limits["pairwise_inner_product"] = dataset.mu ** 2 / 2.0
-    if thresholds:
-        limits.update(thresholds)
-
-    log_nl = math.log(n * depth / delta)
-    bounds = {
-        "hidden_norm_deviation": depth * math.sqrt(log_nl / m_min),
-        "weight_spectral_norm": 1.0,
-        "cross_class_separation": dataset.phi / 2.0,
-        "output_magnitude": math.sqrt(math.log(n / delta)),
-        "near_threshold_fraction": 1.0,
-        "chain_product_norm": float(depth),
-        "sparse_output_probe": depth * math.sqrt(sparsity_s * math.log(m_max)),
-        "sparse_bilinear_probe": depth * math.sqrt(sparsity_s * math.log(m_max) / m_min),
-        "active_gradient_nodes": 1.0,
-        "pairwise_inner_product": dataset.mu ** 2 / 2.0,
-    }
-    directions = {
-        "cross_class_separation": "lower",
-        "active_gradient_nodes": "lower",
-        "pairwise_inner_product": "lower",
-    }
-
-    entries = {
-        name: PropertyEntry(name=name, direction=directions.get(name, "upper"),
-                            threshold=limits.get(name), bound=bounds.get(name))
-        for name in selected
-    }
+    run = _InitRun(dataset=dataset, widths=tuple(dims[1:]), beta=beta,
+                   sparsity=sparsity_s, delta=delta, probes=probes,
+                   gradient_probes=gradient_probes, spectral_tol=spectral_tol)
+    entries = {}
+    for name in selected:
+        _, direction, threshold, bound = _INIT_TABLE[name]
+        entries[name] = PropertyEntry(
+            name=name, direction=direction, bound=bound(run),
+            threshold=None if threshold is None else threshold(run))
     if "near_threshold_fraction" in entries and beta == 0.0:
         entries["near_threshold_fraction"].note = \
             "beta=0: measured value is the raw count of exactly-zero pre-activations"
 
+    measured = [name for name in INIT_ITEMS if name in entries]
     for t in range(trials):
         net = params if t == 0 else init_network(dims, seed + t)
         rng = PortableRng(seed + 7919 * t)
         trace = batch_forward(net, dataset.inputs)
-        normalized = [_normalized_rows(h) for h in trace.hidden[1:]]
+        for name in measured:
+            entries[name].per_trial.append(_INIT_TABLE[name][0](run, net, trace, rng))
 
-        if "hidden_norm_deviation" in entries:
-            dev = max(float(np.max(np.abs(np.linalg.norm(h, axis=1) - 1.0)))
-                      for h in trace.hidden[1:])
-            entries["hidden_norm_deviation"].per_trial.append(dev)
-
-        if "weight_spectral_norm" in entries:
-            entries["weight_spectral_norm"].per_trial.append(
-                max(spectral_norm(w, tol=spectral_tol) for w in net.weights))
-
-        if "cross_class_separation" in entries:
-            pos = dataset.labels > 0
-            sep = min(_min_pair_distance(h, pos, ~pos) for h in normalized)
-            entries["cross_class_separation"].per_trial.append(sep)
-
-        if "output_magnitude" in entries:
-            entries["output_magnitude"].per_trial.append(
-                float(np.max(np.abs(trace.outputs))))
-
-        if "near_threshold_fraction" in entries:
-            worst = 0.0
-            for l, z in enumerate(trace.preacts):
-                counts = np.count_nonzero(np.abs(z) <= beta, axis=1)
-                top = float(np.max(counts))
-                if beta == 0.0:
-                    worst = max(worst, top)
-                else:
-                    worst = max(worst, top / (2.0 * widths[l] ** 1.5 * beta))
-            entries["near_threshold_fraction"].per_trial.append(worst)
-
-        if "pairwise_inner_product" in entries:
-            low = math.inf
-            for h in normalized:
-                gram = h @ h.T
-                iu = np.triu_indices(n, k=1)
-                low = min(low, float(np.min(gram[iu])))
-            entries["pairwise_inner_product"].per_trial.append(low)
-
-        if "chain_product_norm" in entries:
-            worst = 0.0
-            for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-                chain = MaskedChain(net.weights, trace.patterns, l1, l2 - 1, head=l2)
-                worst = max(worst, float(np.max(chain.norms(rng))))
-            entries["chain_product_norm"].per_trial.append(worst)
-
-        if "sparse_output_probe" in entries:
-            worst = 0.0
-            for l in range(1, depth + 1):
-                block = _sparse_probes(dims[l - 1], sparsity_s, probes, rng)
-                worst = max(worst, _output_probe(net, trace.patterns, l, block))
-            entries["sparse_output_probe"].per_trial.append(worst)
-
-        if "sparse_bilinear_probe" in entries:
-            worst = 0.0
-            for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-                a_block = _sparse_probes(dims[l1 - 1], sparsity_s, probes, rng)
-                b_block = _sparse_probes(dims[l2], sparsity_s, probes, rng)
-                worst = max(worst, _bilinear_probe(net, trace.patterns, l1, l2,
-                                                   a_block, b_block))
-            entries["sparse_bilinear_probe"].per_trial.append(worst)
-
-        if "active_gradient_nodes" in entries:
-            # labeled form: nodes j where the norm of
-            # (1/n) sum_i a_i y_i 1{<w_j, x_{L-1,i}> > 0} x_{L-1,i}
-            # clears rank ceil(m_L phi / n); report that norm in units of
-            # ||a||_inf / n, minimized over random nonnegative probes a.
-            # Node j's vector is column j of h_prev^T x, x = c * active: its
-            # squared norm x_j^T G x_j, with G the n x n Gram matrix of h_prev,
-            # needs no (m_{L-1}, m_L) temporary.  Roundoff can leave a zero
-            # norm's square slightly negative, hence the clamp.
-            need = max(1, int(math.ceil(widths[-1] * dataset.phi / n)))
-            h_prev = trace.hidden[depth - 1]
-            gram = h_prev @ h_prev.T
-            active = trace.patterns[depth - 1].astype(np.float64)
-            low = math.inf
-            for _ in range(gradient_probes):
-                a = np.abs(rng.normals(n))
-                c = a * dataset.labels / n
-                x = c[:, None] * active
-                sq = np.einsum("ij,ij->j", x, gram @ x)
-                norms = np.sort(np.sqrt(np.maximum(sq, 0.0)))[::-1]
-                low = min(low, norms[need - 1] * n / float(np.max(a)))
-            entries["active_gradient_nodes"].per_trial.append(low)
-
-    report = PropertyReport(
+    return PropertyReport(
         meta={
             "layer_dims": [int(m) for m in dims],
             "n": n, "mu": dataset.mu, "phi": dataset.phi,
@@ -453,7 +477,6 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
         entries=[entries[name] for name in selected],
         allowed_failures=allowed_failures,
     )
-    return report
 
 
 # --- perturbation battery ---------------------------------------------------
@@ -477,12 +500,20 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     for p in (params_a, params_b):
         if tuple(p.layer_dims) != tuple(params0.layer_dims):
             raise ValueError("perturbed parameters must match the base shapes")
+    n = dataset.n
+    if batch_size is None:
+        batch_size = max(1, n // 4)
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
+    if batch_draws < 1:
+        raise ValueError(f"batch_draws must be at least 1, got {batch_draws}")
 
     dims = params0.layer_dims
     depth = params0.depth
     widths = dims[1:]
     m_min, m_max = min(widths), max(widths)
-    n = dataset.n
     y = dataset.labels
     rng = PortableRng(seed + 104729)
 
@@ -530,9 +561,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
 
     drift_scale = depth ** (4.0 / 3.0) * tau ** (2.0 / 3.0)
     worst = 0.0
-    for l in range(depth):
-        num = max(pattern_diff_count(trace_a.patterns[l][i], trace_b.patterns[l][i])
-                  for i in range(n))
+    for l, num in enumerate(max_pattern_distance(trace_a.patterns,
+                                                  trace_b.patterns)):
         denom = drift_scale * widths[l]
         if denom > 0.0:
             worst = max(worst, num / denom)
@@ -598,8 +628,6 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
         name="gradient_upper_ratio", direction="upper",
         per_trial=ratios_upper, bound=1.0))
 
-    if batch_size is None:
-        batch_size = max(1, n // 4)
     worst = 0.0
     lp_a = np.asarray(loss.deriv(y * trace_a.outputs), dtype=np.float64)
     for _ in range(batch_draws):

@@ -1,0 +1,30 @@
+"""Reference computations that only the tests need, built on the batched
+forward pass and the gradient factors of `overparam.network`."""
+
+import numpy as np
+
+from overparam.network import batch_forward, gradient_factors
+
+
+def batch_loss(params, dataset, loss) -> float:
+    """Mean loss of y_i * f(x_i) over the dataset."""
+    outputs = batch_forward(params, dataset.inputs).outputs
+    return float(np.mean(loss.value(dataset.labels * outputs)))
+
+
+def loss_gradient(params, dataset, loss) -> list:
+    """Gradient of the mean loss, one matrix per layer, at the patterns of
+    the current parameters (derivative 0 at ReLU kinks)."""
+    trace = batch_forward(params, dataset.inputs)
+    return [a.T @ b for a, b in gradient_factors(params, trace, dataset.labels, loss)]
+
+
+def output_telescope(params, trace, layer: int) -> np.ndarray:
+    """Every example's output recomputed from `layer` on through the
+    trace's patterns; ``layer = L + 1`` is ``v . hidden[L]``."""
+    if not 1 <= layer <= params.depth + 1:
+        raise ValueError(f"layer must be in [1, {params.depth + 1}], got {layer}")
+    t = trace.hidden[layer - 1]
+    for r in range(layer, params.depth + 1):
+        t = np.where(trace.patterns[r - 1], t @ params.weights[r - 1], 0.0)
+    return t @ params.output_vector

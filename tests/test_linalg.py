@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overparam.linalg import (_LANCZOS_CYCLE, PortableRng, SpectralNormError,
-                              frobenius_norm, gaussian_matrix,
-                              pattern_diff_count, power_iteration,
-                              spectral_norm)
+                              gaussian_matrix, power_iteration, spectral_norm)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.integers(min_value=1, max_value=40)
@@ -93,7 +91,7 @@ class TestSpectralNorm:
         rng = PortableRng(123)
         for _ in range(10):
             a = rng.normals(48).reshape(6, 8)
-            assert spectral_norm(a) <= frobenius_norm(a) + 1e-9
+            assert spectral_norm(a) <= np.linalg.norm(a) + 1e-9
 
     def test_absolute_scaling(self):
         rng = PortableRng(321)
@@ -184,20 +182,6 @@ class TestLanczos:
                                          rel=1e-12)
 
 
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_identity(self):
-        for n in (1, 4, 9):
-            assert frobenius_norm(np.eye(n)) == pytest.approx(np.sqrt(n), rel=1e-15)
-
-    def test_hand_sum(self):
-        # 1 + 4 + 9 + 16 = 30
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert frobenius_norm(a) == pytest.approx(np.sqrt(30.0), rel=1e-15)
-
-
 class TestGaussianMatrix:
     def test_deterministic(self):
         a = gaussian_matrix(7, 5, 0.5, PortableRng(99))
@@ -233,25 +217,6 @@ class TestGaussianMatrix:
         c = gaussian_matrix(4, 4, 2.0, rng)  # stream moved on
         assert np.array_equal(a, b)
         assert not np.array_equal(b, c)
-
-
-class TestPatternDiffCount:
-    def test_identical(self):
-        v = np.array([True, False, True])
-        assert pattern_diff_count(v, v) == 0
-
-    def test_complement(self):
-        v = np.array([True, False, True, True, False])
-        assert pattern_diff_count(v, ~v) == 5
-
-    def test_hand_case(self):
-        a = np.array([1, 0, 1, 1, 0], dtype=bool)
-        b = np.array([1, 0, 0, 1, 1], dtype=bool)
-        assert pattern_diff_count(a, b) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pattern_diff_count(np.ones(3, bool), np.ones(4, bool))
 
 
 def per_index_sample(rng, population, size):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng, gaussian_matrix
 from overparam.losses import LossSpec, builtin_loss
-from overparam.network import (CorruptCheckpointError, NetworkParams,
-                               batch_forward, batch_loss, forward,
+from overparam.network import (CorruptCheckpointError, batch_forward,
                                gradient_factors, gradient_norms, init_network,
-                               load_params, loss_gradient, output_telescope,
-                               save_params)
+                               load_params, max_pattern_distance, save_params)
+
+from oracles import batch_loss, loss_gradient, output_telescope
 
 LOG2 = 0.6931471805599453
 
@@ -78,11 +78,16 @@ class TestInit:
             init_network([4, 0, 2], seed=0)
 
 
+def forward_one(params, x):
+    """batch_forward of a single input, as a one-row batch."""
+    return batch_forward(params, np.asarray(x, dtype=np.float64)[None, :])
+
+
 class TestForward:
     def test_zero_input(self):
         params = random_net(3)
-        trace = forward(params, np.zeros(params.layer_dims[0]))
-        assert trace.output == 0.0
+        trace = forward_one(params, np.zeros(params.layer_dims[0]))
+        assert trace.outputs[0] == 0.0
         assert all(not np.any(h) for h in trace.hidden[1:])
         assert all(not np.any(p) for p in trace.patterns)
 
@@ -90,76 +95,102 @@ class TestForward:
         params = init_network([3, 6, 4], seed=2)
         params.weights = [np.abs(w) for w in params.weights]
         x = np.array([0.3, 1.2, 0.5])
-        trace = forward(params, x)
+        trace = forward_one(params, x)
         linear = params.output_vector @ (params.weights[1].T @ (params.weights[0].T @ x))
-        assert trace.output == pytest.approx(float(linear), rel=1e-14)
+        assert trace.outputs[0] == pytest.approx(float(linear), rel=1e-14)
         assert all(np.all(p) for p in trace.patterns)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scalar_oracle(self, seed):
         params = random_net(seed, dims=[2, 3, 3, 2])
         x = PortableRng(seed + 100).normals(2)
-        trace = forward(params, x)
+        trace = forward_one(params, x)
         expected = scalar_forward(params, x)
-        assert trace.output == pytest.approx(expected, abs=1e-14 * (1 + abs(expected)))
+        assert trace.outputs[0] == pytest.approx(expected,
+                                                 abs=1e-14 * (1 + abs(expected)))
 
     def test_batch_matches_single(self):
         params = random_net(17)
         x = PortableRng(55).normals(3 * params.layer_dims[0]).reshape(3, -1)
         bt = batch_forward(params, x)
         for i in range(3):
-            single = forward(params, x[i])
-            assert bt.outputs[i] == pytest.approx(single.output, rel=1e-12, abs=1e-14)
+            expected = scalar_forward(params, x[i])
+            assert bt.outputs[i] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+            single = forward_one(params, x[i])
             for l in range(params.depth):
-                assert np.array_equal(bt.patterns[l][i], single.patterns[l])
+                assert np.array_equal(bt.patterns[l][i], single.patterns[l][0])
 
     def test_positive_homogeneity(self):
         params = random_net(23)
         x = PortableRng(24).normals(params.layer_dims[0])
-        base = forward(params, x)
+        base = forward_one(params, x)
         for c in (0.5, 3.0, 17.0):
-            scaled = forward(params, c * x)
-            assert scaled.output == pytest.approx(c * base.output, rel=1e-12)
+            scaled = forward_one(params, c * x)
+            assert scaled.outputs[0] == pytest.approx(c * base.outputs[0], rel=1e-12)
             for pa, pb in zip(scaled.patterns, base.patterns):
                 assert np.array_equal(pa, pb)
 
     def test_pattern_consistency_on_rerun(self):
         params = random_net(31)
         x = PortableRng(32).normals(params.layer_dims[0])
-        a, b = forward(params, x), forward(params, x)
+        a, b = forward_one(params, x), forward_one(params, x)
         for pa, pb in zip(a.patterns, b.patterns):
             assert np.array_equal(pa, pb)
 
     def test_dimension_mismatch(self):
         params = random_net(1)
         with pytest.raises(ValueError):
-            forward(params, np.zeros(params.layer_dims[0] + 1))
+            forward_one(params, np.zeros(params.layer_dims[0] + 1))
 
 
 class TestTelescope:
     @pytest.mark.parametrize("seed", range(8))
     def test_every_layer_reproduces_output(self, seed):
         params = random_net(seed)
-        x = PortableRng(seed + 500).normals(params.layer_dims[0])
-        trace = forward(params, x)
+        x = PortableRng(seed + 500).normals(3 * params.layer_dims[0]).reshape(3, -1)
+        trace = batch_forward(params, x)
         for l in range(1, params.depth + 2):
             val = output_telescope(params, trace, l)
-            assert abs(val - trace.output) <= 1e-12 * (1.0 + abs(trace.output))
+            assert np.all(np.abs(val - trace.outputs)
+                          <= 1e-12 * (1.0 + np.abs(trace.outputs)))
 
     def test_empty_product_layer(self):
         params = random_net(42)
         x = PortableRng(43).normals(params.layer_dims[0])
-        trace = forward(params, x)
+        trace = forward_one(params, x)
         val = output_telescope(params, trace, params.depth + 1)
-        assert val == pytest.approx(trace.output, abs=1e-15)
+        assert val[0] == pytest.approx(trace.outputs[0], abs=1e-15)
 
     def test_out_of_range(self):
         params = random_net(4)
-        trace = forward(params, np.zeros(params.layer_dims[0]))
+        trace = forward_one(params, np.zeros(params.layer_dims[0]))
         with pytest.raises(ValueError):
             output_telescope(params, trace, 0)
         with pytest.raises(ValueError):
             output_telescope(params, trace, params.depth + 2)
+
+
+class TestMaxPatternDistance:
+    def test_identical(self):
+        p = [np.array([[True, False, True], [False, False, True]])]
+        assert max_pattern_distance(p, p) == [0]
+
+    def test_complement(self):
+        p = [np.array([[True, False, True, True, False]]),
+             np.array([[True, False], [False, False]])]
+        assert max_pattern_distance(p, [~q for q in p]) == [5, 2]
+
+    def test_hand_case(self):
+        # the worst example counts, not the sum over examples
+        a = np.array([[1, 0, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=bool)
+        b = np.array([[1, 0, 0, 1, 1], [1, 1, 1, 1, 0]], dtype=bool)
+        assert max_pattern_distance([a], [b]) == [2]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            max_pattern_distance([np.ones((2, 3), bool)], [np.ones((2, 4), bool)])
+        with pytest.raises(ValueError):
+            max_pattern_distance([np.ones((2, 3), bool)], [np.ones((1, 3), bool)])
 
 
 class TestBatchLoss:
@@ -177,14 +208,14 @@ class TestBatchLoss:
                        mu=ds.mu, phi=ds.phi)
         loss = builtin_loss("logistic")
         got = batch_loss(params, one, loss)
-        expected = float(loss.value(ds.labels[0] * forward(params, ds.inputs[0]).output))
+        expected = float(loss.value(ds.labels[0] * scalar_forward(params, ds.inputs[0])))
         assert got == pytest.approx(expected, rel=1e-15)
 
     def test_matches_scalar_mean(self):
         params = random_net(11, dims=[4, 6, 4])
         ds = generate_separated(n=4, d=4, mu=0.5, phi=0.05, seed=4)
         loss = builtin_loss("logistic")
-        per_example = [float(loss.value(y * forward(params, x).output))
+        per_example = [float(loss.value(y * scalar_forward(params, x)))
                        for x, y in zip(ds.inputs, ds.labels)]
         assert batch_loss(params, ds, loss) == \
             pytest.approx(sum(per_example) / 4, rel=1e-15)

@@ -9,17 +9,23 @@ from overparam.data import generate_separated
 from overparam.linalg import PortableRng
 from overparam.losses import builtin_loss
 from overparam.network import (NetworkParams, backprop_signals, batch_forward,
-                               gradient_factors, init_network, loss_gradient)
-from overparam.optim import (TrainConfig, delta_bound_ratios,
+                               gradient_factors, init_network)
+from overparam.optim import (TrainConfig, TrajectoryRecord, TrajectoryRow,
                              perturbation_radius, run_gd, run_sgd,
-                             theoretical_step_size, write_trajectory_csv,
-                             zero_error_check)
+                             theoretical_step_size, write_trajectory_csv)
+
+from oracles import loss_gradient
 
 
 def small_problem(n=8, d=4, m=16, depth=2, phi=0.05, data_seed=1, net_seed=2):
     ds = generate_separated(n=n, d=d, mu=0.5, phi=phi, seed=data_seed)
     params = init_network([d] + [m] * depth, seed=net_seed)
     return params, ds
+
+
+def column(record, name):
+    """One field of every recorded row, in order."""
+    return [getattr(row, name) for row in record.rows]
 
 
 def oracle_iterates(params, ds, loss, eta, steps, batch_size=None, seed=0):
@@ -74,9 +80,9 @@ class TestRunGd:
         k = 7
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=k, eta=0.0, tau=1.0))
-        assert rec.n_rows == k
+        assert len(rec.rows) == k
         assert rec.stop_reason == "max_iters"
-        assert len(set(rec.losses)) == 1
+        assert len(set(column(rec, "loss"))) == 1
         for wa, wb in zip(final.weights, params.weights):
             assert np.array_equal(wa, wb)
 
@@ -99,7 +105,7 @@ class TestRunGd:
                                         target_loss=10.0))
         assert rec.stop_reason == "target_loss"
         assert rec.iterations == 0
-        assert rec.n_rows == 1
+        assert len(rec.rows) == 1
         for wa, wb in zip(final.weights, params.weights):
             assert np.array_equal(wa, wb)
 
@@ -109,8 +115,9 @@ class TestRunGd:
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=300, eta=1e6, tau=1e9))
         assert rec.stop_reason == "diverged"
-        assert not np.isfinite(rec.losses[-1])
-        assert all(np.isfinite(v) for v in rec.losses[:-1])
+        losses = column(rec, "loss")
+        assert not np.isfinite(losses[-1])
+        assert all(np.isfinite(v) for v in losses[:-1])
 
     def test_budget_warning_iff_radius_exceeds_tau(self):
         params, ds = small_problem()
@@ -122,15 +129,15 @@ class TestRunGd:
         assert max(radii) > tau  # run genuinely leaves the region
         assert rec.warnings
         for k, layer, value in rec.warnings:
-            fresh = rec.radii[k][layer - 1]
+            fresh = rec.rows[k].radius[layer - 1]
             assert value == pytest.approx(fresh, rel=1e-12)
             assert value > tau
         # every recorded exceedance has a warning event
         events = {(k, layer) for k, layer, _ in rec.warnings}
-        for i, k in enumerate(rec.ks):
+        for row in rec.rows:
             for layer in range(1, rec.layer_count + 1):
-                if rec.radii[i][layer - 1] > tau:
-                    assert (k, layer) in events
+                if row.radius[layer - 1] > tau:
+                    assert (row.k, layer) in events
 
     def test_recorded_radii_match_fresh_recomputation(self):
         params, ds = small_problem()
@@ -149,9 +156,10 @@ class TestRunGd:
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=400, eta=0.005, tau=10.0,
                                         target_loss=1e-6))
-        diffs = np.diff(rec.losses)
+        losses = column(rec, "loss")
+        diffs = np.diff(losses)
         assert np.mean(diffs <= 1e-12) >= 0.99
-        assert rec.losses[-1] < rec.losses[0]
+        assert losses[-1] < losses[0]
 
 
 class TestRunSgd:
@@ -163,9 +171,8 @@ class TestRunSgd:
                               batch_size=ds.n)
         final_gd, rec_gd = run_gd(params, ds, loss, cfg_gd)
         final_sgd, rec_sgd = run_sgd(params, ds, loss, cfg_sgd)
-        assert rec_gd.losses == rec_sgd.losses
-        assert rec_gd.radii == rec_sgd.radii
-        assert rec_gd.grad_spectral == rec_sgd.grad_spectral
+        for name in ("loss", "radius", "grad_spec"):
+            assert column(rec_gd, name) == column(rec_sgd, name)
         for wa, wb in zip(final_gd.weights, final_sgd.weights):
             assert np.array_equal(wa, wb)
 
@@ -202,7 +209,7 @@ class TestRunSgd:
                              TrainConfig(max_iters=30, eta=0.01, tau=1.0,
                                          batch_size=3, seed=5))
         assert rec.stop_reason in ("max_iters", "zero_error", "target_loss")
-        assert rec.n_rows >= 1
+        assert len(rec.rows) >= 1
 
     def test_sgd_deterministic_under_seed(self):
         params, ds = small_problem()
@@ -210,8 +217,8 @@ class TestRunSgd:
         cfg = TrainConfig(max_iters=20, eta=0.01, tau=1.0, batch_size=3, seed=7)
         _, rec_a = run_sgd(params, ds, loss, cfg)
         _, rec_b = run_sgd(params, ds, loss, cfg)
-        assert rec_a.losses == rec_b.losses
-        assert rec_a.batch_sum_lprime == rec_b.batch_sum_lprime
+        assert column(rec_a, "loss") == column(rec_b, "loss")
+        assert column(rec_a, "batch_sum_lprime") == column(rec_b, "batch_sum_lprime")
 
     def test_epoch_mode_runs(self):
         params, ds = small_problem()
@@ -219,7 +226,7 @@ class TestRunSgd:
         _, rec = run_sgd(params, ds, loss,
                          TrainConfig(max_iters=12, eta=0.01, tau=1.0,
                                      batch_size=3, batch_mode="epoch"))
-        assert rec.n_rows == 12
+        assert len(rec.rows) == 12
 
 
 class TestTrainingPath:
@@ -237,8 +244,8 @@ class TestTrainingPath:
         for w, expected in zip(final.weights, iterates[-1]):
             assert np.array_equal(w, expected)
         # every recorded radius against a dense norm of that row's iterate
-        for k, radii in zip(rec.ks, rec.radii):
-            for r, w, w0 in zip(radii, iterates[k], params.weights):
+        for row in rec.rows:
+            for r, w, w0 in zip(row.radius, iterates[row.k], params.weights):
                 dense = np.linalg.norm(w - w0, 2)
                 assert r == pytest.approx(dense, rel=1e-10, abs=0.0)
 
@@ -280,10 +287,19 @@ class TestTrainingPath:
 
 
 class TestZeroErrorCheck:
+    """The misclassified count of a run: y_i f(x_i) <= 0, ties included."""
+
+    @staticmethod
+    def count_at_start(params, ds):
+        _, rec = run_gd(params, ds, builtin_loss("logistic"),
+                        TrainConfig(max_iters=0, eta=0.01, tau=1.0))
+        assert rec.final_misclassified == rec.rows[0].misclassified
+        return rec.final_misclassified
+
     def test_zero_weights_all_ties_count(self):
         params, ds = small_problem()
         params.weights = [np.zeros_like(w) for w in params.weights]
-        assert zero_error_check(params, ds) == ds.n
+        assert self.count_at_start(params, ds) == ds.n
 
     def test_perfect_fit(self):
         params, ds = small_problem(m=64)
@@ -291,14 +307,16 @@ class TestZeroErrorCheck:
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=2000, eta=0.01, tau=100.0))
         assert rec.stop_reason == "zero_error"
-        assert zero_error_check(final, ds) == 0
+        assert rec.final_misclassified == 0
+        outputs = batch_forward(final, ds.inputs).outputs
+        assert np.count_nonzero(ds.labels * outputs <= 0.0) == 0
 
     def test_hand_built_sign_flip(self):
         params, ds = small_problem(n=4, m=32)
         trace = batch_forward(params, ds.inputs)
         ds.labels = np.sign(trace.outputs)
         ds.labels[2] = -ds.labels[2]
-        assert zero_error_check(params, ds) == 1
+        assert self.count_at_start(params, ds) == 1
 
 
 class TestPerturbationRadius:
@@ -332,15 +350,16 @@ class TestTelemetry:
         loss = builtin_loss("logistic")
         cfg = TrainConfig(max_iters=10, eta=0.02, tau=1.0, record_patterns=True)
         final, rec = run_gd(params, ds, loss, cfg)
-        assert rec.ks == sorted(set(rec.ks))
-        assert all(np.isfinite(v) for v in rec.losses)
+        ks = column(rec, "k")
+        assert ks == sorted(set(ks))
+        assert all(np.isfinite(v) for v in column(rec, "loss"))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == rec.n_rows + 1
+        assert len(lines) == len(rec.rows) + 1
         assert lines[0].startswith("k,loss,misclassified")
         # snapshot rows carry pattern drift; iteration 0 drift is all zeros
-        assert rec.pattern_drift[0] == [0] * rec.layer_count
+        assert rec.rows[0].pattern_drift == [0] * rec.layer_count
 
     def test_summary_fields(self):
         params, ds = small_problem()
@@ -357,8 +376,70 @@ class TestTelemetry:
         loss = builtin_loss("logistic")
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=200, eta=0.01, tau=10.0))
-        ratios = delta_bound_ratios(rec, depth=params.depth,
-                                    max_width=max(params.layer_dims[1:]),
-                                    n=ds.n)
+        # per-step ratios max_i |Delta_i| / (eta L^4 M |mean l'|): row k+1's
+        # output change against row k's derivative sum, the step that made it
+        scale = rec.eta * params.depth ** 4 * max(params.layer_dims[1:])
+        ratios = np.array([
+            row.delta_max / (scale * abs(prev.sum_lprime) / ds.n)
+            for prev, row in zip(rec.rows, rec.rows[1:])
+            if row.delta_max is not None and prev.sum_lprime != 0.0])
         assert ratios.size > 10
         assert np.max(ratios) <= 100.0 * np.median(ratios)
+
+
+class TestTrajectoryCsv:
+    def test_header_at_depth_three(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(TrajectoryRecord(layer_count=3), path)
+        assert path.read_text() == (
+            "k,loss,misclassified,sum_lprime,batch_sum_lprime,delta_max,"
+            "radius_1,radius_2,radius_3,grad_spec_1,grad_spec_2,grad_spec_3,"
+            "grad_fro_1,grad_fro_2,grad_fro_3,"
+            "pattern_drift_1,pattern_drift_2,pattern_drift_3\n")
+
+    def test_diverged_row(self, tmp_path):
+        params, ds = small_problem()
+        _, rec = run_gd(params, ds, builtin_loss("exponential"),
+                        TrainConfig(max_iters=300, eta=1e6, tau=1e9,
+                                    record_patterns=True))
+        assert rec.stop_reason == "diverged"
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(rec, path)
+        last = path.read_text().splitlines()[-1]
+        assert last == f"{rec.rows[-1].k},inf,-1,nan,nan,,nan,nan,nan,nan,nan,nan,,"
+
+    def test_rows_with_and_without_drift(self, tmp_path):
+        record = TrajectoryRecord(layer_count=2, rows=[
+            TrajectoryRow(k=0, loss=0.5, misclassified=2, sum_lprime=-1.25,
+                          batch_sum_lprime=-0.75, delta_max=None,
+                          radius=[0.0, 0.0], grad_spec=[1.0, 2.0],
+                          grad_fro=[1.5, 2.5], pattern_drift=[0, 0]),
+            TrajectoryRow(k=1, loss=0.25, misclassified=0, sum_lprime=-1.0,
+                          batch_sum_lprime=-0.5, delta_max=0.125,
+                          radius=[0.1, 0.2], grad_spec=[1.0, 2.0],
+                          grad_fro=[1.5, 2.5]),
+        ])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(record, path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,0.5,2,-1.25,-0.75,,0,0,1,2,1.5,2.5,0,0",
+            "1,0.25,0,-1,-0.5,0.125,0.10000000000000001,0.20000000000000001,"
+            "1,2,1.5,2.5,,",
+        ]
+
+    def test_off_snapshot_rows_leave_drift_empty(self, tmp_path):
+        params, ds = small_problem()
+        _, rec = run_gd(params, ds, builtin_loss("logistic"),
+                        TrainConfig(max_iters=8, eta=0.001, tau=1.0,
+                                    record_patterns=True))
+        assert rec.stop_reason == "max_iters"
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(rec, path)
+        lines = path.read_text().splitlines()[1:]
+        # snapshots of an 8-step run: 0, 2, 4 and 6 (8 is never recorded)
+        for k, line in enumerate(lines):
+            drift = line.split(",")[-2:]
+            if k in (0, 2, 4, 6):
+                assert all(cell.isdigit() for cell in drift), line
+            else:
+                assert drift == ["", ""], line

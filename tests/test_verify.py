@@ -171,13 +171,33 @@ class TestInitBattery:
 
     def test_thresholded_items_pass_at_easy_scale(self):
         params, ds = small_battery_inputs(m=256, depth=2)
-        report = verify_init_properties(
-            params, ds, trials=4, seed=3, allowed_failures=0,
-            items=("hidden_norm_deviation", "cross_class_separation",
-                   "output_magnitude", "near_threshold_fraction",
-                   "pairwise_inner_product"),
-            thresholds={"hidden_norm_deviation": 0.5, "output_magnitude": 8.0})
-        assert report.passed, report.as_dict()
+        limits = {
+            "hidden_norm_deviation": ("upper", 0.5),
+            "cross_class_separation": ("lower", ds.phi / 2.0),
+            "output_magnitude": ("upper", 8.0),
+            "near_threshold_fraction": ("upper", 1.0),
+            "pairwise_inner_product": ("lower", ds.mu ** 2 / 2.0),
+        }
+        report = verify_init_properties(params, ds, trials=4, seed=3,
+                                        allowed_failures=0, items=tuple(limits))
+        for entry in report.entries:
+            direction, limit = limits[entry.name]
+            assert entry.direction == direction
+            assert len(entry.per_trial) == 4
+            for value in entry.per_trial:
+                assert (value <= limit if direction == "upper"
+                        else value >= limit), (entry.name, entry.per_trial)
+
+    def test_item_order_does_not_change_values(self):
+        ds = generate_separated(n=6, d=5, mu=0.5, phi=0.08, seed=2)
+        params = init_network([5, 40, 40, 40], seed=3)
+        kwargs = dict(trials=2, seed=4, probes=8, gradient_probes=4)
+        default = verify_init_properties(params, ds, **kwargs)
+        backward = verify_init_properties(params, ds, **kwargs,
+                                          items=list(reversed(INIT_ITEMS)))
+        assert [e.name for e in backward.entries] == list(reversed(INIT_ITEMS))
+        for entry in backward.entries:
+            assert entry.per_trial == default.entry(entry.name).per_trial
 
     def test_beta_zero_counts_exact_zeros(self):
         params, ds = small_battery_inputs()
@@ -302,6 +322,20 @@ class TestPerturbationBattery:
         other = init_network([6, 24, 24, 48], seed=9)
         with pytest.raises(ValueError):
             verify_perturbation_properties(params, other, params, ds)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"probes": 0}, "probes"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": 7}, "batch_size"),
+        ({"batch_draws": 0}, "batch_draws"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, name):
+        ds = generate_separated(n=6, d=4, mu=0.5, phi=0.08, seed=0)
+        params = init_network([4, 40, 40], seed=1)
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.01 * np.eye(40)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            verify_perturbation_properties(params, tilde, params, ds, **kwargs)
 
 
 # --- per-example reference for the batched masked-chain operator ------------

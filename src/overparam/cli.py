@@ -3,12 +3,21 @@
 Every command is a pure function of (config file, seed): rerunning with the
 same inputs reproduces byte-identical artifacts.  Exit codes: 0 success,
 2 configuration or feasibility error, 3 numerical failure.
+
+`CONFIG_TABLE` gives every config key its type, default, null rule and
+range; `--init-config` writes its defaults.  `load_config` checks each key
+of the config file and `--seed` against it before anything is written, and
+exits 2 with a message that starts with the key.  Integer keys take JSON
+integers or integral floats (``1e3``), float keys take finite numbers, and a
+bool is never a number.  Only the keys whose default is documented as null
+(eta, eta_scale, B, beta, s, verify_items) may be null; a null eta_scale
+means `optim.DEFAULT_ETA_SCALE`.  `sweep --values` go through the same check.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
+import csv
 import json
 import os
 import sys
@@ -18,7 +27,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import network, optim, verify
-from .losses import builtin_loss, check_loss_assumptions
+from .losses import BUILTIN_LOSSES, builtin_loss, check_loss_assumptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,57 +40,102 @@ DATA_SEED_OFFSET = 0
 INIT_SEED_OFFSET = 1
 TRAIN_SEED_OFFSET = 2
 
-DEFAULT_CONFIG = {
+
+def _at_least(low):
+    return (lambda v: v >= low), f"at least {low}"
+
+
+def _above(low):
+    return (lambda v: v > low), f"above {low}"
+
+
+def _inside(low, high):
+    return (lambda v: low < v < high), f"in ({low}, {high})"
+
+
+def _one_of(choices):
+    return (lambda v: v in choices), f"one of {list(choices)}"
+
+
+_ITEMS = ((lambda v: len(v) > 0 and all(i in verify.INIT_ITEMS for i in v)),
+          f"a non-empty list of items from {list(verify.INIT_ITEMS)}")
+
+# key: (type, default, may be null, (test, wording) of the range or choices).
+# Checks that tie keys together (phi's cap for mu, B <= n, s <= m) stay
+# with the domain code.
+CONFIG_TABLE = {
     # dataset
-    "n": 20,
-    "d": 10,
-    "mu": 0.5,
-    "phi": 0.1,
+    "n": (int, 20, False, _at_least(2)),
+    "d": (int, 10, False, _at_least(3)),
+    "mu": (float, 0.5, False, _inside(0, 1)),
+    "phi": (float, 0.1, False, _above(0)),
     # network: dims = [d] + [m] * L
-    "L": 3,
-    "m": 1000,
-    "loss": "logistic",
+    "L": (int, 3, False, _at_least(1)),
+    "m": (int, 1000, False, _at_least(1)),
+    "loss": (str, "logistic", False, _one_of(tuple(BUILTIN_LOSSES))),
     # training
-    "eta": None,
-    "eta_scale": optim.DEFAULT_ETA_SCALE,
-    "K": 5000,
-    "B": None,
-    "epsilon": 1e-4,
-    "tau": 0.1,
-    "batch_mode": "fresh",
-    "record_patterns": True,
+    "eta": (float, None, True, _at_least(0)),
+    "eta_scale": (float, optim.DEFAULT_ETA_SCALE, True, _above(0)),
+    "K": (int, 5000, False, _at_least(0)),
+    "B": (int, None, True, _at_least(1)),
+    "epsilon": (float, 1e-4, False, _above(0)),
+    "tau": (float, 0.1, False, _above(0)),
+    "batch_mode": (str, "fresh", False, _one_of(optim.BATCH_MODES)),
+    "record_patterns": (bool, True, False, None),
     # verification
-    "beta": None,
-    "s": None,
-    "trials": 20,
-    "delta": 0.05,
-    "allowed_failures": 1,
-    "probes": 64,
-    "gradient_probes": 8,
-    "spectral_tol": 1e-3,
-    "verify_items": None,
-    "mc_samples": 100000,
+    "beta": (float, None, True, _at_least(0)),
+    "s": (int, None, True, _at_least(1)),
+    "trials": (int, 20, False, _at_least(1)),
+    "delta": (float, 0.05, False, _inside(0, 1)),
+    "allowed_failures": (int, 1, False, _at_least(0)),
+    "probes": (int, 64, False, _at_least(1)),
+    "gradient_probes": (int, 8, False, _at_least(1)),
+    "spectral_tol": (float, 1e-3, False, _above(0)),
+    "verify_items": (list, None, True, _ITEMS),
+    "mc_samples": (int, 100000, False, _at_least(1000)),
     # seeding
-    "seed": 0,
+    "seed": (int, 0, False, _at_least(0)),
 }
+DEFAULT_CONFIG = {key: spec[1] for key, spec in CONFIG_TABLE.items()}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list"}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _typed(key: str, value):
+    """`value` as `key`'s type from `CONFIG_TABLE`, or a ConfigError naming it."""
+    kind, _, nullable, rule = CONFIG_TABLE[key]
+    if value is None and nullable:
+        return None
+    if kind in (int, float):  # bool is not in (int, float), and nan fails <=
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max \
+            and (kind is float or value == int(value))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    value = kind(value)
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
+    return value
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-        unknown = set(user) - set(DEFAULT_CONFIG)
+        if not isinstance(user, dict):
+            raise ConfigError("the config file must hold a JSON object")
+        unknown = set(user) - set(CONFIG_TABLE)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config.update(user)
     if seed_override is not None:
-        config["seed"] = seed_override
-    return config
+        user["seed"] = seed_override
+    return dict(DEFAULT_CONFIG, **{k: _typed(k, v) for k, v in user.items()})
 
 
 def write_json(payload: dict, path: Path) -> None:
@@ -92,15 +146,14 @@ def write_json(payload: dict, path: Path) -> None:
 
 def _dataset_from_config(config: dict) -> data_mod.Dataset:
     return data_mod.generate_separated(
-        n=int(config["n"]), d=int(config["d"]), mu=float(config["mu"]),
-        phi=float(config["phi"]), seed=int(config["seed"]) + DATA_SEED_OFFSET)
+        n=config["n"], d=config["d"], mu=config["mu"], phi=config["phi"],
+        seed=config["seed"] + DATA_SEED_OFFSET)
 
 
 def _dims_from_config(config: dict) -> list:
     # the output layer needs an even width for the half/half sign vector;
     # an odd configured width is bumped by one on the last layer only
-    d, m, depth = int(config["d"]), int(config["m"]), int(config["L"])
-    dims = [d] + [m] * depth
+    dims = [config["d"]] + [config["m"]] * config["L"]
     if dims[-1] % 2 != 0:
         dims[-1] += 1
     return dims
@@ -108,15 +161,10 @@ def _dims_from_config(config: dict) -> list:
 
 def _train_config(config: dict) -> optim.TrainConfig:
     return optim.TrainConfig(
-        max_iters=int(config["K"]),
-        eta=None if config["eta"] is None else float(config["eta"]),
-        eta_scale=None if config["eta_scale"] is None else float(config["eta_scale"]),
-        batch_size=None if config["B"] is None else int(config["B"]),
-        target_loss=float(config["epsilon"]),
-        tau=float(config["tau"]),
-        seed=int(config["seed"]) + TRAIN_SEED_OFFSET,
-        record_patterns=bool(config["record_patterns"]),
-        batch_mode=str(config["batch_mode"]),
+        max_iters=config["K"], eta=config["eta"], eta_scale=config["eta_scale"],
+        batch_size=config["B"], target_loss=config["epsilon"], tau=config["tau"],
+        seed=config["seed"] + TRAIN_SEED_OFFSET,
+        record_patterns=config["record_patterns"], batch_mode=config["batch_mode"],
     )
 
 
@@ -135,8 +183,8 @@ def train_once(config: dict, out_dir: Path) -> dict:
     """Run one training job into `out_dir` and return its summary dict."""
     dataset = _dataset_from_config(config)
     params0 = network.init_network(_dims_from_config(config),
-                                   int(config["seed"]) + INIT_SEED_OFFSET)
-    loss = builtin_loss(str(config["loss"]))
+                                   config["seed"] + INIT_SEED_OFFSET)
+    loss = builtin_loss(config["loss"])
     train_config = _train_config(config)
     if train_config.batch_size is None:
         final, record = optim.run_gd(params0, dataset, loss, train_config)
@@ -146,7 +194,7 @@ def train_once(config: dict, out_dir: Path) -> dict:
     summary = record.summary()
     summary["loss"] = loss.name
     summary["layer_dims"] = [int(m) for m in params0.layer_dims]
-    summary["seed"] = int(config["seed"])
+    summary["seed"] = config["seed"]
     write_json(summary, out_dir / "summary.json")
     network.save_params(final, out_dir / "checkpoint.net")
     return summary
@@ -169,10 +217,9 @@ def _lemma_oracles(config: dict) -> dict:
     closed = verify.relu_kernel_closed_form(grid)
     kernel_margin = float(np.min(closed - grid / 2.0))
     mc_rows = []
-    samples = int(config["mc_samples"])
     for i, rho in enumerate((-0.5, 0.0, 0.5, 0.9, 1.0)):
-        estimate, stderr = verify.mc_relu_kernel(rho, samples,
-                                                 seed=int(config["seed"]) + i)
+        estimate, stderr = verify.mc_relu_kernel(rho, config["mc_samples"],
+                                                 seed=config["seed"] + i)
         reference = verify.relu_kernel_closed_form(rho)
         mc_rows.append({
             "rho": rho, "estimate": estimate, "stderr": stderr,
@@ -180,7 +227,7 @@ def _lemma_oracles(config: dict) -> dict:
             "within_4_stderr": bool(abs(estimate - reference) <= 4.0 * stderr),
         })
     enum, formula = verify.subset_mean_variance(np.array([1.0, -1.0, 2.0, -2.0]), 2)
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(config["seed"])
     violations = 0
     draws = 10_000
     for _ in range(draws):
@@ -190,7 +237,7 @@ def _lemma_oracles(config: dict) -> dict:
             p = 0.25
         if not verify.concavity_inequality_check(float(a), float(b), float(p)):
             violations += 1
-    loss = builtin_loss(str(config["loss"]))
+    loss = builtin_loss(config["loss"])
     assumptions = check_loss_assumptions(loss)
     return {
         "relu_kernel": {
@@ -213,7 +260,7 @@ def _lemma_oracles(config: dict) -> dict:
 
 def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
     dims = _dims_from_config(config)
-    init_seed = int(config["seed"]) + INIT_SEED_OFFSET
+    init_seed = config["seed"] + INIT_SEED_OFFSET
     if checkpoint is not None:
         # the perturbation battery compares the checkpoint with this config's
         # initialisation, which is only meaningful if it was trained from it.
@@ -233,19 +280,12 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
     dataset = _dataset_from_config(config)
     params0 = network.init_network(dims, init_seed)
-    items = config["verify_items"]
     report = verify.verify_init_properties(
-        params0, dataset,
-        beta=None if config["beta"] is None else float(config["beta"]),
-        sparsity_s=None if config["s"] is None else int(config["s"]),
-        trials=int(config["trials"]),
-        seed=init_seed,
-        allowed_failures=int(config["allowed_failures"]),
-        delta=float(config["delta"]),
-        spectral_tol=float(config["spectral_tol"]),
-        probes=int(config["probes"]),
-        gradient_probes=int(config["gradient_probes"]),
-        items=items,
+        params0, dataset, beta=config["beta"], sparsity_s=config["s"],
+        trials=config["trials"], seed=init_seed,
+        allowed_failures=config["allowed_failures"], delta=config["delta"],
+        spectral_tol=config["spectral_tol"], probes=config["probes"],
+        gradient_probes=config["gradient_probes"], items=config["verify_items"],
     )
     write_json(report.as_dict(), out_dir / "init_properties.json")
     write_json(_lemma_oracles(config), out_dir / "lemma_oracles.json")
@@ -254,13 +294,10 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
     if checkpoint is not None:
         trained = network.load_params(checkpoint)
-        loss = builtin_loss(str(config["loss"]))
         pert = verify.verify_perturbation_properties(
-            params0, trained, params0, dataset, loss=loss,
-            declared_tau=float(config["tau"]),
-            spectral_tol=float(config["spectral_tol"]),
-            probes=int(config["probes"]),
-            seed=init_seed,
+            params0, trained, params0, dataset, loss=builtin_loss(config["loss"]),
+            declared_tau=config["tau"], spectral_tol=config["spectral_tol"],
+            probes=config["probes"], seed=init_seed,
         )
         write_json(pert.as_dict(), out_dir / "perturbation_properties.json")
         print(f"perturbation battery: passed={pert.passed} "
@@ -290,21 +327,26 @@ def _sweep_row(axis: str, value: float, run_config: dict, run_dir: Path) -> dict
     return row
 
 
-def cmd_sweep(config: dict, out_dir: Path, axis: str, values: list) -> int:
-    rows = []
-    for value in values:
-        setting = float(value) if axis == "phi" else int(value)
-        tag = f"{setting:g}" if axis == "phi" else f"{setting}"
-        rows.append(_sweep_row(axis, value, dict(config, **{axis: setting}),
-                               out_dir / f"run_{axis}_{tag}"))
+def _sweep_settings(axis: str, text: str) -> list:
+    """The (value, setting) pairs of `--values`, each checked as `axis`."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    settings = [_typed(axis, value) for value in values]
+    if not settings or len(set(settings)) < len(settings):
+        raise ConfigError(f"{axis} --values must give distinct settings, got {text!r}")
+    return list(zip(values, settings))
 
+
+def cmd_sweep(config: dict, out_dir: Path, axis: str, settings: list) -> int:
+    rows = [_sweep_row(axis, value, dict(config, **{axis: setting}),
+                       out_dir / f"run_{axis}_{setting}")
+            for value, setting in settings]
     rows.sort(key=lambda r: r["value"])
     columns = ["axis", "value", "iterations", "iterations_to_zero_error",
                "final_loss", "max_radius", "stop_reason", "status", "error"]
-    with open(out_dir / "sweep.csv", "w", encoding="ascii") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+    with open(out_dir / "sweep.csv", "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
     failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep over {axis}: {len(rows)} runs, {failures} failures "
           f"-> {out_dir / 'sweep.csv'}")
@@ -354,7 +396,9 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.seed)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        if args.command == "sweep":
+            settings = _sweep_settings(args.axis, args.values)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -373,11 +417,7 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             return cmd_verify(config, out_dir, checkpoint)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                print("empty --values", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_sweep(config, out_dir, args.axis, values)
+            return cmd_sweep(config, out_dir, args.axis, settings)
     except network.CorruptCheckpointError as exc:
         print(f"corrupt checkpoint: {exc}", file=sys.stderr)
         return EXIT_CONFIG

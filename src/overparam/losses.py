@@ -88,7 +88,7 @@ def _exponential_deriv(x):
         return -np.exp(-np.asarray(x, dtype=np.float64))
 
 
-_BUILTINS = {
+BUILTIN_LOSSES = {
     # -deriv = 1/(1+e^x) while value = log(1+e^-x):
     #   x >= 0: value <= e^-x and -deriv >= e^-x/2, so alpha1 = 1/2 works;
     #   x <  0: -deriv >= 1/2 = alpha0.
@@ -119,10 +119,10 @@ _BUILTINS = {
 
 def builtin_loss(name: str) -> LossSpec:
     try:
-        return _BUILTINS[name]
+        return BUILTIN_LOSSES[name]
     except KeyError:
         raise ValueError(
-            f"unknown loss {name!r}; available: {sorted(_BUILTINS)}") from None
+            f"unknown loss {name!r}; available: {sorted(BUILTIN_LOSSES)}") from None
 
 
 def default_grid() -> np.ndarray:

@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 # Default constant in front of phi / (n^3 L^9 m); calibrated so the default
 # desk-scale run converges while staying deep in the lazy regime.
 DEFAULT_ETA_SCALE = 2.0e10
+BATCH_MODES = ("fresh", "epoch")
 
 # Ritz-residual tolerance of the warm-started Lanczos solves
 # (linalg.power_iteration) behind the per-iteration radius telemetry and the
@@ -82,7 +83,7 @@ class TrainConfig:
             raise ValueError("target_loss must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.batch_mode not in ("fresh", "epoch"):
+        if self.batch_mode not in BATCH_MODES:
             raise ValueError("batch_mode must be 'fresh' or 'epoch'")
 
     def resolve_eta(self, n: int, depth: int, width: int, phi: float) -> float:

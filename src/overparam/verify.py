@@ -429,6 +429,8 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     if isinstance(items, str):
         raise ValueError(f"items must be a list of item names, "
                          f"not the string {items!r}")
+    if items is not None and not items:
+        raise ValueError("items must name at least one item, got none")
     dims = params.layer_dims
     depth = params.depth
     m_min = min(dims[1:])

@@ -1,9 +1,16 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overparam.cli import DEFAULT_CONFIG, main
+from overparam.cli import CONFIG_TABLE, DEFAULT_CONFIG, ConfigError, load_config, main
+from overparam.data import generate_separated
 from overparam.network import init_network, save_params
+from overparam.verify import INIT_ITEMS
 
 TINY = {
     "n": 8, "d": 4, "mu": 0.5, "phi": 0.05,
@@ -232,19 +239,136 @@ class TestSweep:
             (out_train / "trajectory.csv").read_bytes()
 
     def test_failed_subrun_recorded(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, {"mu": 0.5})
         out = tmp_path / "sweep"
-        # n=2 is fine, n=1 violates the generator precondition
+        # the config table takes phi=1.9; the generator's slice-diameter cap
+        # at mu=0.5 rejects it, with commas in its message
         assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--axis", "n", "--values", "1,8"]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 3
-        statuses = [line.split(",")[7] for line in lines[1:]]
+                     "--axis", "phi", "--values", "1.9,0.05"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert all(len(row) == 9 for row in rows)
+        statuses = [row[7] for row in rows[1:]]
         assert statuses.count("error") == 1
         assert statuses.count("ok") == 1
+        with pytest.raises(ValueError) as exc:
+            generate_separated(n=8, d=4, mu=0.5, phi=1.9, seed=0)
+        assert rows[2][8] == f"ValueError: {exc.value}"
+
+    @pytest.mark.parametrize("axis, values", [
+        ("n", "1,8"),           # n=1 fails the config table
+        ("m", "32,32.7"),       # an integer axis takes no fraction
+        ("m", "32,32.0"),       # two values, one setting
+        ("m", "16,inf"),
+    ])
+    def test_bad_values_rejected_before_any_run(self, tmp_path, capsys,
+                                                axis, values):
+        cfg = write_config(tmp_path, {"K": 5})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", axis, "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {axis} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_close_values_get_their_own_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {"K": 5})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", "phi", "--values", "0.05,0.050000001"]) == 0
+        runs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert runs == ["run_phi_0.05", "run_phi_0.050000001"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_bad_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                   "--axis", "width", "--values", "4"])
+
+
+class TestConfigTable:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("train")
+        cfg = write_config(tmp)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+        return str(tmp / "run" / "checkpoint.net")
+
+    @pytest.mark.parametrize("command, key, raw, args", [
+        ("train", "record_patterns", '"false"', []),
+        ("train", "K", "2.7", []),
+        ("train", "m", "50.9", []),
+        ("train", "n", '"8"', []),
+        ("train", "seed", "true", []),
+        ("train", "tau", "null", []),
+        ("train", "seed", "-3", []),
+        ("train", "seed", None, ["--seed", "-3"]),
+        ("train", "n", "1e400", []),
+        ("verify", "loss", '"hinge"', []),
+        ("verify", "mc_samples", "10", []),
+        ("verify", "spectral_tol", "0", []),
+        ("verify", "tau", "-1.0", []),
+        ("verify", "beta", "-1.0", []),
+        ("verify", "verify_items", "[]", []),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, checkpoint,
+                                             command, key, raw, args):
+        # the raw JSON text goes in as written: json.dumps has no 1e400
+        base = json.dumps({k: v for k, v in TINY.items() if k != key})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(base if raw is None else f'{base[:-1]}, "{key}": {raw}}}')
+        out = tmp_path / "out"
+        if command == "verify":
+            args = args + ["--checkpoint", checkpoint]
+        assert main([command, "--config", str(cfg), "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1]"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["gen-data", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+        | st.sampled_from(INIT_ITEMS),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from(sorted(CONFIG_TABLE)), value=JSON_VALUES)
+    def test_any_json_value_is_typed_or_names_its_key(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({key: value}))
+            try:
+                config = load_config(str(path), None)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{key} ")
+                return
+        for name, (kind, _, nullable, _) in CONFIG_TABLE.items():
+            assert type(config[name]) is kind or (config[name] is None and nullable)
+
+    # small numbers only, so that every accepted config runs in a moment
+    SMALL_VALUES = (st.none() | st.booleans() | st.integers(-3, 40)
+                    | st.floats(-2.0, 40.0) | st.sampled_from([float("nan"), float("inf")])
+                    | st.text(max_size=4) | st.lists(st.integers(0, 3), max_size=2))
+
+    @settings(max_examples=12, deadline=None)
+    @given(key=st.sampled_from(["n", "d", "mu", "phi", "seed", "loss"]),
+           value=SMALL_VALUES)
+    def test_gen_data_exits_0_or_2(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps({"n": 8, "d": 4, key: value}))
+            assert main(["gen-data", "--config", str(cfg),
+                         "--out", str(Path(tmp) / "out")]) in (0, 2)

@@ -244,6 +244,7 @@ class TestInitBattery:
         ({"gradient_probes": 0}, "gradient_probes"),
         ({"allowed_failures": -1}, "allowed_failures"),
         ({"items": "output_magnitude"}, "items"),
+        ({"items": []}, "items"),
     ])
     def test_bad_arguments_rejected(self, kwargs, name):
         params, ds = small_battery_inputs()

@@ -295,7 +295,7 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
     if checkpoint is not None:
         trained = network.load_params(checkpoint)
         pert = verify.verify_perturbation_properties(
-            params0, trained, params0, dataset, loss=builtin_loss(config["loss"]),
+            params0, trained, dataset, loss=builtin_loss(config["loss"]),
             declared_tau=config["tau"], spectral_tol=config["spectral_tol"],
             probes=config["probes"], seed=init_seed,
         )

@@ -17,6 +17,7 @@ __all__ = [
     "DataGenerationError",
     "Dataset",
     "MarginReport",
+    "cross_class_distance",
     "generate_separated",
     "load_dataset",
     "save_dataset",
@@ -141,17 +142,22 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
+def cross_class_distance(points: np.ndarray, labels: np.ndarray) -> float:
+    """Smallest distance between a row labeled > 0 and a row labeled < 0;
+    inf when either class is empty."""
+    pos, neg = points[labels > 0], points[labels < 0]
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
+        return float("inf")
+    return float(np.min(_pair_distances(pos, neg)))
+
+
 def validate_dataset(ds: Dataset) -> MarginReport:
     """Measure the dataset invariants; violations are reported, never raised."""
     norms = np.linalg.norm(ds.inputs, axis=1)
     last = ds.inputs[:, -1]
     pos = ds.inputs[ds.labels > 0]
     neg = ds.inputs[ds.labels < 0]
-
-    if pos.shape[0] and neg.shape[0]:
-        min_cross = float(np.min(_pair_distances(pos, neg)))
-    else:
-        min_cross = float("inf")
+    min_cross = cross_class_distance(ds.inputs, ds.labels)
 
     min_same = float("inf")
     for group in (pos, neg):

@@ -174,17 +174,19 @@ def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarra
     The gradient w.r.t. ``weights[l-1]`` is ``A_l^T B_l``: ``A_l`` holds the
     layer inputs ``hidden[l-1]`` of the batch rows (all rows when `rows` is
     None) and ``B_l`` their backprop signals weighted by
-    ``l'(y_i f(x_i)) y_i / batch size``.  One backprop pass serves every layer.
+    ``l'(y_i f(x_i)) y_i / batch size``.  One backprop pass, over the batch
+    rows only, serves every layer.
     """
-    y = labels if rows is None else labels[rows]
-    outs = trace.outputs if rows is None else trace.outputs[rows]
-    coeff = np.asarray(loss.deriv(y * outs), dtype=np.float64) * y / y.shape[0]
-    factors = []
-    for h, g in zip(trace.hidden, backprop_signals(params, trace)):
-        if rows is not None:
-            h, g = h[rows], g[rows]
-        factors.append((h, coeff[:, None] * g))
-    return factors
+    if rows is not None:
+        # backprop reads only the patterns, and the factors only hidden[:-1]
+        trace = BatchTrace(hidden=[h[rows] for h in trace.hidden[:-1]], preacts=[],
+                           patterns=[p[rows] for p in trace.patterns],
+                           outputs=trace.outputs[rows])
+        labels = labels[rows]
+    coeff = np.asarray(loss.deriv(labels * trace.outputs), dtype=np.float64) \
+        * labels / labels.shape[0]
+    return [(h, coeff[:, None] * g)
+            for h, g in zip(trace.hidden, backprop_signals(params, trace))]
 
 
 def gradient_norms(factors: list) -> tuple:

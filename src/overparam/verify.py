@@ -5,9 +5,9 @@ the quantities that a healthy Gaussian-initialized network must exhibit:
 near-unit hidden norms, preserved cross-class separation, bounded outputs,
 few near-threshold units, bounded masked-chain products, and a positive
 count of active gradient nodes.  ``verify_perturbation_properties``
-measures how two nearby parameter sets drift apart in hidden outputs and
-activation patterns, and the gradient norm bounds that hold near the
-initialization.
+compares a trained network with its initialization: its distance from it,
+how far its hidden outputs and activation patterns drift from those at the
+initialization, and the gradient norm bounds at both points.
 
 Thresholded entries assert concrete limits; the remaining entries fit and
 report an empirical constant (their pass flag only demands a finite,
@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import cross_class_distance
 from .linalg import PortableRng, spectral_norm
-from .network import (NetworkParams, batch_forward, gradient_factors,
-                      gradient_norms, init_network, max_pattern_distance)
+from .network import (NetworkParams, backprop_signals, batch_forward,
+                      gradient_factors, gradient_norms, init_network,
+                      max_pattern_distance)
+from .optim import perturbation_radius
 
 __all__ = [
     "MaskedChain",
@@ -125,14 +128,6 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
     return h / np.where(norms == 0.0, 1.0, norms)
 
 
-def _min_pair_distance(h: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    a, b = h[mask_a], h[mask_b]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return float("inf")
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(np.min(d))
-
-
 def _example_mask(pattern: np.ndarray) -> np.ndarray:
     """(m, n, 1) mask of an (n, m) pattern, C-ordered so that products with
     a (m, n, b) block come out C-ordered and reshape without a copy."""
@@ -211,15 +206,16 @@ class MaskedChain:
         return np.linalg.svd(top, compute_uv=False)[:, 0]
 
 
-def _output_probe(params: NetworkParams, patterns, layer: int,
-                  block: np.ndarray) -> float:
-    """max over examples i and probe columns u of ``|v . chain_i u|``, with
-    chain_i the masked layers layer..L: v is backpropagated once per example
-    and then met with all the probes."""
-    chain = MaskedChain(params.weights, patterns, layer, params.depth)
-    v = params.output_vector
-    back = chain.apply_t(np.broadcast_to(v[:, None, None], (v.shape[0], chain.n, 1)))
-    return float(np.max(np.abs(block.T @ back[:, :, 0])))
+def _output_probe(params: NetworkParams, trace, sparsity: int, probes: int,
+                  rng: PortableRng) -> float:
+    """max over layers l, examples i and s-sparse probes u of ``|v . chain_i u|``,
+    with chain_i the masked layers l..L.  Row i of ``g_l W_l^T``, from one
+    backprop pass, is ``v^T chain_i``; layer l's probes are drawn in turn."""
+    worst = 0.0
+    for w, g in zip(params.weights, backprop_signals(params, trace)):
+        block = _sparse_probes(w.shape[0], sparsity, probes, rng)
+        worst = max(worst, float(np.max(np.abs((g @ w.T) @ block))))
+    return worst
 
 
 def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
@@ -280,8 +276,7 @@ def _weight_spectral_norm(run, net, trace, rng) -> float:
 
 
 def _cross_class_separation(run, net, trace, rng) -> float:
-    pos = run.dataset.labels > 0
-    return min(_min_pair_distance(_normalized_rows(h), pos, ~pos)
+    return min(cross_class_distance(_normalized_rows(h), run.dataset.labels)
                for h in trace.hidden[1:])
 
 
@@ -309,11 +304,7 @@ def _chain_product_norm(run, net, trace, rng) -> float:
 
 
 def _sparse_output_probe(run, net, trace, rng) -> float:
-    worst = 0.0
-    for l in range(1, run.depth + 1):
-        block = _sparse_probes(net.layer_dims[l - 1], run.sparsity, run.probes, rng)
-        worst = max(worst, _output_probe(net, trace.patterns, l, block))
-    return worst
+    return _output_probe(net, trace, run.sparsity, run.probes, rng)
 
 
 def _sparse_bilinear_probe(run, net, trace, rng) -> float:
@@ -483,14 +474,21 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
 
 # --- perturbation battery ---------------------------------------------------
 
-def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkParams,
-                                   params_b: NetworkParams, dataset, *,
-                                   loss=None, declared_tau: float | None = None,
+def _ratio(num: float, denom: float) -> float:
+    """num / denom, with 0 / 0 read as 0 and a positive num over 0 as inf."""
+    if denom > 0.0:
+        return num / denom
+    return math.inf if num > 0 else 0.0
+
+
+def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParams,
+                                   dataset, *, loss=None,
+                                   declared_tau: float | None = None,
                                    spectral_tol: float = 1e-3, probes: int = 64,
                                    sparsity_s: int | None = None, seed: int = 0,
                                    batch_size: int | None = None,
                                    batch_draws: int = 8) -> PropertyReport:
-    """Compare two perturbed parameter sets against their common base.
+    """Compare a trained parameter set with its initialization `params0`.
 
     Radii are measured (never trusted); exceeding `declared_tau` flags the
     report instead of raising.  Gradient entries use `loss` (default:
@@ -499,9 +497,6 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     from .losses import builtin_loss
     if loss is None:
         loss = builtin_loss("logistic")
-    for p in (params_a, params_b):
-        if tuple(p.layer_dims) != tuple(params0.layer_dims):
-            raise ValueError("perturbed parameters must match the base shapes")
     n = dataset.n
     if batch_size is None:
         batch_size = max(1, n // 4)
@@ -512,6 +507,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     if batch_draws < 1:
         raise ValueError(f"batch_draws must be at least 1, got {batch_draws}")
 
+    radii = perturbation_radius(trained, params0, tol=spectral_tol)
+    tau = max(radii)
     dims = params0.layer_dims
     depth = params0.depth
     widths = dims[1:]
@@ -519,15 +516,8 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     y = dataset.labels
     rng = PortableRng(seed + 104729)
 
-    radii_a = [spectral_norm(wa - w0, tol=spectral_tol)
-               for wa, w0 in zip(params_a.weights, params0.weights)]
-    radii_b = [spectral_norm(wb - w0, tol=spectral_tol)
-               for wb, w0 in zip(params_b.weights, params0.weights)]
-    tau = max(radii_a + radii_b)
-
     trace0 = batch_forward(params0, dataset.inputs)
-    trace_a = batch_forward(params_a, dataset.inputs)
-    trace_b = batch_forward(params_b, dataset.inputs)
+    trace = batch_forward(trained, dataset.inputs)
 
     entries = []
 
@@ -541,53 +531,39 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
     entries.append(PropertyEntry(
         name="perturbed_weight_norm", direction="upper",
         per_trial=[max(spectral_norm(w, tol=spectral_tol)
-                       for w in params_a.weights)],
+                       for w in trained.weights)],
         bound=1.0))
 
-    # hidden drift between the two perturbed nets, per unit of L * sum of
-    # their per-layer weight distances
-    diffs = [spectral_norm(wa - wb, tol=spectral_tol)
-             for wa, wb in zip(params_a.weights, params_b.weights)]
+    # hidden drift from the initialization, per unit of L * sum of the
+    # per-layer radii
     worst = 0.0
     for l in range(1, depth + 1):
-        denom = depth * sum(diffs[:l])
-        num = float(np.max(np.linalg.norm(trace_a.hidden[l] - trace_b.hidden[l],
+        num = float(np.max(np.linalg.norm(trace.hidden[l] - trace0.hidden[l],
                                           axis=1)))
-        if denom > 0.0:
-            worst = max(worst, num / denom)
-        elif num > 0.0:
-            worst = math.inf
+        worst = max(worst, _ratio(num, depth * sum(radii[:l])))
     entries.append(PropertyEntry(
         name="hidden_drift_ratio", direction="upper", per_trial=[worst],
         bound=1.0))
 
     drift_scale = depth ** (4.0 / 3.0) * tau ** (2.0 / 3.0)
-    worst = 0.0
-    for l, num in enumerate(max_pattern_distance(trace_a.patterns,
-                                                  trace_b.patterns)):
-        denom = drift_scale * widths[l]
-        if denom > 0.0:
-            worst = max(worst, num / denom)
-        elif num > 0:
-            worst = math.inf
+    worst = max(_ratio(num, drift_scale * m) for num, m in
+                zip(max_pattern_distance(trace.patterns, trace0.patterns), widths))
     entries.append(PropertyEntry(
         name="pattern_drift_ratio", direction="upper", per_trial=[worst],
         bound=1.0))
 
-    flipped = np.any(trace_a.patterns[-1] != trace0.patterns[-1], axis=0)
+    flipped = np.any(trace.patterns[-1] != trace0.patterns[-1], axis=0)
     union = int(np.count_nonzero(flipped))
-    denom = n * drift_scale * widths[-1]
     entries.append(PropertyEntry(
         name="pattern_flip_union", direction="upper",
-        per_trial=[union / denom if denom > 0.0
-                   else (0.0 if union == 0 else math.inf)],
+        per_trial=[_ratio(union, n * drift_scale * widths[-1])],
         bound=1.0,
         note=f"{union} of {widths[-1]} last-layer nodes flipped for some example"))
 
     if depth >= 2:
         worst = 0.0
         for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-            chain = MaskedChain(params_a.weights, trace_a.patterns, l1, l2)
+            chain = MaskedChain(trained.weights, trace.patterns, l1, l2)
             worst = max(worst, float(np.max(chain.norms(rng))))
         entries.append(PropertyEntry(
             name="perturbed_chain_norm", direction="upper",
@@ -597,10 +573,7 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
         s_pert = sparsity_s
         if s_pert is None:
             s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
-        worst = 0.0
-        for l in range(1, depth + 1):
-            block = _sparse_probes(dims[l - 1], s_pert, probes, rng)
-            worst = max(worst, _output_probe(params_a, trace_a.patterns, l, block))
+        worst = _output_probe(trained, trace, s_pert, probes, rng)
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
         entries.append(PropertyEntry(
@@ -608,13 +581,12 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
             per_trial=[worst / scale], bound=1.0,
             note=f"probe sparsity {s_pert}"))
 
-    # gradient norms at the perturbed points
+    # gradient norms at the trained point and at the initialization
     ratios_lower = []
     ratios_upper = []
-    for trace in (trace_a, trace_b):
-        spec, fro = gradient_norms(gradient_factors(
-            params_a if trace is trace_a else params_b, trace, y, loss))
-        sum_lp = float(np.sum(loss.deriv(y * trace.outputs)))
+    for net, net_trace in ((trained, trace), (params0, trace0)):
+        spec, fro = gradient_norms(gradient_factors(net, net_trace, y, loss))
+        sum_lp = float(np.sum(loss.deriv(y * net_trace.outputs)))
         ratios_lower.append(
             fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi * sum_lp ** 2)
             if sum_lp != 0.0 else math.inf)
@@ -631,12 +603,12 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
         per_trial=ratios_upper, bound=1.0))
 
     worst = 0.0
-    lp_a = np.asarray(loss.deriv(y * trace_a.outputs), dtype=np.float64)
+    lp = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64)
     for _ in range(batch_draws):
         batch = rng.sample_without_replacement(n, batch_size)
-        spec, _ = gradient_norms(gradient_factors(params_a, trace_a, y, loss,
+        spec, _ = gradient_norms(gradient_factors(trained, trace, y, loss,
                                                   rows=batch))
-        batch_sum = float(np.sum(lp_a[batch]))
+        batch_sum = float(np.sum(lp[batch]))
         if batch_sum != 0.0:
             worst = max(worst, max(spec) * batch_size /
                         (depth ** 2 * math.sqrt(m_max) * abs(batch_sum)))
@@ -649,8 +621,7 @@ def verify_perturbation_properties(params0: NetworkParams, params_a: NetworkPara
             "layer_dims": [int(m) for m in dims],
             "n": n, "mu": dataset.mu, "phi": dataset.phi,
             "measured_tau": tau, "declared_tau": declared_tau,
-            "radii_a": radii_a, "radii_b": radii_b,
-            "loss": loss.name, "seed": seed,
+            "radii": radii, "loss": loss.name, "seed": seed,
         },
         entries=entries,
         allowed_failures=0,

@@ -348,6 +348,25 @@ class TestSerialization:
         save_params(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           out=st.integers(1, 5), seed=st.integers(0, 2 ** 31 - 1),
+           value=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_round_trip_property(self, tmp_path_factory, dims, out, seed, value):
+        params = init_network(dims + [2 * out], seed)
+        params.weights[-1][0, 0] = value   # any float64, -0.0 and nan too
+        path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+        save_params(params, path)
+        loaded = load_params(path)
+        assert tuple(loaded.layer_dims) == tuple(params.layer_dims)
+        assert loaded.seed == seed
+        for wa, wb in zip(loaded.weights, params.weights):
+            assert wa.shape == wb.shape and wa.tobytes() == wb.tobytes()
+        assert loaded.output_vector.tobytes() == params.output_vector.tobytes()
+        again = path.with_name("again.ckpt")
+        save_params(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")

@@ -1,8 +1,11 @@
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overparam import network
 from overparam.data import generate_separated
@@ -253,9 +256,9 @@ class TestTrainingPath:
     def test_one_backprop_pass_per_update_step(self, monkeypatch, batch_size):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return backprop_signals(*args, **kwargs)
+        def counting(params, trace):
+            calls.append(trace)
+            return backprop_signals(params, trace)
 
         monkeypatch.setattr(network, "backprop_signals", counting)
         params, ds = small_problem()
@@ -265,6 +268,11 @@ class TestTrainingPath:
                                  batch_size=batch_size))
         assert rec.stop_reason == "max_iters"
         assert len(calls) == rec.iterations == 9
+        # each pass backprops the batch rows only
+        rows = ds.n if batch_size is None else batch_size
+        for trace in calls:
+            assert trace.outputs.shape == (rows,)
+            assert all(p.shape[0] == rows for p in trace.patterns)
 
     def test_budget_warnings_logged_once_per_layer(self, caplog):
         params, ds = small_problem()
@@ -426,6 +434,39 @@ class TestTrajectoryCsv:
             "1,0.25,0,-1,-0.5,0.125,0.10000000000000001,0.20000000000000001,"
             "1,2,1.5,2.5,,",
         ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), layers=st.integers(1, 4))
+    def test_cells_read_back_exactly(self, tmp_path_factory, data, layers):
+        floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        ints = st.integers(0, 10 ** 6)
+        per_layer = st.lists(floats, min_size=layers, max_size=layers)
+        rows = data.draw(st.lists(st.builds(
+            TrajectoryRow, k=ints, loss=floats, misclassified=ints,
+            sum_lprime=floats, batch_sum_lprime=floats,
+            delta_max=st.none() | floats, radius=per_layer, grad_spec=per_layer,
+            grad_fro=per_layer, pattern_drift=st.none() | st.lists(
+                ints, min_size=layers, max_size=layers)), min_size=1, max_size=4))
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        write_trajectory_csv(TrajectoryRecord(layer_count=layers, rows=rows), path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            expected = [row.k, row.loss, row.misclassified, row.sum_lprime,
+                        row.batch_sum_lprime, row.delta_max, *row.radius,
+                        *row.grad_spec, *row.grad_fro,
+                        *(row.pattern_drift or [None] * layers)]
+            cells = line.split(",")
+            assert len(cells) == len(expected) == len(lines[0].split(","))
+            for cell, value in zip(cells, expected):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, int):
+                    assert int(cell) == value
+                elif math.isnan(value):
+                    assert math.isnan(float(cell))
+                else:   # bit for bit, so -0.0 keeps its sign
+                    assert np.float64(cell).tobytes() == np.float64(value).tobytes()
 
     def test_off_snapshot_rows_leave_drift_empty(self, tmp_path):
         params, ds = small_problem()

@@ -14,6 +14,8 @@ from overparam.verify import (INIT_ITEMS, MaskedChain, _sparse_probes,
                               verify_init_properties,
                               verify_perturbation_properties)
 
+from oracles import loss_gradient
+
 INV_2PI = 1.0 / (2.0 * np.pi)
 
 
@@ -268,7 +270,7 @@ class TestInitBattery:
 class TestPerturbationBattery:
     def test_identical_params_all_drift_zero(self):
         params, ds = small_battery_inputs()
-        report = verify_perturbation_properties(params, params, params, ds)
+        report = verify_perturbation_properties(params, params, ds)
         assert report.meta["measured_tau"] == 0.0
         assert report.entry("hidden_drift_ratio").measured == 0.0
         assert report.entry("pattern_drift_ratio").measured == 0.0
@@ -281,7 +283,7 @@ class TestPerturbationBattery:
         u = np.zeros(tilde.weights[1].shape[0]); u[0] = 1.0
         v = np.zeros(tilde.weights[1].shape[1]); v[1] = 1.0
         tilde.weights[1] = tilde.weights[1] + tau * np.outer(u, v)
-        report = verify_perturbation_properties(params, tilde, params, ds,
+        report = verify_perturbation_properties(params, tilde, ds,
                                                 declared_tau=0.1)
         assert report.meta["measured_tau"] == pytest.approx(tau, rel=1e-3)
         # hidden drift stays within a small multiple of L * sum ||dW||
@@ -292,7 +294,7 @@ class TestPerturbationBattery:
         params, ds = small_battery_inputs()
         tilde = params.copy()
         tilde.weights[0] = tilde.weights[0] + 0.5 * np.eye(*tilde.weights[0].shape)
-        report = verify_perturbation_properties(params, tilde, params, ds,
+        report = verify_perturbation_properties(params, tilde, ds,
                                                 declared_tau=1e-3)
         entry = report.entry("perturbation_radius")
         assert not entry.passed()
@@ -304,7 +306,7 @@ class TestPerturbationBattery:
         ratios = []
         for seed in range(3):
             params = init_network([6, 96, 96], seed=seed)
-            report = verify_perturbation_properties(params, params, params, ds,
+            report = verify_perturbation_properties(params, params, ds,
                                                     loss=loss)
             r = report.entry("gradient_lower_ratio").measured
             assert r > 0
@@ -313,7 +315,7 @@ class TestPerturbationBattery:
 
     def test_gradient_upper_ratios_finite(self):
         params, ds = small_battery_inputs(m=64)
-        report = verify_perturbation_properties(params, params, params, ds)
+        report = verify_perturbation_properties(params, params, ds)
         assert np.isfinite(report.entry("gradient_upper_ratio").measured)
         assert np.isfinite(
             report.entry("stochastic_gradient_upper_ratio").measured)
@@ -322,7 +324,66 @@ class TestPerturbationBattery:
         params, ds = small_battery_inputs()
         other = init_network([6, 24, 24, 48], seed=9)
         with pytest.raises(ValueError):
-            verify_perturbation_properties(params, other, params, ds)
+            verify_perturbation_properties(params, other, ds)
+
+    def test_drift_and_gradient_entries_match_dense_oracles(self):
+        # one perturbed layer, so layer 1 drifts 0 over a zero radius sum
+        ds = generate_separated(n=8, d=6, mu=0.5, phi=0.08, seed=3)
+        params = init_network([6, 32, 32, 32], seed=4)
+        trained = params.copy()
+        trained.weights[1] = trained.weights[1] + 0.3 * PortableRng(7).normals(
+            32 * 32).reshape(32, 32)
+        loss = builtin_loss("logistic")
+        report = verify_perturbation_properties(params, trained, ds,
+                                                loss=loss, spectral_tol=1e-10,
+                                                probes=4, seed=2)
+        assert [(e.name, e.trials) for e in report.entries] == [
+            ("perturbation_radius", 1), ("perturbed_weight_norm", 1),
+            ("hidden_drift_ratio", 1), ("pattern_drift_ratio", 1),
+            ("pattern_flip_union", 1), ("perturbed_chain_norm", 1),
+            ("perturbed_sparse_probe", 1), ("gradient_lower_ratio", 2),
+            ("gradient_upper_ratio", 2), ("stochastic_gradient_upper_ratio", 1)]
+        assert sum(e.trials for e in report.entries) == 12
+
+        radii = [np.linalg.norm(w - w0, 2)
+                 for w, w0 in zip(trained.weights, params.weights)]
+        assert radii[0] == radii[2] == 0.0
+        tau = max(radii)
+        assert report.meta["measured_tau"] == pytest.approx(tau, rel=1e-8)
+        assert report.entry("perturbation_radius").per_trial[0] == \
+            pytest.approx(tau, rel=1e-8)
+
+        t0 = batch_forward(params, ds.inputs)
+        t1 = batch_forward(trained, ds.inputs)
+        hidden = max(np.max(np.linalg.norm(t1.hidden[l] - t0.hidden[l], axis=1))
+                     / (3 * sum(radii[:l])) for l in (2, 3))
+        assert np.array_equal(t1.hidden[1], t0.hidden[1])
+        assert report.entry("hidden_drift_ratio").per_trial[0] == \
+            pytest.approx(hidden, rel=1e-8)
+
+        drift_scale = 3 ** (4.0 / 3.0) * tau ** (2.0 / 3.0)
+        flips = [np.count_nonzero(p1 != p0, axis=1)
+                 for p1, p0 in zip(t1.patterns, t0.patterns)]
+        assert max(np.max(f) for f in flips) > 0
+        assert report.entry("pattern_drift_ratio").per_trial[0] == pytest.approx(
+            max(np.max(f) for f in flips) / (drift_scale * 32), rel=1e-8)
+        union = np.count_nonzero(np.any(t1.patterns[-1] != t0.patterns[-1], axis=0))
+        assert union > 0
+        assert report.entry("pattern_flip_union").per_trial[0] == pytest.approx(
+            union / (8 * drift_scale * 32), rel=1e-8)
+
+        lower, upper = [], []
+        for net, trace in ((trained, t1), (params, t0)):
+            grads = loss_gradient(net, ds, loss)
+            sum_lp = float(np.sum(loss.deriv(ds.labels * trace.outputs)))
+            lower.append(np.linalg.norm(grads[-1]) ** 2 * 8 ** 5
+                         / (32 * ds.phi * sum_lp ** 2))
+            upper.append(max(np.linalg.norm(g, 2) for g in grads) * 8
+                         / (3 ** 2 * math.sqrt(32) * abs(sum_lp)))
+        assert report.entry("gradient_lower_ratio").per_trial == \
+            pytest.approx(lower, rel=1e-8)
+        assert report.entry("gradient_upper_ratio").per_trial == \
+            pytest.approx(upper, rel=1e-8)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"probes": 0}, "probes"),
@@ -336,7 +397,7 @@ class TestPerturbationBattery:
         tilde = params.copy()
         tilde.weights[1] = tilde.weights[1] + 0.01 * np.eye(40)
         with pytest.raises(ValueError, match=f"^{name} must"):
-            verify_perturbation_properties(params, tilde, params, ds, **kwargs)
+            verify_perturbation_properties(params, tilde, ds, **kwargs)
 
 
 # --- per-example reference for the batched masked-chain operator ------------
@@ -518,7 +579,7 @@ class TestChainItemsAgainstLoops:
         tilde = params.copy()
         tilde.weights[1] = tilde.weights[1] + 0.01 * PortableRng(4).normals(
             48 * 48).reshape(48, 48)
-        report = verify_perturbation_properties(params, tilde, params, ds,
+        report = verify_perturbation_properties(params, tilde, ds,
                                                 probes=8, sparsity_s=3, seed=5)
         patterns = batch_forward(tilde, ds.inputs).patterns
         rng = PortableRng(5 + 104729)

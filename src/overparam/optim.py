@@ -47,6 +47,13 @@ BATCH_MODES = ("fresh", "epoch")
 # accurate than 1e-8.
 _RADIUS_TOL = 1e-8
 
+# Bytes of the row block of W_l that one update product A_l^T B_l fills at a
+# time: the block is scaled by eta and subtracted while it is still in L2,
+# where a whole product took three passes over a weight-sized array.  Each
+# entry is the same sum over the batch rows as in the whole product; OpenBLAS
+# gave it the same bits at m=1000 and m=2000, but not at m=500.
+_UPDATE_BYTES = 1 << 19
+
 
 def theoretical_step_size(n: int, depth: int, width: int, phi: float,
                           scale: float) -> float:
@@ -260,8 +267,8 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
     snapshots = _snapshot_iterations(config.max_iters)
     warm = [None] * depth
     # one weight-sized work array per shape, reused every step for the radius
-    # difference and the update: a fresh weight-sized temporary per step is
-    # paid for in page faults
+    # difference: a fresh weight-sized temporary per step is paid for in page
+    # faults
     scratch = {w.shape: np.empty_like(w) for w in params0.weights}
     init_patterns = None
     prev_outputs = None
@@ -324,9 +331,9 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
         prev_outputs = trace.outputs
 
         for w, (a, b) in zip(live.weights, factors):
-            step = np.matmul(a.T, b, out=scratch[w.shape])
-            step *= eta
-            w -= step
+            rows = max(1, _UPDATE_BYTES // (8 * w.shape[1]))
+            for i in range(0, w.shape[0], rows):
+                w[i:i + rows] -= eta * (a[:, i:i + rows].T @ b)
         k += 1
 
     # the last trace of the loop is of the returned weights

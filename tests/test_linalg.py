@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam.linalg import (_LANCZOS_CYCLE, PortableRng, SpectralNormError,
-                              gaussian_matrix, power_iteration, spectral_norm)
+from overparam.linalg import (_LANCZOS_CYCLE, _SWEEP_BYTES, PortableRng,
+                              SpectralNormError, gaussian_matrix,
+                              power_iteration, spectral_norm)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.integers(min_value=1, max_value=40)
@@ -180,6 +181,44 @@ class TestLanczos:
         assert sigma ** 2 == pytest.approx(lam, rel=1e-14)
         assert residual == pytest.approx(np.linalg.norm(u - lam * v) / lam,
                                          rel=1e-12)
+
+
+class TestLazyChecks:
+    """The input checks that run only when a cycle's first product is off."""
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_infinite_entry_raises(self, entry):
+        a = PortableRng(17).normals(30).reshape(5, 6)
+        a[3, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iteration(a)
+
+    def test_zero_matrix_with_zero_start(self):
+        sigma, vec, residual, iters = power_iteration(np.zeros((7, 5)),
+                                                      start=np.zeros(5))
+        assert (sigma, residual, iters) == (0.0, 0.0, 0)
+        assert np.array_equal(vec, np.zeros(5))
+
+    def test_zero_start_reseeds(self):
+        a = PortableRng(19).normals(63).reshape(9, 7)
+        sigma, _, _, _ = power_iteration(a, tol=1e-12, start=np.zeros(7))
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+
+
+class TestSweepBlocks:
+    """The one-sweep product over several row blocks of `a`."""
+
+    @pytest.mark.parametrize("shape", [
+        # 2, 3 and 5 full row blocks plus a partial one, then single rows
+        *[(blocks * (_SWEEP_BYTES // (8 * cols)) + 17, cols)
+          for cols, blocks in ((200, 2), (1000, 3), (3000, 5))],
+        (1, 1), (1, 3), (1, 5000)], ids=lambda shape: "%dx%d" % shape)
+    def test_matches_dense(self, shape):
+        a = np.random.default_rng(shape[1]).standard_normal(shape)
+        sigma, _, _, _ = power_iteration(a, tol=1e-12)
+        dense = np.linalg.norm(a, 2)
+        assert sigma == pytest.approx(dense, rel=1e-12)
+        assert sigma <= dense * (1.0 + 1e-12)
 
 
 class TestGaussianMatrix:

@@ -1,13 +1,14 @@
 import itertools
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam import network
+from overparam import network, optim
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng
 from overparam.losses import builtin_loss
@@ -251,6 +252,50 @@ class TestTrainingPath:
             for r, w, w0 in zip(row.radius, iterates[row.k], params.weights):
                 dense = np.linalg.norm(w - w0, 2)
                 assert r == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("m", [300, 16])
+    def test_blocked_update_matches_dense_product(self, m):
+        # m=300 splits each hidden weight into a full row block and a partial
+        # one; m=16 fits every weight in one block
+        rows = optim._UPDATE_BYTES // (8 * m)
+        assert (m > rows and m % rows) or m < rows
+        params, ds = small_problem(m=m)
+        loss = builtin_loss("logistic")
+        eta = 0.05
+        final, rec = run_gd(params, ds, loss,
+                            TrainConfig(max_iters=1, eta=eta, tau=10.0))
+        assert rec.iterations == 1
+        factors = gradient_factors(params, batch_forward(params, ds.inputs),
+                                   ds.labels, loss)
+        for w1, w0, (a, b) in zip(final.weights, params.weights, factors):
+            np.testing.assert_array_max_ulp(w1, w0 - eta * (a.T @ b), maxulp=2)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=2, max_value=8),
+           d=st.integers(min_value=3, max_value=6),
+           m=st.sampled_from([6, 16, 40, 258, 300]),
+           depth=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           eta=st.floats(min_value=1e-3, max_value=0.2))
+    def test_full_batch_sgd_equals_gd_bitwise(self, n, d, m, depth, seed, eta):
+        # a hidden weight spans more than one update row block when m > 256
+        params, ds = small_problem(n=n, d=d, m=m, depth=depth,
+                                   data_seed=seed, net_seed=seed + 1)
+        loss = builtin_loss("logistic")
+        final_gd, rec_gd = run_gd(params, ds, loss,
+                                  TrainConfig(max_iters=4, eta=eta, tau=1.0,
+                                              record_patterns=True))
+        final_sgd, rec_sgd = run_sgd(params, ds, loss,
+                                     TrainConfig(max_iters=4, eta=eta, tau=1.0,
+                                                 record_patterns=True,
+                                                 batch_size=n, seed=seed))
+        for wa, wb in zip(final_gd.weights, final_sgd.weights):
+            assert np.array_equal(wa, wb)
+        assert len(rec_gd.rows) == len(rec_sgd.rows)
+        for ra, rb in zip(rec_gd.rows, rec_sgd.rows):
+            for f in fields(ra):
+                assert getattr(ra, f.name) == getattr(rb, f.name), f.name
+        assert rec_gd.summary() == rec_sgd.summary()
 
     @pytest.mark.parametrize("batch_size", [None, 3])
     def test_one_backprop_pass_per_update_step(self, monkeypatch, batch_size):

@@ -23,11 +23,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as data_mod
 from . import network, optim, verify
-from .losses import BUILTIN_LOSSES, builtin_loss, check_loss_assumptions
+from .losses import BUILTIN_LOSSES, builtin_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,52 +210,6 @@ def cmd_train(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _lemma_oracles(config: dict) -> dict:
-    grid = np.linspace(-1.0, 1.0, 1001)
-    closed = verify.relu_kernel_closed_form(grid)
-    kernel_margin = float(np.min(closed - grid / 2.0))
-    mc_rows = []
-    for i, rho in enumerate((-0.5, 0.0, 0.5, 0.9, 1.0)):
-        estimate, stderr = verify.mc_relu_kernel(rho, config["mc_samples"],
-                                                 seed=config["seed"] + i)
-        reference = verify.relu_kernel_closed_form(rho)
-        mc_rows.append({
-            "rho": rho, "estimate": estimate, "stderr": stderr,
-            "closed_form": reference,
-            "within_4_stderr": bool(abs(estimate - reference) <= 4.0 * stderr),
-        })
-    enum, formula = verify.subset_mean_variance(np.array([1.0, -1.0, 2.0, -2.0]), 2)
-    rng = np.random.default_rng(config["seed"])
-    violations = 0
-    draws = 10_000
-    for _ in range(draws):
-        a, b = np.exp(rng.uniform(-3, 3, size=2))
-        p = rng.uniform(0.0, 1.0)
-        if abs(p - 0.5) < 1e-3:
-            p = 0.25
-        if not verify.concavity_inequality_check(float(a), float(b), float(p)):
-            violations += 1
-    loss = builtin_loss(config["loss"])
-    assumptions = check_loss_assumptions(loss)
-    return {
-        "relu_kernel": {
-            "grid_points": int(grid.size),
-            "min_margin_vs_half_rho": kernel_margin,
-            "lower_bound_holds": bool(kernel_margin >= -1e-12),
-            "monte_carlo": mc_rows,
-        },
-        "subset_variance": {
-            "case_u": [1.0, -1.0, 2.0, -2.0],
-            "batch_size": 2,
-            "enumeration": enum,
-            "formula": formula,
-            "equal": bool(abs(enum - formula) <= 1e-12),
-        },
-        "concavity": {"samples": draws, "violations": violations},
-        "loss_assumptions": assumptions.as_dict(),
-    }
-
-
 def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
     dims = _dims_from_config(config)
     init_seed = config["seed"] + INIT_SEED_OFFSET
@@ -288,7 +240,9 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
         gradient_probes=config["gradient_probes"], items=config["verify_items"],
     )
     write_json(report.as_dict(), out_dir / "init_properties.json")
-    write_json(_lemma_oracles(config), out_dir / "lemma_oracles.json")
+    write_json(verify.lemma_oracles(config["seed"], config["mc_samples"],
+                                    builtin_loss(config["loss"])),
+               out_dir / "lemma_oracles.json")
     print(f"init battery: passed={report.passed} "
           f"({len(report.entries)} properties, {config['trials']} trials)")
 

@@ -19,7 +19,6 @@ __all__ = [
     "MarginReport",
     "cross_class_distance",
     "generate_separated",
-    "load_dataset",
     "save_dataset",
     "slice_diameter",
     "validate_dataset",
@@ -196,25 +195,3 @@ def save_dataset(ds: Dataset, path) -> None:
         for row, label in zip(ds.inputs, ds.labels):
             cells = [f"{value:.17g}" for value in row] + [f"{label:.0f}"]
             fh.write(",".join(cells) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, value = token.partition("=")
-                        meta[key] = value
-                continue
-            rows.append([float(cell) for cell in line.split(",")])
-    if "mu" not in meta or "phi" not in meta:
-        raise ValueError(f"{path}: missing mu/phi metadata comments")
-    table = np.asarray(rows, dtype=np.float64)
-    return Dataset(inputs=table[:, :-1], labels=table[:, -1],
-                   mu=float(meta["mu"]), phi=float(meta["phi"]))

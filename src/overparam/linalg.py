@@ -126,7 +126,8 @@ class PortableRng:
 
 
 class SpectralNormError(RuntimeError):
-    """Power iteration did not converge; carries the last iterate."""
+    """The Lanczos solver did not converge; carries the last iterate of
+    the operator whose residual is largest."""
 
     def __init__(self, message: str, sigma: float, vector: np.ndarray,
                  residual: float, iterations: int):
@@ -154,27 +155,104 @@ def gaussian_matrix(rows: int, cols: int, variance: float, rng: PortableRng) -> 
     return out
 
 
-# a non-finite entry of `a` makes the first product NaN or inf; it is
-# reported by a ValueError, not by a RuntimeWarning
+# a non-finite entry makes a start quotient NaN or inf; it is reported by
+# the degenerate hook, not by a RuntimeWarning
 @np.errstate(invalid="ignore")
+def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
+             degenerate=None) -> tuple:
+    """Top eigenpairs of n symmetric PSD operators by restarted Lanczos, in lockstep.
+
+    `gram` maps an ``(n, dim)`` array, row i a vector for operator i, to the
+    n products; `start` holds the n start rows (zero rows allowed).  Returns
+    ``(theta, vectors, residual, iterations)``: each row's top Ritz value,
+    Ritz vector (unit to roundoff) and Ritz residual, and the number of
+    `gram` calls.
+
+    Each cycle grows every row's orthonormal Krylov basis, with full
+    reorthogonalisation, by up to ``_LANCZOS_CYCLE`` vectors, and after each
+    step takes the top Ritz pair ``(theta, x)`` of the row's tridiagonal
+    projection; the first step is a power step.  The residual
+    ``||G x - theta x|| / theta`` is ``|beta_j y_j| / theta``.  The rows stop
+    together, when every residual is at most `tol`; until then converged
+    rows keep iterating, and their Ritz values only rise toward their top
+    eigenvalue.  An unconverged cycle restarts each row from its top Ritz
+    vector.  A zero beta (breakdown) means the row's Krylov space is
+    invariant: its residual is 0 and its later basis vectors are 0.
+
+    When the start quotient of some rows is not in (0, inf),
+    ``degenerate(bad, iterations)`` gets their bool mask.  It may raise, or
+    return unit start rows for them, which restarts the cycle.  If it (or a
+    missing hook) returns None, the rows go on: a zero operator's product
+    is 0, so its theta and residual are 0.  After `max_iter` products it
+    raises SpectralNormError with the last iterate of the row of largest
+    residual.
+    """
+    n, dim = start.shape
+    norm = np.linalg.norm(start, axis=1, keepdims=True)
+    v = start / np.where(norm > 0.0, norm, 1.0)
+    basis = np.empty((n, _LANCZOS_CYCLE, dim))
+    tri = np.zeros((n, _LANCZOS_CYCLE, _LANCZOS_CYCLE))
+    theta = np.zeros(n)
+    residual = np.full(n, np.inf)
+    it = 0
+    while it < max_iter:
+        basis[:, 0] = v
+        for j in range(_LANCZOS_CYCLE):
+            it += 1
+            q = basis[:, : j + 1]
+            w = gram(basis[:, j])
+            # Gram-Schmidt coefficients of w; the last one is q_j . w
+            c = np.matmul(q, w[:, :, None])
+            tri[:, j, j] = c[:, j, 0]
+            if j == 0:
+                bad = ~((tri[:, 0, 0] > 0.0) & (tri[:, 0, 0] < np.inf))
+                if bad.any():
+                    fresh = None if degenerate is None else degenerate(bad, it)
+                    if fresh is not None:
+                        v = basis[:, 0].copy()
+                        v[bad] = fresh
+                        break
+            # full reorthogonalisation: classical Gram-Schmidt, twice
+            w -= np.matmul(c.transpose(0, 2, 1), q)[:, 0]
+            w -= np.matmul(np.matmul(q, w[:, :, None]).transpose(0, 2, 1), q)[:, 0]
+            beta = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+            if j == 0:
+                # the 1x1 projection is its own Ritz pair
+                theta, y = tri[:, 0, 0].copy(), np.ones((n, 1))
+            else:
+                ritz, vecs = np.linalg.eigh(tri[:, : j + 1, : j + 1])
+                theta, y = ritz[:, -1], vecs[:, :, -1]
+            # residual <= tol as |beta_j y_j| <= tol * theta: a breakdown
+            # (beta = 0) passes, and a zero operator's theta is not divided by
+            live = beta > 0.0
+            gap = np.abs(beta * y[:, -1])
+            done = np.all(gap <= tol * theta)
+            if done or j + 1 == _LANCZOS_CYCLE or it == max_iter:
+                v = np.matmul(y[:, None, :], q)[:, 0]
+                residual = gap / np.where(live, theta, 1.0)
+                if done:
+                    return theta, v, residual, it
+                break
+            np.divide(w, np.where(live, beta, 1.0)[:, None], out=basis[:, j + 1])
+            tri[:, j + 1, j] = tri[:, j, j + 1] = beta
+    k = int(np.argmax(residual))
+    raise SpectralNormError(
+        f"Lanczos did not reach tol={tol:g} in {max_iter} iterations "
+        f"(last residual {residual[k]:g})",
+        sigma=float(np.sqrt(max(theta[k], 0.0))), vector=v[k],
+        residual=float(residual[k]), iterations=max_iter)
+
+
 def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray, float, int]:
     """Largest singular value of `a` by restarted Lanczos on A^T A.
 
     Returns ``(sigma, right_vector, residual, iterations)``; `iterations`
-    counts products with A^T A.  Each product is one sweep over `a` in row
-    blocks of about ``_SWEEP_BYTES``, ``w += (blk @ q) @ blk``, so a block is
-    read from memory once.  Each cycle builds an orthonormal Krylov
-    basis of up to ``_LANCZOS_CYCLE`` vectors from the current start vector,
-    with full reorthogonalisation, and after every step takes the top Ritz
-    pair ``(theta, x)`` of the tridiagonal projection T.  Convergence is
-    declared when the Ritz residual ``||A^T A x - theta x|| / theta``, which
-    Lanczos gives for free as ``|beta_j y_j| / theta``, drops to `tol`; since
-    the Ritz value never overshoots the top eigenvalue, this bounds the
-    relative error of ``sigma**2`` by `tol`.  A cycle that ends unconverged
-    restarts from its top Ritz vector.  The first step of a cycle is one
-    power-iteration step: its Ritz value is the Rayleigh quotient of the
-    start vector and its residual is ``||A^T A v - lam v|| / lam``.
+    counts products with A^T A.  This is `_lanczos` on one operator: the
+    Ritz residual ``||A^T A x - theta x|| / theta`` at `tol` bounds the
+    relative error of ``sigma**2`` by `tol`.  Each product is one sweep over
+    `a` in row blocks of about ``_SWEEP_BYTES``, ``w += (blk @ q) @ blk``,
+    so a block is read from memory once.
 
     `a` is not scanned up front.  When the Rayleigh quotient of a cycle's
     start vector is not in (0, inf), the matrix is checked then: non-finite
@@ -184,7 +262,7 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
-    calls).
+    calls).  Raises SpectralNormError after `max_iter` products.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
@@ -193,65 +271,34 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-
     if start is None:
         start = PortableRng(_START_SEED).normals(a.shape[1])
-    v = np.asarray(start, dtype=np.float64)
-    if v.shape != (a.shape[1],):
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (a.shape[1],):
         raise ValueError("start vector has wrong length")
-    norm = np.linalg.norm(v)
-    if norm > 0.0:
-        v = v / norm
-
     rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
-    basis = np.empty((_LANCZOS_CYCLE, a.shape[1]))
-    tri = np.zeros((_LANCZOS_CYCLE, _LANCZOS_CYCLE))
-    theta = 0.0
-    residual = np.inf
-    it = 0
-    while it < max_iter:
-        basis[0] = v
-        for j in range(_LANCZOS_CYCLE):
-            it += 1
-            q = basis[: j + 1]
-            w = (a[:rows] @ q[j]) @ a[:rows]
-            for i in range(rows, a.shape[0], rows):
-                blk = a[i:i + rows]
-                w += (blk @ q[j]) @ blk
-            tri[j, j] = q[j] @ w
-            if j == 0 and not 0.0 < tri[0, 0] < np.inf:
-                if not np.all(np.isfinite(a)):
-                    raise ValueError("matrix has non-finite entries")
-                if not a.any():
-                    return 0.0, np.zeros(a.shape[1]), 0.0, 0
-                # the start vector is zero or fell in the null space; reseed
-                v = PortableRng(_START_SEED + it).normals(a.shape[1])
-                v /= np.linalg.norm(v)
-                break
-            # full reorthogonalisation: classical Gram-Schmidt, twice
-            w -= q.T @ (q @ w)
-            w -= q.T @ (q @ w)
-            beta = float(np.linalg.norm(w))
-            if j == 0:
-                # the 1x1 projection is its own Ritz pair
-                theta, y = float(tri[0, 0]), np.ones(1)
-            else:
-                ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
-                theta, y = float(ritz[-1]), vecs[:, -1]
-            residual = abs(beta * y[-1]) / theta
-            if residual <= tol or j + 1 == _LANCZOS_CYCLE or it == max_iter:
-                v = y @ q
-                v /= np.linalg.norm(v)
-                if residual <= tol:
-                    return float(np.sqrt(theta)), v, residual, it
-                break
-            basis[j + 1] = w / beta
-            tri[j + 1, j] = tri[j, j + 1] = beta
-    raise SpectralNormError(
-        f"power iteration did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {residual:g})",
-        sigma=float(np.sqrt(max(theta, 0.0))), vector=v,
-        residual=residual, iterations=max_iter)
+
+    def gram(q):
+        q = q[0]
+        w = (a[:rows] @ q) @ a[:rows]
+        for i in range(rows, a.shape[0], rows):
+            blk = a[i:i + rows]
+            w += (blk @ q) @ blk
+        return w[None]
+
+    def degenerate(bad, it):
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix has non-finite entries")
+        if not a.any():
+            return None
+        # the start vector is zero or fell in the null space; reseed
+        v = PortableRng(_START_SEED + it).normals(a.shape[1])
+        return v / np.linalg.norm(v)
+
+    theta, v, residual, it = _lanczos(gram, start[None], tol, max_iter, degenerate)
+    if theta[0] == 0.0:     # only the zero matrix: a nonzero one is reseeded
+        return 0.0, np.zeros(a.shape[1]), 0.0, 0
+    return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
 
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:

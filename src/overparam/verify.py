@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import cross_class_distance
-from .linalg import PortableRng, spectral_norm
+from .linalg import PortableRng, _lanczos, spectral_norm
+from .losses import builtin_loss, check_loss_assumptions
 from .network import (NetworkParams, backprop_signals, batch_forward,
                       gradient_factors, gradient_norms, init_network,
                       max_pattern_distance)
@@ -34,6 +35,7 @@ __all__ = [
     "PropertyEntry",
     "PropertyReport",
     "concavity_inequality_check",
+    "lemma_oracles",
     "mc_relu_kernel",
     "relu_kernel_closed_form",
     "subset_mean_variance",
@@ -134,6 +136,13 @@ def _example_mask(pattern: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pattern.T)[:, :, None]
 
 
+# Normals a masked chain draws per example and input dimension, and the
+# largest input dimension it takes the exact path for.  The stream position
+# after a chain fixes every probe item that follows it.
+_CHAIN_DRAW = 4
+_THIN_CHAIN = 16
+
+
 def _layer(w: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``w @ block`` over the leading axis of a (dim, ...) block, as one GEMM."""
     return (w @ block.reshape(block.shape[0], -1)).reshape(w.shape[0], *block.shape[1:])
@@ -176,34 +185,37 @@ class MaskedChain:
             t = _layer(self.weights[r - 1], self.masks[r] * t)
         return t
 
-    def norms(self, rng: PortableRng, block: int = 4, iters: int = 24) -> np.ndarray:
-        """Spectral norm of each example's operator, exact on thin chains.
+    def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
+        """Spectral norm of each example's operator.
 
-        A thin chain, whose input dimension is at most ``4 * block`` (such
+        Every call draws ``_CHAIN_DRAW * n * dim`` normals, whichever path it
+        takes, so the items after a chain keep their stream.
+
+        A thin chain, whose input dimension is at most ``_THIN_CHAIN`` (such
         as one that starts at layer 1 and acts on R^d), is applied once to
         the identity, and one stacked SVD of the n (m_out, dim) operators
-        gives the exact norms; its working blocks are at most 4 times the
-        power path's.  The stream is then advanced past the start block the
-        power path would have drawn, so the items after it keep their stream.
+        gives the exact norms.
 
-        Wider chains run `iters` block power steps.  The n start blocks are
-        one draw of ``n * dim * block`` normals, the same stream as n
-        consecutive per-example draws.  Each estimate approaches the true
-        norm from below.
+        A wider chain runs `linalg._lanczos` on the n Gram operators
+        ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
+        most `tol`; example i starts from the first `dim` normals of its
+        share of the draw.  Each estimate approaches its norm from below.
+        An example whose operator is zero (a layer pattern with no active
+        unit) gets 0.
         """
         dim = self.weights[self.first - 1].shape[0]
-        if dim <= 4 * block:
-            rng.advance(2 * math.ceil(self.n * dim * block / 2))
+        draw = rng.normals(_CHAIN_DRAW * self.n * dim).reshape(self.n, -1)
+        if dim <= _THIN_CHAIN:
             eye = np.broadcast_to(np.eye(dim)[:, None, :], (dim, self.n, dim))
             ops = self.apply(eye).transpose(1, 0, 2)
             return np.linalg.svd(ops, compute_uv=False)[:, 0]
-        # QR and SVD stack over the leading example axis: (n, dim, block)
-        q, _ = np.linalg.qr(rng.normals(self.n * dim * block).reshape(self.n, dim, block))
-        for _ in range(iters):
-            z = self.apply_t(self.apply(q.transpose(1, 0, 2)))
-            q, _ = np.linalg.qr(z.transpose(1, 0, 2))
-        top = self.apply(q.transpose(1, 0, 2)).transpose(1, 0, 2)
-        return np.linalg.svd(top, compute_uv=False)[:, 0]
+
+        def gram(rows):
+            block = self.apply_t(self.apply(rows.T[:, :, None]))
+            return np.ascontiguousarray(block[:, :, 0].T)
+
+        theta, _, _, _ = _lanczos(gram, draw[:, :dim], tol)
+        return np.sqrt(theta)
 
 
 def _output_probe(params: NetworkParams, trace, sparsity: int, probes: int,
@@ -299,7 +311,7 @@ def _chain_product_norm(run, net, trace, rng) -> float:
     worst = 0.0
     for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
         chain = MaskedChain(net.weights, trace.patterns, l1, l2 - 1, head=l2)
-        worst = max(worst, float(np.max(chain.norms(rng))))
+        worst = max(worst, float(np.max(chain.norms(rng, run.spectral_tol))))
     return worst
 
 
@@ -404,7 +416,9 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     not depend on which others are selected.
 
     `beta` defaults to ``m^-1/2`` (near-threshold window) and `sparsity_s`
-    to a ``log``-sized support for the sparse probes.
+    to a ``log``-sized support for the sparse probes.  `spectral_tol` is
+    the Ritz-residual tolerance of every spectral norm the battery takes,
+    the weights' and the wide masked chains'.
     """
     params.validate()
     if not 0.0 < delta < 1.0:
@@ -490,11 +504,12 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
                                    batch_draws: int = 8) -> PropertyReport:
     """Compare a trained parameter set with its initialization `params0`.
 
-    Radii are measured (never trusted); exceeding `declared_tau` flags the
-    report instead of raising.  Gradient entries use `loss` (default:
-    logistic).
+    Radii are measured (never trusted), like every spectral norm here at
+    `spectral_tol`; exceeding `declared_tau` flags the report instead of
+    raising.  Gradient entries use `loss` (default: logistic).
+    `sparsity_s`, the support of the perturbed sparse probes, must lie in
+    [1, min width]; by default it is the expected pattern drift.
     """
-    from .losses import builtin_loss
     if loss is None:
         loss = builtin_loss("logistic")
     n = dataset.n
@@ -506,13 +521,15 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
     if batch_draws < 1:
         raise ValueError(f"batch_draws must be at least 1, got {batch_draws}")
-
-    radii = perturbation_radius(trained, params0, tol=spectral_tol)
-    tau = max(radii)
     dims = params0.layer_dims
     depth = params0.depth
     widths = dims[1:]
     m_min, m_max = min(widths), max(widths)
+    if sparsity_s is not None and not 1 <= sparsity_s <= m_min:
+        raise ValueError(f"sparsity_s must be in [1, {m_min}], got {sparsity_s}")
+
+    radii = perturbation_radius(trained, params0, tol=spectral_tol)
+    tau = max(radii)
     y = dataset.labels
     rng = PortableRng(seed + 104729)
 
@@ -564,7 +581,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
         worst = 0.0
         for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
             chain = MaskedChain(trained.weights, trace.patterns, l1, l2)
-            worst = max(worst, float(np.max(chain.norms(rng))))
+            worst = max(worst, float(np.max(chain.norms(rng, spectral_tol))))
         entries.append(PropertyEntry(
             name="perturbed_chain_norm", direction="upper",
             per_trial=[worst / depth], bound=1.0))
@@ -702,3 +719,52 @@ def concavity_inequality_check(a: float, b: float, p: float) -> bool:
     rhs = (a ** (1.0 - 2.0 * p) - b ** (1.0 - 2.0 * p)) / (1.0 - 2.0 * p)
     slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     return lhs - rhs >= -slack
+
+
+def lemma_oracles(seed: int, mc_samples: int, loss) -> dict:
+    """The scalar lemma checks, as ``lemma_oracles.json`` records them.
+
+    The ReLU kernel's closed form against ``rho / 2`` on a grid and against
+    Monte-Carlo estimates (stream ``seed + i`` for the i-th correlation),
+    the subset-mean variance on a worked case, 10,000 concavity samples
+    drawn from `PortableRng` stream `seed`, and the assumption audit of
+    `loss`.
+    """
+    grid = np.linspace(-1.0, 1.0, 1001)
+    kernel_margin = float(np.min(relu_kernel_closed_form(grid) - grid / 2.0))
+    mc_rows = []
+    for i, rho in enumerate((-0.5, 0.0, 0.5, 0.9, 1.0)):
+        estimate, stderr = mc_relu_kernel(rho, mc_samples, seed=seed + i)
+        reference = relu_kernel_closed_form(rho)
+        mc_rows.append({
+            "rho": rho, "estimate": estimate, "stderr": stderr,
+            "closed_form": reference,
+            "within_4_stderr": bool(abs(estimate - reference) <= 4.0 * stderr),
+        })
+    enum, formula = subset_mean_variance(np.array([1.0, -1.0, 2.0, -2.0]), 2)
+    draws = 10_000
+    # a and b log-uniform on [e^-3, e^3], p uniform on [0, 1) away from 1/2
+    u = PortableRng(seed).uniforms(3 * draws).reshape(draws, 3)
+    violations = 0
+    for a, b, p in np.column_stack([np.exp(6.0 * u[:, :2] - 3.0), u[:, 2]]).tolist():
+        if abs(p - 0.5) < 1e-3:
+            p = 0.25
+        if not concavity_inequality_check(a, b, p):
+            violations += 1
+    return {
+        "relu_kernel": {
+            "grid_points": int(grid.size),
+            "min_margin_vs_half_rho": kernel_margin,
+            "lower_bound_holds": bool(kernel_margin >= -1e-12),
+            "monte_carlo": mc_rows,
+        },
+        "subset_variance": {
+            "case_u": [1.0, -1.0, 2.0, -2.0],
+            "batch_size": 2,
+            "enumeration": enum,
+            "formula": formula,
+            "equal": bool(abs(enum - formula) <= 1e-12),
+        },
+        "concavity": {"samples": draws, "violations": violations},
+        "loss_assumptions": check_loss_assumptions(loss).as_dict(),
+    }

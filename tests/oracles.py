@@ -1,8 +1,10 @@
 """Reference computations that only the tests need, built on the batched
-forward pass and the gradient factors of `overparam.network`."""
+forward pass and the gradient factors of `overparam.network`, and the reader
+of the dataset CSV format."""
 
 import numpy as np
 
+from overparam.data import Dataset
 from overparam.network import batch_forward, gradient_factors
 
 
@@ -28,3 +30,26 @@ def output_telescope(params, trace, layer: int) -> np.ndarray:
     for r in range(layer, params.depth + 1):
         t = np.where(trace.patterns[r - 1], t @ params.weights[r - 1], 0.0)
     return t @ params.output_vector
+
+
+def load_dataset(path) -> Dataset:
+    """Read the CSV that `overparam.data.save_dataset` (and gen-data) writes."""
+    meta = {}
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    if "=" in token:
+                        key, _, value = token.partition("=")
+                        meta[key] = value
+                continue
+            rows.append([float(cell) for cell in line.split(",")])
+    if "mu" not in meta or "phi" not in meta:
+        raise ValueError(f"{path}: missing mu/phi metadata comments")
+    table = np.asarray(rows, dtype=np.float64)
+    return Dataset(inputs=table[:, :-1], labels=table[:, -1],
+                   mu=float(meta["mu"]), phi=float(meta["phi"]))

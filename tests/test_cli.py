@@ -177,6 +177,22 @@ class TestVerify:
         assert "records no init seed" in capsys.readouterr().err
         assert not (out / "perturbation_properties.json").exists()
 
+    def test_checkpoint_with_dead_layer(self, tmp_path):
+        # W_2 = 0 leaves no active unit past layer 1, so every masked chain
+        # is the zero operator; the wide chain (2, 3) takes the Lanczos path
+        cfg = write_config(tmp_path, {"L": 3, "m": 24, "trials": 1,
+                                      "verify_items": ["output_magnitude"]})
+        params = init_network([4, 24, 24, 24], seed=1)
+        params.weights[1][:] = 0.0
+        path = tmp_path / "dead.net"
+        save_params(params, path)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(path)]) == 0
+        pert = json.loads((out / "perturbation_properties.json").read_text())
+        chain = next(e for e in pert["entries"] if e["name"] == "perturbed_chain_norm")
+        assert chain["per_trial"] == [0.0]
+
     @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8)],
                              ids=["truncated", "trailing_bytes"])
     def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, edit):

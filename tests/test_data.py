@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from overparam.data import (DataGenerationError, Dataset, generate_separated,
-                            load_dataset, save_dataset, slice_diameter,
-                            validate_dataset)
+                            save_dataset, slice_diameter, validate_dataset)
+
+from oracles import load_dataset
 
 
 class TestSliceGeometry:

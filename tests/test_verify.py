@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng
@@ -390,6 +392,8 @@ class TestPerturbationBattery:
         ({"batch_size": 0}, "batch_size"),
         ({"batch_size": 7}, "batch_size"),
         ({"batch_draws": 0}, "batch_draws"),
+        ({"sparsity_s": 0}, "sparsity_s"),
+        ({"sparsity_s": 41}, "sparsity_s"),
     ])
     def test_bad_arguments_rejected(self, kwargs, name):
         ds = generate_separated(n=6, d=4, mu=0.5, phi=0.08, seed=0)
@@ -417,42 +421,12 @@ def _apply_chain_t(weights, patterns, first, last, block, example):
     return t
 
 
-def _chain_operator_norm(weights, patterns, l1, l2, example, rng, include_head,
-                         block=4, iters=24):
-    """Block power estimate of one example's chain norm: with `include_head`
-    the masked chain l1..l2-1 followed by W_{l2}^T, else l1..l2 with both
-    masks."""
-    dim = weights[l1 - 1].shape[0]
-    q = rng.normals(dim * block).reshape(dim, block)
-    q, _ = np.linalg.qr(q)
-    chain_last = l2 - 1 if include_head else l2
-
-    def fwd(b):
-        t = _apply_chain(weights, patterns, l1, chain_last, b, example)
-        return weights[l2 - 1].T @ t if include_head else t
-
-    def bwd(b):
-        t = weights[l2 - 1] @ b if include_head else b
-        return _apply_chain_t(weights, patterns, l1, chain_last, t, example)
-
-    for _ in range(iters):
-        z = bwd(fwd(q))
-        q, _ = np.linalg.qr(z)
-    return float(np.linalg.svd(fwd(q), compute_uv=False)[0])
-
-
-def _item_chain_norm(weights, patterns, l1, l2, example, rng, include_head,
-                     block=4):
-    """One example's chain norm as the batteries take it: exact on chains
-    acting on at most 4 * block dimensions, after skipping the start block
-    the power iteration would have drawn; the power estimate otherwise."""
-    dim = weights[l1 - 1].shape[0]
-    if dim <= 4 * block:
-        rng.advance(2 * math.ceil(dim * block / 2))
-        return float(np.linalg.norm(
-            _dense_chain(weights, patterns, l1, l2, example, include_head), 2))
-    return _chain_operator_norm(weights, patterns, l1, l2, example, rng,
-                                include_head, block=block)
+def _item_chain_norm(weights, patterns, l1, l2, example, rng, include_head):
+    """One example's chain norm as the batteries take it, from the dense
+    operator, after skipping the 4 * dim normals the chain draws for it."""
+    rng.advance(4 * weights[l1 - 1].shape[0])
+    return float(np.linalg.norm(
+        _dense_chain(weights, patterns, l1, l2, example, include_head), 2))
 
 
 def _dense_chain(weights, patterns, l1, l2, example, include_head):
@@ -488,7 +462,7 @@ class TestMaskedChain:
 
     @pytest.fixture
     def wide_net(self):
-        # d=20 > 4 * block: every chain takes the block power iteration
+        # d=20 > 16: every chain takes the Lanczos path
         params, ds = small_battery_inputs(m=64, depth=3, n=3, d=20)
         return params, batch_forward(params, ds.inputs).patterns
 
@@ -512,32 +486,77 @@ class TestMaskedChain:
     def test_norms_match_per_example_loop(self, wide_net, l1, l2, head):
         params, patterns = wide_net
         n = patterns[0].shape[0]
-        loop_rng, batch_rng = PortableRng(17), PortableRng(17)
-        loop = [_chain_operator_norm(params.weights, patterns, l1, l2, i, loop_rng,
-                                     include_head=head) for i in range(n)]
-        batched = _chain(params.weights, patterns, l1, l2, head).norms(batch_rng)
-        np.testing.assert_allclose(batched, loop, rtol=1e-10, atol=0)
-        # one draw for all examples leaves the stream where n draws would
-        assert loop_rng.raw(1)[0] == batch_rng.raw(1)[0]
-        for i, value in enumerate(batched):
-            exact = np.linalg.norm(
-                _dense_chain(params.weights, patterns, l1, l2, i, head), 2)
-            assert value <= exact * (1.0 + 1e-12)
+        dim = params.weights[l1 - 1].shape[0]
+        ref_rng, batch_rng = PortableRng(17), PortableRng(17)
+        exact = [np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2, i,
+                                             head), 2) for i in range(n)]
+        batched = _chain(params.weights, patterns, l1, l2, head).norms(
+            batch_rng, tol=1e-10)
+        np.testing.assert_allclose(batched, exact, rtol=1e-10, atol=0)
+        for value, bound in zip(batched, exact):
+            assert value <= bound * (1.0 + 1e-12)
+        # the stream advanced by 4 * n * dim normals
+        ref_rng.normals(4 * n * dim)
+        assert ref_rng.raw(1)[0] == batch_rng.raw(1)[0]
 
     @pytest.mark.parametrize("l1, l2, head",
                              [case for case in PAIRS_AND_FORMS if case[0] == 1])
     def test_thin_norms_are_exact(self, net, l1, l2, head):
         params, patterns = net
-        power_rng, dense_rng = PortableRng(17), PortableRng(17)
-        for i in range(6):
-            _chain_operator_norm(params.weights, patterns, l1, l2, i, power_rng,
-                                 include_head=head)
-        norms = _chain(params.weights, patterns, l1, l2, head).norms(dense_rng)
+        dim = params.weights[l1 - 1].shape[0]
+        ref_rng, dense_rng = PortableRng(17), PortableRng(17)
+        norms = _chain(params.weights, patterns, l1, l2, head).norms(dense_rng,
+                                                                     tol=1e-3)
         exact = [np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2, i,
                                              head), 2) for i in range(6)]
         np.testing.assert_allclose(norms, exact, rtol=1e-12, atol=0)
-        # the stream is left where the power iteration would leave it
-        assert power_rng.raw(1)[0] == dense_rng.raw(1)[0]
+        # the stream advanced by 4 * n * dim normals, as on a wide chain
+        ref_rng.normals(4 * 6 * dim)
+        assert ref_rng.raw(1)[0] == dense_rng.raw(1)[0]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(d=st.integers(min_value=17, max_value=24),
+           half=st.integers(min_value=4, max_value=20),
+           depth=st.integers(min_value=2, max_value=3),
+           n=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_wide_norms_match_dense(self, d, half, depth, n, seed):
+        params = init_network([d] + [2 * half] * depth, seed=seed)
+        inputs = PortableRng(seed).normals(n * d).reshape(n, d)
+        patterns = batch_forward(params, inputs).patterns
+        for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
+            for head in (True, False):
+                norms = _chain(params.weights, patterns, l1, l2, head).norms(
+                    PortableRng(seed), tol=1e-10)
+                exact = [np.linalg.norm(_dense_chain(
+                    params.weights, patterns, l1, l2, i, head), 2) for i in range(n)]
+                np.testing.assert_allclose(norms, exact, rtol=1e-8, atol=0)
+                for value, bound in zip(norms, exact):
+                    assert value <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("l1, l2, head", [
+        case for case in PAIRS_AND_FORMS
+        if case[0] <= 2 <= (case[1] - 1 if case[2] else case[1])])
+    def test_dead_example_has_norm_zero(self, wide_net, l1, l2, head):
+        params, patterns = wide_net
+        patterns = [p.copy() for p in patterns]
+        patterns[1][1] = False          # example 1 has no active layer-2 unit
+        norms = _chain(params.weights, patterns, l1, l2, head).norms(
+            PortableRng(5), tol=1e-10)
+        assert norms[1] == 0.0
+        for i in (0, 2):
+            exact = np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2,
+                                                i, head), 2)
+            assert norms[i] == pytest.approx(exact, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("head", [True, False])
+    def test_all_examples_dead(self, wide_net, head):
+        params, patterns = wide_net
+        patterns = [p.copy() for p in patterns]
+        patterns[1][:] = False
+        norms = _chain(params.weights, patterns, 1, 3, head).norms(
+            PortableRng(5), tol=1e-3)
+        assert np.array_equal(norms, np.zeros(3))
 
 
 class TestChainItemsAgainstLoops:
@@ -571,7 +590,8 @@ class TestChainItemsAgainstLoops:
                         value = max(value, float(np.max(np.abs(
                             b.T @ (params.weights[l2 - 1].T @ prop)))))
             report = verify_init_properties(params, ds, sparsity_s=3, trials=1,
-                                            seed=21, probes=8, items=(name,))
+                                            seed=21, probes=8, items=(name,),
+                                            spectral_tol=1e-10)
             assert report.entry(name).per_trial[0] == pytest.approx(value, rel=1e-10)
 
     def test_perturbation_battery(self):
@@ -580,7 +600,8 @@ class TestChainItemsAgainstLoops:
         tilde.weights[1] = tilde.weights[1] + 0.01 * PortableRng(4).normals(
             48 * 48).reshape(48, 48)
         report = verify_perturbation_properties(params, tilde, ds,
-                                                probes=8, sparsity_s=3, seed=5)
+                                                probes=8, sparsity_s=3, seed=5,
+                                                spectral_tol=1e-10)
         patterns = batch_forward(tilde, ds.inputs).patterns
         rng = PortableRng(5 + 104729)
         chain = max(_item_chain_norm(tilde.weights, patterns, l1, l2, i, rng,

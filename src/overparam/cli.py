@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
-from . import network, optim, verify
+from . import linalg, network, optim, verify
 from .losses import BUILTIN_LOSSES, builtin_loss
 
 EXIT_OK = 0
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except (ValueError, data_mod.DataGenerationError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FloatingPointError as exc:
+    except (FloatingPointError, linalg.SpectralNormError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_CONFIG

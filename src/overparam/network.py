@@ -236,9 +236,10 @@ def save_params(params: NetworkParams, path) -> None:
 
 
 class CorruptCheckpointError(ValueError):
-    """A checkpoint whose header cannot be read, whose payload is not
-    exactly the size its header's layer_dims call for, or whose values do
-    not form a valid network."""
+    """A checkpoint that cannot be opened or read (such as a directory),
+    whose header cannot be parsed, whose payload is not exactly the size its
+    header's layer_dims call for, or whose values do not form a valid
+    network."""
 
 
 def _read_header(fh, path) -> tuple:
@@ -266,15 +267,24 @@ def _read_header(fh, path) -> tuple:
 def checkpoint_header(path) -> tuple:
     """(layer_dims, seed) of a checkpoint, read without its weights.  Raises
     as `load_params` does on a bad header or a payload of the wrong size."""
-    with open(path, "rb") as fh:
-        dims, seed, _ = _read_header(fh, path)
+    dims, seed, _, _ = _read_checkpoint(path, weights=False)
     return dims, seed
 
 
+def _read_checkpoint(path, weights: bool) -> tuple:
+    """(layer_dims, seed, sizes, payload bytes or None), with an OSError
+    raised as a CorruptCheckpointError that names the path."""
+    try:
+        with open(path, "rb") as fh:
+            dims, seed, sizes = _read_header(fh, path)
+            return dims, seed, sizes, fh.read() if weights else None
+    except OSError as exc:
+        raise CorruptCheckpointError(f"{path}: cannot be read ({exc})") from exc
+
+
 def load_params(path) -> NetworkParams:
-    with open(path, "rb") as fh:
-        dims, seed, sizes = _read_header(fh, path)
-        values = np.frombuffer(fh.read(), dtype="<f8")
+    dims, seed, sizes, payload = _read_checkpoint(path, weights=True)
+    values = np.frombuffer(payload, dtype="<f8")
     pieces = np.split(values, np.cumsum(sizes)[:-1])
     weights = [w.reshape(dims[l], dims[l + 1]).copy()
                for l, w in enumerate(pieces[:-1])]

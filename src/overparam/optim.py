@@ -341,8 +341,11 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
     record.iterations = k
     record.final_loss = loss_k
     record.final_misclassified = miscount
+    # the last row is of them too, unless a max_iters stop followed an update
     if stop != "diverged":
-        record.final_radii = perturbation_radius(live, params0, tol=_RADIUS_TOL)
+        record.final_radii = (
+            list(record.rows[-1].radius) if record.rows[-1].k == k
+            else perturbation_radius(live, params0, tol=_RADIUS_TOL))
     _log_budget_warnings(record.warnings, config.tau)
     return live, record
 

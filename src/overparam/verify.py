@@ -130,12 +130,6 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
     return h / np.where(norms == 0.0, 1.0, norms)
 
 
-def _example_mask(pattern: np.ndarray) -> np.ndarray:
-    """(m, n, 1) mask of an (n, m) pattern, C-ordered so that products with
-    a (m, n, b) block come out C-ordered and reshape without a copy."""
-    return np.ascontiguousarray(pattern.T)[:, :, None]
-
-
 # Normals a masked chain draws per example and input dimension, and the
 # largest input dimension it takes the exact path for.  The stream position
 # after a chain fixes every probe item that follows it.
@@ -143,9 +137,11 @@ _CHAIN_DRAW = 4
 _THIN_CHAIN = 16
 
 
-def _layer(w: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``w @ block`` over the leading axis of a (dim, ...) block, as one GEMM."""
-    return (w @ block.reshape(block.shape[0], -1)).reshape(w.shape[0], *block.shape[1:])
+def _rows(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``block @ w`` over the last axis of an (n, b, dim) block, as one GEMM.
+    The weight goes on the right: on one BLAS thread of a 2-core Xeon,
+    (20, 1000) @ W takes 1.2 ms and W^T @ (1000, 20), the same flops, 2.1 ms."""
+    return (block.reshape(-1, block.shape[-1]) @ w).reshape(*block.shape[:-1], w.shape[1])
 
 
 class MaskedChain:
@@ -154,10 +150,10 @@ class MaskedChain:
     Example i's operator is ``D_{last,i} W_last^T ... D_{first,i} W_first^T``,
     where ``D_{r,i}`` masks to the active units of its layer-r pattern; with
     `head` it gains a final unmasked ``W_head^T``.  ``apply`` and
-    ``apply_t`` (the transpose) act on blocks of shape ``(dim, n, b)``,
-    multiplying example i's b columns by example i's operator, so each
-    layer is one GEMM over n*b columns.  ``first > last`` leaves no masked
-    layers.
+    ``apply_t`` (the transpose) act on row blocks of shape ``(n, b, dim)``,
+    taking example i's b rows through example i's operator, so each layer is
+    one GEMM over n*b rows with the weight on the right.  ``first > last``
+    leaves no masked layers.
     """
 
     def __init__(self, weights, patterns, first: int, last: int,
@@ -165,24 +161,24 @@ class MaskedChain:
         self.weights = weights
         self.first, self.last, self.head = first, last, head
         self.n = patterns[0].shape[0]
-        self.masks = {r: _example_mask(patterns[r - 1])
+        self.masks = {r: patterns[r - 1][:, None, :]
                       for r in range(first, last + 1)}
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         t = block
         for r in range(self.first, self.last + 1):
-            t = _layer(self.weights[r - 1].T, t)
+            t = _rows(t, self.weights[r - 1])
             t *= self.masks[r]
         if self.head is not None:
-            t = _layer(self.weights[self.head - 1].T, t)
+            t = _rows(t, self.weights[self.head - 1])
         return t
 
     def apply_t(self, block: np.ndarray) -> np.ndarray:
         t = block
         if self.head is not None:
-            t = _layer(self.weights[self.head - 1], t)
+            t = _rows(t, self.weights[self.head - 1].T)
         for r in range(self.last, self.first - 1, -1):
-            t = _layer(self.weights[r - 1], self.masks[r] * t)
+            t = _rows(self.masks[r] * t, self.weights[r - 1].T)
         return t
 
     def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
@@ -193,8 +189,8 @@ class MaskedChain:
 
         A thin chain, whose input dimension is at most ``_THIN_CHAIN`` (such
         as one that starts at layer 1 and acts on R^d), is applied once to
-        the identity, and one stacked SVD of the n (m_out, dim) operators
-        gives the exact norms.
+        the identity, and one stacked SVD of the n (dim, m_out) transposed
+        operators gives the exact norms.
 
         A wider chain runs `linalg._lanczos` on the n Gram operators
         ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
@@ -206,13 +202,11 @@ class MaskedChain:
         dim = self.weights[self.first - 1].shape[0]
         draw = rng.normals(_CHAIN_DRAW * self.n * dim).reshape(self.n, -1)
         if dim <= _THIN_CHAIN:
-            eye = np.broadcast_to(np.eye(dim)[:, None, :], (dim, self.n, dim))
-            ops = self.apply(eye).transpose(1, 0, 2)
-            return np.linalg.svd(ops, compute_uv=False)[:, 0]
+            eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
+            return np.linalg.svd(self.apply(eye), compute_uv=False)[:, 0]
 
         def gram(rows):
-            block = self.apply_t(self.apply(rows.T[:, :, None]))
-            return np.ascontiguousarray(block[:, :, 0].T)
+            return self.apply_t(self.apply(rows[:, None, :]))[:, 0]
 
         theta, _, _, _ = _lanczos(gram, draw[:, :dim], tol)
         return np.sqrt(theta)
@@ -234,11 +228,12 @@ def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
                     a_block: np.ndarray, b_block: np.ndarray) -> float:
     """max over examples and probe pairs of ``|b . W_l2^T chain_i a|``, with
     chain_i the masked layers l1..l2-1.  The outer GEMMs do not depend on
-    the example, so only the middle layers run per example."""
+    the example, so only the middle layers run per example, on the
+    (n, probes, m) row block of every example's masked first layer."""
     w = params.weights
-    first = _example_mask(patterns[l1 - 1]) * (w[l1 - 1].T @ a_block)[:, None, :]
+    first = patterns[l1 - 1][:, None, :] * (a_block.T @ w[l1 - 1])
     middle = MaskedChain(w, patterns, l1 + 1, l2 - 1).apply(first)
-    vals = (w[l2 - 1] @ b_block).T @ middle.reshape(middle.shape[0], -1)
+    vals = _rows(middle, (b_block.T @ w[l2 - 1].T).T)
     return float(np.max(np.abs(vals)))
 
 

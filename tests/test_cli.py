@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overparam import linalg, verify
 from overparam.cli import CONFIG_TABLE, DEFAULT_CONFIG, ConfigError, load_config, main
 from overparam.data import generate_separated
 from overparam.network import init_network, save_params
@@ -221,6 +223,31 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"{key.removeprefix('verify_')} must" in err
         assert "Traceback" not in err
+        assert not (out / "init_properties.json").exists()
+
+    def test_checkpoint_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: cannot be read" in err
+        assert "Traceback" not in err
+        assert not (out / "init_properties.json").exists()
+
+    def test_unconverged_solver_exits_3(self, tmp_path, capsys, monkeypatch):
+        # d=20 puts chain (1, 2) on the Lanczos path; cut off after one
+        # product, it cannot bring its residual to 1e-300
+        monkeypatch.setattr(verify, "_lanczos",
+                            functools.partial(linalg._lanczos, max_iter=1))
+        cfg = write_config(tmp_path, {
+            "n": 4, "d": 20, "m": 24, "L": 2, "trials": 1,
+            "spectral_tol": 1e-300, "mc_samples": 1000,
+            "verify_items": ["chain_product_norm"]})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Lanczos did not reach")
         assert not (out / "init_properties.json").exists()
 
     def test_missing_checkpoint_exit_code(self, tmp_path):

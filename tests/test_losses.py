@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overparam.losses import (LossSpec, builtin_loss, check_loss_assumptions,
                               default_grid)
@@ -60,6 +62,54 @@ class TestAssumptionChecker:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             check_loss_assumptions(builtin_loss("logistic"), np.array([]))
+
+
+GRIDS = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40)
+POINTWISE = ("deriv_nonpositive", "deriv_lower_bound", "deriv_upper_bound",
+             "smoothness")
+
+
+class TestAssumptionCheckerOnRandomGrids:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid=GRIDS, data=st.data())
+    def test_report_ignores_grid_order(self, grid, data):
+        shuffled = data.draw(st.permutations(grid))
+        for name in ("logistic", "exponential"):
+            loss = builtin_loss(name)
+            a = check_loss_assumptions(loss, np.array(shuffled))
+            b = check_loss_assumptions(loss, np.array(grid))
+            assert a.passed == b.passed
+            # nan worst_x (the grid-free check) equals itself, 0.0 equals -0.0
+            np.testing.assert_array_equal([(c.margin, c.worst_x) for c in a.checks],
+                                          [(c.margin, c.worst_x) for c in b.checks])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid=GRIDS)
+    def test_builtins_pass_pointwise_checks_on_any_grid(self, grid):
+        # the declared constants hold at every point of [-20, 20]; the worst
+        # point is a grid point
+        for name in ("logistic", "exponential"):
+            report = check_loss_assumptions(builtin_loss(name), np.array(grid))
+            for check in POINTWISE:
+                assert report.check(check).passed, (name, report.as_dict())
+                assert report.check(check).worst_x in grid
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid=GRIDS, extra=GRIDS)
+    def test_more_points_never_raise_a_margin(self, grid, extra):
+        loss = builtin_loss("logistic")
+        small = check_loss_assumptions(loss, np.array(grid))
+        large = check_loss_assumptions(loss, np.array(grid + extra))
+        for check in POINTWISE:
+            assert large.check(check).margin <= small.check(check).margin
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid=GRIDS)
+    def test_exponential_p_bounds_are_tight_everywhere(self, grid):
+        # -l' == l exactly, so both p-bound margins are exactly 0
+        report = check_loss_assumptions(builtin_loss("exponential"), np.array(grid))
+        assert report.check("deriv_lower_bound").margin == 0.0
+        assert report.check("deriv_upper_bound").margin == 0.0
 
 
 class TestDerivativeConsistency:

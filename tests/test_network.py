@@ -7,8 +7,9 @@ from overparam.data import generate_separated
 from overparam.linalg import PortableRng, gaussian_matrix
 from overparam.losses import LossSpec, builtin_loss
 from overparam.network import (CorruptCheckpointError, batch_forward,
-                               gradient_factors, gradient_norms, init_network,
-                               load_params, max_pattern_distance, save_params)
+                               checkpoint_header, gradient_factors,
+                               gradient_norms, init_network, load_params,
+                               max_pattern_distance, save_params)
 
 from oracles import batch_loss, loss_gradient, output_telescope
 
@@ -148,6 +149,20 @@ class TestTelescope:
     def test_every_layer_reproduces_output(self, seed):
         params = random_net(seed)
         x = PortableRng(seed + 500).normals(3 * params.layer_dims[0]).reshape(3, -1)
+        trace = batch_forward(params, x)
+        for l in range(1, params.depth + 2):
+            val = output_telescope(params, trace, l)
+            assert np.all(np.abs(val - trace.outputs)
+                          <= 1e-12 * (1.0 + np.abs(trace.outputs)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 6), widths=st.lists(st.integers(1, 24), max_size=3),
+           half=st.integers(1, 12), n=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_every_layer_reproduces_output_property(self, d, widths, half, n, seed):
+        # layers of unequal widths, width-1 layers and dead units included
+        params = init_network([d] + widths + [2 * half], seed)
+        x = PortableRng(seed).normals(n * d).reshape(n, d)
         trace = batch_forward(params, x)
         for l in range(1, params.depth + 2):
             val = output_telescope(params, trace, l)
@@ -387,3 +402,9 @@ class TestSerialization:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(CorruptCheckpointError, match=message):
             load_params(path)
+
+    @pytest.mark.parametrize("read", [checkpoint_header, load_params])
+    def test_unreadable_path_names_itself(self, tmp_path, read):
+        with pytest.raises(CorruptCheckpointError, match="cannot be read") as info:
+            read(tmp_path)          # a directory
+        assert str(tmp_path) in str(info.value)

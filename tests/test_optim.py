@@ -154,6 +154,15 @@ class TestRunGd:
         for got, expected in zip(rec.final_radii, fresh):
             assert got == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
+    def test_final_radii_of_a_zero_error_stop_are_its_last_row(self):
+        params, ds = small_problem(m=64)
+        final, rec = run_gd(params, ds, builtin_loss("logistic"),
+                            TrainConfig(max_iters=2000, eta=0.01, tau=100.0))
+        assert rec.stop_reason == "zero_error" and rec.iterations > 0
+        assert rec.final_radii == rec.rows[-1].radius
+        fresh = perturbation_radius(final, params, tol=1e-8)
+        np.testing.assert_allclose(rec.final_radii, fresh, rtol=1e-12, atol=0)
+
     def test_descent_on_small_problem(self):
         params, ds = small_problem(m=64)
         loss = builtin_loss("logistic")

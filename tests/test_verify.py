@@ -473,14 +473,16 @@ class TestMaskedChain:
         rng = PortableRng(3)
         dim_in = params.weights[l1 - 1].shape[0]
         dim_out = params.weights[l2 - 1].shape[1]
-        x = rng.normals(dim_in * 6 * 3).reshape(dim_in, 6, 3)
-        y = rng.normals(dim_out * 6 * 2).reshape(dim_out, 6, 2)
+        x = rng.normals(6 * 3 * dim_in).reshape(6, 3, dim_in)
+        y = rng.normals(6 * 3 * dim_out).reshape(6, 3, dim_out)
         fx, ty = chain.apply(x), chain.apply_t(y)
-        assert fx.shape == (dim_out, 6, 3) and ty.shape == (dim_in, 6, 2)
+        assert fx.shape == (6, 3, dim_out) and ty.shape == (6, 3, dim_in)
         for i in range(6):
             dense = _dense_chain(params.weights, patterns, l1, l2, i, head)
-            np.testing.assert_allclose(fx[:, i], dense @ x[:, i], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ty[:, i], dense.T @ y[:, i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fx[i], x[i] @ dense.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ty[i], y[i] @ dense, rtol=0, atol=1e-12)
+            # <apply x, y> = <x, apply_t y>, example by example
+            assert abs(np.vdot(fx[i], y[i]) - np.vdot(x[i], ty[i])) <= 1e-12
 
     @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
     def test_norms_match_per_example_loop(self, wide_net, l1, l2, head):

@@ -237,9 +237,9 @@ def save_params(params: NetworkParams, path) -> None:
 
 class CorruptCheckpointError(ValueError):
     """A checkpoint that cannot be opened or read (such as a directory),
-    whose header cannot be parsed, whose payload is not exactly the size its
-    header's layer_dims call for, or whose values do not form a valid
-    network."""
+    that does not start with the checkpoint magic, whose header cannot be
+    parsed, whose payload is not exactly the size its header's layer_dims
+    call for, or whose values do not form a valid network."""
 
 
 def _read_header(fh, path) -> tuple:
@@ -247,7 +247,7 @@ def _read_header(fh, path) -> tuple:
     start, after checking that the rest of the file is exactly the payload
     of those dims; `sizes` counts the float64 values of W_1..W_L and v."""
     if fh.readline().strip() != _MAGIC:
-        raise ValueError(f"{path}: not a network checkpoint")
+        raise CorruptCheckpointError(f"{path}: not a network checkpoint")
     try:
         header = json.loads(fh.readline().decode("ascii"))
         dims = tuple(int(m) for m in header["layer_dims"])

@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 # Default constant in front of phi / (n^3 L^9 m); calibrated so the default
 # desk-scale run converges while staying deep in the lazy regime.
 DEFAULT_ETA_SCALE = 2.0e10
-BATCH_MODES = ("fresh", "epoch")
 
 # Ritz-residual tolerance of the warm-started Lanczos solves
 # (linalg.power_iteration) behind the per-iteration radius telemetry and the
@@ -76,8 +75,6 @@ class TrainConfig:
     target_loss: float = 1e-4
     tau: float = 0.1                    # perturbation budget (warning threshold)
     seed: int = 0
-    record_patterns: bool = False
-    batch_mode: str = "fresh"           # "fresh": resample per step; "epoch": shuffle
 
     def validate(self, n: int) -> None:
         if self.max_iters < 0:
@@ -90,8 +87,6 @@ class TrainConfig:
             raise ValueError("target_loss must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.batch_mode not in BATCH_MODES:
-            raise ValueError("batch_mode must be 'fresh' or 'epoch'")
 
     def resolve_eta(self, n: int, depth: int, width: int, phi: float) -> float:
         if self.eta is not None:
@@ -207,48 +202,19 @@ def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
 
 
 def perturbation_radius(params: NetworkParams, reference: NetworkParams,
-                        tol: float = 1e-10, max_iter: int = 10_000) -> list:
+                        tol: float = 1e-10) -> list:
     """Per-layer spectral norm of W_l - W_l^(0)."""
     if tuple(params.layer_dims) != tuple(reference.layer_dims):
         raise ValueError("parameter shapes do not match")
-    return [spectral_norm(w - w0, tol=tol, max_iter=max_iter)
+    return [spectral_norm(w - w0, tol=tol)
             for w, w0 in zip(params.weights, reference.weights)]
-
-
-class _BatchSampler:
-    """Deterministic minibatch index source.
-
-    full batch    -> indices 0..n-1 in order every step (bit-equal to GD)
-    "fresh" mode  -> a without-replacement sample drawn anew each step
-    "epoch" mode  -> a shuffled epoch consumed in chunks, reshuffled when
-                     fewer than B indices remain
-    """
-
-    def __init__(self, n: int, batch_size: int, mode: str, seed: int):
-        self.n = n
-        self.batch_size = batch_size
-        self.mode = mode
-        self.rng = PortableRng(seed)
-        self._epoch: list = []
-
-    def next_batch(self) -> np.ndarray:
-        if self.batch_size == self.n:
-            return np.arange(self.n)
-        if self.mode == "fresh":
-            return self.rng.sample_without_replacement(self.n, self.batch_size)
-        if len(self._epoch) < self.batch_size:
-            self._epoch = list(self.rng.permutation(self.n))
-        batch = self._epoch[: self.batch_size]
-        del self._epoch[: self.batch_size]
-        return np.asarray(batch)
 
 
 def _snapshot_iterations(max_iters: int) -> set:
     return {0, max_iters // 4, max_iters // 2, (3 * max_iters) // 4, max_iters}
 
 
-def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
-           stochastic: bool):
+def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
     n = dataset.n
     config.validate(n)
     params0.validate()
@@ -257,9 +223,8 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
 
     depth = params0.depth
     eta = config.resolve_eta(n, depth, min(params0.layer_dims[1:]), dataset.phi)
-    batch_size = config.batch_size if (stochastic and config.batch_size) else n
-    sampler = _BatchSampler(n, batch_size, config.batch_mode, config.seed) \
-        if stochastic else None
+    batch_size = config.batch_size or n
+    rng = PortableRng(config.seed)
 
     live = params0.copy()
     x, y = dataset.inputs, dataset.labels
@@ -277,7 +242,7 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
     stop = None
     while True:
         trace = batch_forward(live, x)
-        if config.record_patterns and init_patterns is None:
+        if init_patterns is None:
             init_patterns = trace.patterns
         margins = y * trace.outputs
         loss_k = float(np.mean(loss.value(margins)))
@@ -294,7 +259,8 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
             break
 
         lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
-        batch = sampler.next_batch() if sampler is not None else np.arange(n)
+        batch = np.arange(n) if batch_size == n \
+            else rng.sample_without_replacement(n, batch_size)
 
         radii = [0.0] * depth
         for l in range(depth):
@@ -317,7 +283,7 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig,
         elif config.max_iters == 0:
             stop = "max_iters"
         drift = None
-        if config.record_patterns and (k in snapshots or stop is not None):
+        if k in snapshots or stop is not None:
             drift = max_pattern_distance(trace.patterns, init_patterns)
         record.rows.append(TrajectoryRow(
             k=k, loss=loss_k, misclassified=miscount,
@@ -366,16 +332,20 @@ def _log_budget_warnings(warnings: list, tau: float) -> None:
 
 def run_gd(params0: NetworkParams, dataset, loss, config: TrainConfig):
     """Full-batch gradient descent; returns (final params, trajectory)."""
-    return _train(params0, dataset, loss, config, stochastic=False)
+    if config.batch_size is not None:
+        raise ValueError("run_gd takes no batch_size (use run_sgd for minibatches)")
+    return _train(params0, dataset, loss, config)
 
 
 def run_sgd(params0: NetworkParams, dataset, loss, config: TrainConfig):
-    """Minibatch SGD; batches are drawn without replacement each step.
+    """Minibatch SGD, as in the paper: every step draws a fresh batch of
+    batch_size examples without replacement, from one
+    `PortableRng(config.seed)` stream.
 
-    With batch_size == n the index-order batch makes the trajectory
-    bit-identical to run_gd.
+    With batch_size == n nothing is drawn: the index-order batch makes the
+    trajectory bit-identical to run_gd.
     """
     if config.batch_size is None:
         raise ValueError("run_sgd needs batch_size set (use run_gd for full batch)")
-    return _train(params0, dataset, loss, config, stochastic=True)
+    return _train(params0, dataset, loss, config)
 

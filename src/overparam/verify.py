@@ -483,6 +483,10 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
 
 # --- perturbation battery ---------------------------------------------------
 
+# minibatches behind the stochastic_gradient_upper_ratio entry
+_BATCH_DRAWS = 8
+
+
 def _ratio(num: float, denom: float) -> float:
     """num / denom, with 0 / 0 read as 0 and a positive num over 0 as inf."""
     if denom > 0.0:
@@ -494,34 +498,26 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
                                    dataset, *, loss=None,
                                    declared_tau: float | None = None,
                                    spectral_tol: float = 1e-3, probes: int = 64,
-                                   sparsity_s: int | None = None, seed: int = 0,
-                                   batch_size: int | None = None,
-                                   batch_draws: int = 8) -> PropertyReport:
+                                   seed: int = 0) -> PropertyReport:
     """Compare a trained parameter set with its initialization `params0`.
 
     Radii are measured (never trusted), like every spectral norm here at
     `spectral_tol`; exceeding `declared_tau` flags the report instead of
-    raising.  Gradient entries use `loss` (default: logistic).
-    `sparsity_s`, the support of the perturbed sparse probes, must lie in
-    [1, min width]; by default it is the expected pattern drift.
+    raising.  Gradient entries use `loss` (default: logistic).  The settings
+    of the battery are fixed: the perturbed sparse probes have the expected
+    pattern drift ``min(m, ceil(L^(4/3) tau^(2/3) m))`` as their support, and
+    the stochastic gradient entry takes the worst of 8 (`_BATCH_DRAWS`)
+    batches of ``max(1, n // 4)`` examples.
     """
     if loss is None:
         loss = builtin_loss("logistic")
     n = dataset.n
-    if batch_size is None:
-        batch_size = max(1, n // 4)
     if probes < 1:
         raise ValueError(f"probes must be at least 1, got {probes}")
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    if batch_draws < 1:
-        raise ValueError(f"batch_draws must be at least 1, got {batch_draws}")
     dims = params0.layer_dims
     depth = params0.depth
     widths = dims[1:]
     m_min, m_max = min(widths), max(widths)
-    if sparsity_s is not None and not 1 <= sparsity_s <= m_min:
-        raise ValueError(f"sparsity_s must be in [1, {m_min}], got {sparsity_s}")
 
     radii = perturbation_radius(trained, params0, tol=spectral_tol)
     tau = max(radii)
@@ -582,9 +578,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
             per_trial=[worst / depth], bound=1.0))
 
     if tau > 0.0:
-        s_pert = sparsity_s
-        if s_pert is None:
-            s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
+        s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
         worst = _output_probe(trained, trace, s_pert, probes, rng)
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
@@ -615,8 +609,9 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
         per_trial=ratios_upper, bound=1.0))
 
     worst = 0.0
+    batch_size = max(1, n // 4)
     lp = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64)
-    for _ in range(batch_draws):
+    for _ in range(_BATCH_DRAWS):
         batch = rng.sample_without_replacement(n, batch_size)
         spec, _ = gradient_norms(gradient_factors(trained, trace, y, loss,
                                                   rows=batch))

@@ -4,7 +4,7 @@ perfbench/job.py wraps the functions it times by name and silently skips a
 name it cannot resolve, so a renamed or deleted function would only show as
 a missing metric.  The tuples are read from the benchmark's source with
 `ast`: importing perfbench/run.py would pin the BLAS thread variables of
-this process.
+this process.  The config keys the CLI accepts must be read by it.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from overparam import verify
+from overparam import cli, verify
 from overparam.data import generate_separated
 from overparam.network import init_network
 
@@ -61,3 +61,13 @@ def test_each_init_item_runs_alone(item):
                                            gradient_probes=1, items=[item])
     assert [e.name for e in report.entries] == [item]
     assert len(report.entries[0].per_trial) == 1
+
+
+def test_every_config_key_is_read():
+    # a key of CONFIG_TABLE that no command reads as config["<key>"] is an
+    # option that changes nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "config" and isinstance(node.slice, ast.Constant)}
+    assert set(cli.CONFIG_TABLE) - read == set()

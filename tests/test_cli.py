@@ -68,10 +68,18 @@ class TestGenData:
         assert (out_a / "margin.json").read_bytes() == \
             (out_b / "margin.json").read_bytes()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"learning_rate": 3.0})
-        assert main(["gen-data", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
+    # batch_mode and record_patterns were config keys once, and a scaffold
+    # written then still carries them
+    @pytest.mark.parametrize("key, value", [("learning_rate", 3.0),
+                                            ("batch_mode", "fresh"),
+                                            ("record_patterns", True)])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestTrain:
@@ -195,8 +203,9 @@ class TestVerify:
         chain = next(e for e in pert["entries"] if e["name"] == "perturbed_chain_norm")
         assert chain["per_trial"] == [0.0]
 
-    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8)],
-                             ids=["truncated", "trailing_bytes"])
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8),
+                                      lambda b: b"garbage\n"],
+                             ids=["truncated", "trailing_bytes", "no_magic"])
     def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path)
         run = tmp_path / "run"
@@ -237,12 +246,12 @@ class TestVerify:
 
     def test_unconverged_solver_exits_3(self, tmp_path, capsys, monkeypatch):
         # d=20 puts chain (1, 2) on the Lanczos path; cut off after one
-        # product, it cannot bring its residual to 1e-300
+        # product, it cannot bring its residual to 1e-12
         monkeypatch.setattr(verify, "_lanczos",
                             functools.partial(linalg._lanczos, max_iter=1))
         cfg = write_config(tmp_path, {
             "n": 4, "d": 20, "m": 24, "L": 2, "trials": 1,
-            "spectral_tol": 1e-300, "mc_samples": 1000,
+            "spectral_tol": 1e-12, "mc_samples": 1000,
             "verify_items": ["chain_product_norm"]})
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
@@ -341,7 +350,7 @@ class TestConfigTable:
         return str(tmp / "run" / "checkpoint.net")
 
     @pytest.mark.parametrize("command, key, raw, args", [
-        ("train", "record_patterns", '"false"', []),
+        ("verify", "spectral_tol", "1e-13", []),
         ("train", "K", "2.7", []),
         ("train", "m", "50.9", []),
         ("train", "n", '"8"', []),

@@ -35,7 +35,7 @@ def column(record, name):
 def oracle_iterates(params, ds, loss, eta, steps, batch_size=None, seed=0):
     """Weights W_0..W_steps of the update loop written out directly: every
     step backpropagates, gathers the batch rows and forms a fresh
-    ``W - eta * G`` per layer.  Batches follow the "fresh" sampler."""
+    ``W - eta * G`` per layer.  Batches are run_sgd's fresh draws."""
     n = ds.n
     y = ds.labels
     rng = PortableRng(seed)
@@ -174,6 +174,13 @@ class TestRunGd:
         assert np.mean(diffs <= 1e-12) >= 0.99
         assert losses[-1] < losses[0]
 
+    def test_rejects_batch_size(self):
+        # a batch size is a minibatch run, which run_sgd draws
+        params, ds = small_problem()
+        with pytest.raises(ValueError, match="run_gd takes no batch_size"):
+            run_gd(params, ds, builtin_loss("logistic"),
+                   TrainConfig(max_iters=3, eta=0.01, tau=1.0, batch_size=3))
+
 
 class TestRunSgd:
     def test_full_batch_reduces_to_gd_bitwise(self):
@@ -233,14 +240,6 @@ class TestRunSgd:
         assert column(rec_a, "loss") == column(rec_b, "loss")
         assert column(rec_a, "batch_sum_lprime") == column(rec_b, "batch_sum_lprime")
 
-    def test_epoch_mode_runs(self):
-        params, ds = small_problem()
-        loss = builtin_loss("logistic")
-        _, rec = run_sgd(params, ds, loss,
-                         TrainConfig(max_iters=12, eta=0.01, tau=1.0,
-                                     batch_size=3, batch_mode="epoch"))
-        assert len(rec.rows) == 12
-
 
 class TestTrainingPath:
     @pytest.mark.parametrize("batch_size", [None, 3])
@@ -292,11 +291,9 @@ class TestTrainingPath:
                                    data_seed=seed, net_seed=seed + 1)
         loss = builtin_loss("logistic")
         final_gd, rec_gd = run_gd(params, ds, loss,
-                                  TrainConfig(max_iters=4, eta=eta, tau=1.0,
-                                              record_patterns=True))
+                                  TrainConfig(max_iters=4, eta=eta, tau=1.0))
         final_sgd, rec_sgd = run_sgd(params, ds, loss,
                                      TrainConfig(max_iters=4, eta=eta, tau=1.0,
-                                                 record_patterns=True,
                                                  batch_size=n, seed=seed))
         for wa, wb in zip(final_gd.weights, final_sgd.weights):
             assert np.array_equal(wa, wb)
@@ -410,7 +407,7 @@ class TestTelemetry:
     def test_rows_strictly_increasing_and_csv(self, tmp_path):
         params, ds = small_problem()
         loss = builtin_loss("logistic")
-        cfg = TrainConfig(max_iters=10, eta=0.02, tau=1.0, record_patterns=True)
+        cfg = TrainConfig(max_iters=10, eta=0.02, tau=1.0)
         final, rec = run_gd(params, ds, loss, cfg)
         ks = column(rec, "k")
         assert ks == sorted(set(ks))
@@ -462,8 +459,7 @@ class TestTrajectoryCsv:
     def test_diverged_row(self, tmp_path):
         params, ds = small_problem()
         _, rec = run_gd(params, ds, builtin_loss("exponential"),
-                        TrainConfig(max_iters=300, eta=1e6, tau=1e9,
-                                    record_patterns=True))
+                        TrainConfig(max_iters=300, eta=1e6, tau=1e9))
         assert rec.stop_reason == "diverged"
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)
@@ -525,8 +521,7 @@ class TestTrajectoryCsv:
     def test_off_snapshot_rows_leave_drift_empty(self, tmp_path):
         params, ds = small_problem()
         _, rec = run_gd(params, ds, builtin_loss("logistic"),
-                        TrainConfig(max_iters=8, eta=0.001, tau=1.0,
-                                    record_patterns=True))
+                        TrainConfig(max_iters=8, eta=0.001, tau=1.0))
         assert rec.stop_reason == "max_iters"
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)

@@ -98,31 +98,27 @@ class PortableRng:
     def sample_without_replacement(self, population: int, size: int) -> np.ndarray:
         """`size` distinct indices from range(population), partial Fisher-Yates.
 
-        Swap i takes ``integer_below(population - i)``.  All `size` raws are
-        drawn at once and checked against their rejection limits; only when
-        one is rejected is the stream rewound and each index drawn in turn,
-        so the indices and the stream position are those of the per-index
-        draws either way.
+        Swap i takes ``integer_below(population - i)``.  The `size` raws are
+        drawn at once and taken in order; each rejected raw adds one more
+        draw, so the indices and the stream position are those of the
+        per-index draws.
         """
         if not 0 <= size <= population:
             raise ValueError("size must be in [0, population]")
-        state = self._bits.state
+        raws = self.raw(size).tolist()
         picks = []
-        for i, r in enumerate(self.raw(size).tolist()):
+        for r in raws:   # the loop also visits the redraws appended below
+            i = len(picks)
             bound = population - i
-            if r >= _TWO_64 - _TWO_64 % bound:
-                self._bits.state = state
-                picks = [i + self.integer_below(population - i) for i in range(size)]
-                break
-            picks.append(i + r % bound)
+            if r < _TWO_64 - _TWO_64 % bound:
+                picks.append(i + r % bound)
+            else:
+                raws.append(int(self.raw(1)[0]))
         # the swaps on range(population), holding only the moved entries
         pool = {}
         for i, j in enumerate(picks):
             pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
         return np.array([pool[i] for i in range(size)], dtype=np.intp)
-
-    def permutation(self, count: int) -> np.ndarray:
-        return self.sample_without_replacement(count, count)
 
 
 class SpectralNormError(RuntimeError):

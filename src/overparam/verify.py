@@ -12,6 +12,12 @@ initialization, and the gradient norm bounds at both points.
 Thresholded entries assert concrete limits; the remaining entries fit and
 report an empirical constant (their pass flag only demands a finite,
 positive value) because the matching theory constants are existential.
+
+Each item draws its random probes from its own window of a `PortableRng`
+stream: item k reads from ``k << 64`` raws in, so its values do not depend
+on which items ran before it.  Init item k (of `INIT_ITEMS`) reads stream
+``seed + 7919 t`` in trial t; perturbation entry k (of
+`_PERTURBATION_ENTRIES`) reads stream ``seed + 104729``.
 """
 
 from __future__ import annotations
@@ -130,11 +136,16 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
     return h / np.where(norms == 0.0, 1.0, norms)
 
 
-# Normals a masked chain draws per example and input dimension, and the
-# largest input dimension it takes the exact path for.  The stream position
-# after a chain fixes every probe item that follows it.
-_CHAIN_DRAW = 4
+# The largest input dimension a masked chain takes the exact path for.
 _THIN_CHAIN = 16
+
+
+def _item_stream(seed: int, items: tuple, name: str) -> PortableRng:
+    """Stream `seed` from ``k << 64`` raws in, k the index of `name` in
+    `items`.  No item draws 2**64 raws, so the windows do not overlap."""
+    rng = PortableRng(seed)
+    rng.advance(items.index(name) << 64)
+    return rng
 
 
 def _rows(block: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -184,8 +195,8 @@ class MaskedChain:
     def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
         """Spectral norm of each example's operator.
 
-        Every call draws ``_CHAIN_DRAW * n * dim`` normals, whichever path it
-        takes, so the items after a chain keep their stream.
+        A thin chain draws nothing from `rng` and a wide one ``n * dim``
+        normals; each battery item reads its own window of the stream.
 
         A thin chain, whose input dimension is at most ``_THIN_CHAIN`` (such
         as one that starts at layer 1 and acts on R^d), is applied once to
@@ -194,13 +205,12 @@ class MaskedChain:
 
         A wider chain runs `linalg._lanczos` on the n Gram operators
         ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
-        most `tol`; example i starts from the first `dim` normals of its
-        share of the draw.  Each estimate approaches its norm from below.
+        most `tol`; example i starts from the i-th `dim` normals of the
+        draw.  Each estimate approaches its norm from below.
         An example whose operator is zero (a layer pattern with no active
         unit) gets 0.
         """
         dim = self.weights[self.first - 1].shape[0]
-        draw = rng.normals(_CHAIN_DRAW * self.n * dim).reshape(self.n, -1)
         if dim <= _THIN_CHAIN:
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
             return np.linalg.svd(self.apply(eye), compute_uv=False)[:, 0]
@@ -208,7 +218,8 @@ class MaskedChain:
         def gram(rows):
             return self.apply_t(self.apply(rows[:, None, :]))[:, 0]
 
-        theta, _, _, _ = _lanczos(gram, draw[:, :dim], tol)
+        start = rng.normals(self.n * dim).reshape(self.n, dim)
+        theta, _, _, _ = _lanczos(gram, start, tol)
         return np.sqrt(theta)
 
 
@@ -361,9 +372,7 @@ def _pairwise_inner_product(run, net, trace, rng) -> float:
 
 # name -> (measure, direction, threshold, bound).  `threshold` (None: the
 # entry only fits a constant) and `bound`, the scale that constant is fitted
-# against, are functions of the run.  Every trial measures its items in this
-# order, whatever order they were asked for in, because the probe items
-# share the trial's random stream.
+# against, are functions of the run.
 _INIT_TABLE = {
     "hidden_norm_deviation": (
         _hidden_norm_deviation, "upper", lambda r: 0.2,
@@ -407,8 +416,10 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     architecture with seed ``seed + t``.  An item passes when at most
     `allowed_failures` trials miss its threshold (entries without a
     threshold instead fit a constant and only require it to be finite).
-    `items` selects and orders the report's entries; each item's values do
-    not depend on which others are selected.
+    `items` selects and orders the report's entries.  Item k of
+    `INIT_ITEMS` draws its probes in trial t from stream ``seed + 7919 t``,
+    starting ``k << 64`` raws in, so its values do not depend on which
+    others are selected or in what order.
 
     `beta` defaults to ``m^-1/2`` (near-threshold window) and `sparsity_s`
     to a ``log``-sized support for the sparse probes.  `spectral_tol` is
@@ -461,13 +472,12 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
         entries["near_threshold_fraction"].note = \
             "beta=0: measured value is the raw count of exactly-zero pre-activations"
 
-    measured = [name for name in INIT_ITEMS if name in entries]
     for t in range(trials):
         net = params if t == 0 else init_network(dims, seed + t)
-        rng = PortableRng(seed + 7919 * t)
         trace = batch_forward(net, dataset.inputs)
-        for name in measured:
-            entries[name].per_trial.append(_INIT_TABLE[name][0](run, net, trace, rng))
+        for name, entry in entries.items():
+            rng = _item_stream(seed + 7919 * t, INIT_ITEMS, name)
+            entry.per_trial.append(_INIT_TABLE[name][0](run, net, trace, rng))
 
     return PropertyReport(
         meta={
@@ -485,6 +495,13 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
 
 # minibatches behind the stochastic_gradient_upper_ratio entry
 _BATCH_DRAWS = 8
+
+# the perturbation battery's entries in report order
+_PERTURBATION_ENTRIES = (
+    "perturbation_radius", "perturbed_weight_norm", "hidden_drift_ratio",
+    "pattern_drift_ratio", "pattern_flip_union", "perturbed_chain_norm",
+    "perturbed_sparse_probe", "gradient_lower_ratio", "gradient_upper_ratio",
+    "stochastic_gradient_upper_ratio")
 
 
 def _ratio(num: float, denom: float) -> float:
@@ -522,7 +539,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     radii = perturbation_radius(trained, params0, tol=spectral_tol)
     tau = max(radii)
     y = dataset.labels
-    rng = PortableRng(seed + 104729)
+    stream = seed + 104729
 
     trace0 = batch_forward(params0, dataset.inputs)
     trace = batch_forward(trained, dataset.inputs)
@@ -570,6 +587,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
 
     if depth >= 2:
         worst = 0.0
+        rng = _item_stream(stream, _PERTURBATION_ENTRIES, "perturbed_chain_norm")
         for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
             chain = MaskedChain(trained.weights, trace.patterns, l1, l2)
             worst = max(worst, float(np.max(chain.norms(rng, spectral_tol))))
@@ -579,7 +597,8 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
 
     if tau > 0.0:
         s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
-        worst = _output_probe(trained, trace, s_pert, probes, rng)
+        worst = _output_probe(trained, trace, s_pert, probes, _item_stream(
+            stream, _PERTURBATION_ENTRIES, "perturbed_sparse_probe"))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
         entries.append(PropertyEntry(
@@ -611,6 +630,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     worst = 0.0
     batch_size = max(1, n // 4)
     lp = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64)
+    rng = _item_stream(stream, _PERTURBATION_ENTRIES, "stochastic_gradient_upper_ratio")
     for _ in range(_BATCH_DRAWS):
         batch = rng.sample_without_replacement(n, batch_size)
         spec, _ = gradient_norms(gradient_factors(trained, trace, y, loss,

@@ -279,14 +279,6 @@ class ScriptedBits:
         self.pos += count
         return np.array(out, dtype=np.uint64)
 
-    @property
-    def state(self):
-        return {"pos": self.pos}
-
-    @state.setter
-    def state(self, value):
-        self.pos = value["pos"]
-
 
 def scripted_rng(values):
     rng = PortableRng(0)
@@ -323,10 +315,6 @@ class TestPortableRng:
             s = rng.sample_without_replacement(10, 4)
             assert len(set(s.tolist())) == 4
             assert np.all((s >= 0) & (s < 10))
-
-    def test_permutation(self):
-        s = PortableRng(3).permutation(8)
-        assert sorted(s.tolist()) == list(range(8))
 
     def test_integer_below_bounds(self):
         rng = PortableRng(17)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam.data import generate_separated
+from overparam.data import Dataset, generate_separated
 from overparam.linalg import PortableRng
 from overparam.losses import builtin_loss
 from overparam.network import batch_forward, init_network
@@ -156,6 +156,13 @@ class TestConcavityInequality:
         assert violations == 0
 
 
+def item_window(seed, k):
+    """Battery item k's window of stream `seed`: its raws from k << 64 on."""
+    rng = PortableRng(seed)
+    rng.advance(k << 64)
+    return rng
+
+
 def small_battery_inputs(m=48, depth=3, n=8, d=6, seed=0):
     ds = generate_separated(n=n, d=d, mu=0.5, phi=0.08, seed=seed)
     params = init_network([d] + [m] * depth, seed=seed + 1)
@@ -202,6 +209,9 @@ class TestInitBattery:
         assert [e.name for e in backward.entries] == list(reversed(INIT_ITEMS))
         for entry in backward.entries:
             assert entry.per_trial == default.entry(entry.name).per_trial
+        for name in INIT_ITEMS:
+            alone = verify_init_properties(params, ds, **kwargs, items=[name])
+            assert alone.entry(name).per_trial == default.entry(name).per_trial
 
     def test_beta_zero_counts_exact_zeros(self):
         params, ds = small_battery_inputs()
@@ -228,7 +238,7 @@ class TestInitBattery:
         h_prev = trace.hidden[2]
         active = trace.patterns[2].astype(np.float64)
         need = max(1, math.ceil(64 * ds.phi / 8))
-        rng = PortableRng(13)   # trial 0 stream of seed 13
+        rng = item_window(13, INIT_ITEMS.index("active_gradient_nodes"))
         low = math.inf
         for _ in range(4):
             a = np.abs(rng.normals(8))
@@ -387,6 +397,19 @@ class TestPerturbationBattery:
         assert report.entry("gradient_upper_ratio").per_trial == \
             pytest.approx(upper, rel=1e-8)
 
+        # 8 batches of n // 4, from entry 9's window of the battery's stream
+        rng = item_window(2 + 104729, 9)
+        stochastic = 0.0
+        for _ in range(8):
+            batch = rng.sample_without_replacement(8, 2)
+            sub = Dataset(ds.inputs[batch], ds.labels[batch], ds.mu, ds.phi)
+            grads = loss_gradient(trained, sub, loss)
+            sum_lp = float(np.sum(loss.deriv(sub.labels * t1.outputs[batch])))
+            stochastic = max(stochastic, max(np.linalg.norm(g, 2) for g in grads)
+                             * 2 / (3 ** 2 * math.sqrt(32) * abs(sum_lp)))
+        assert report.entry("stochastic_gradient_upper_ratio").per_trial == \
+            pytest.approx([stochastic], rel=1e-8)
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"probes": 0}, "probes"),
     ])
@@ -416,10 +439,9 @@ def _apply_chain_t(weights, patterns, first, last, block, example):
     return t
 
 
-def _item_chain_norm(weights, patterns, l1, l2, example, rng, include_head):
+def _item_chain_norm(weights, patterns, l1, l2, example, include_head):
     """One example's chain norm as the batteries take it, from the dense
-    operator, after skipping the 4 * dim normals the chain draws for it."""
-    rng.advance(4 * weights[l1 - 1].shape[0])
+    operator."""
     return float(np.linalg.norm(
         _dense_chain(weights, patterns, l1, l2, example, include_head), 2))
 
@@ -492,23 +514,21 @@ class TestMaskedChain:
         np.testing.assert_allclose(batched, exact, rtol=1e-10, atol=0)
         for value, bound in zip(batched, exact):
             assert value <= bound * (1.0 + 1e-12)
-        # the stream advanced by 4 * n * dim normals
-        ref_rng.normals(4 * n * dim)
+        # a wide chain draws exactly n * dim normals
+        ref_rng.normals(n * dim)
         assert ref_rng.raw(1)[0] == batch_rng.raw(1)[0]
 
     @pytest.mark.parametrize("l1, l2, head",
                              [case for case in PAIRS_AND_FORMS if case[0] == 1])
     def test_thin_norms_are_exact(self, net, l1, l2, head):
         params, patterns = net
-        dim = params.weights[l1 - 1].shape[0]
         ref_rng, dense_rng = PortableRng(17), PortableRng(17)
         norms = _chain(params.weights, patterns, l1, l2, head).norms(dense_rng,
                                                                      tol=1e-3)
         exact = [np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2, i,
                                              head), 2) for i in range(6)]
         np.testing.assert_allclose(norms, exact, rtol=1e-12, atol=0)
-        # the stream advanced by 4 * n * dim normals, as on a wide chain
-        ref_rng.normals(4 * 6 * dim)
+        # a thin chain draws nothing
         assert ref_rng.raw(1)[0] == dense_rng.raw(1)[0]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -558,7 +578,7 @@ class TestMaskedChain:
 
 class TestChainItemsAgainstLoops:
     """Each chain item of both batteries against the per-example loop, fed
-    the same random stream."""
+    the item's window of the battery's stream."""
 
     def test_init_battery(self):
         params, ds = small_battery_inputs(m=48, depth=3, n=6)
@@ -567,10 +587,10 @@ class TestChainItemsAgainstLoops:
                  "sparse_bilinear_probe")
         pairs = list(itertools.combinations(range(1, 4), 2))
         for name in items:
-            rng = PortableRng(21)   # trial 0 stream of seed 21
+            rng = item_window(21, INIT_ITEMS.index(name))   # trial 0, seed 21
             if name == "chain_product_norm":
                 value = max(_item_chain_norm(params.weights, patterns, l1, l2,
-                                             i, rng, include_head=True)
+                                             i, include_head=True)
                             for l1, l2 in pairs for i in range(6))
             elif name == "sparse_output_probe":
                 value = max(_oracle_output_probe(
@@ -605,11 +625,11 @@ class TestChainItemsAgainstLoops:
         s = min(48, math.ceil(3 ** (4.0 / 3.0) * tau ** (2.0 / 3.0) * 48))
         assert 1 < s < 48
         patterns = batch_forward(tilde, ds.inputs).patterns
-        rng = PortableRng(5 + 104729)
-        chain = max(_item_chain_norm(tilde.weights, patterns, l1, l2, i, rng,
+        chain = max(_item_chain_norm(tilde.weights, patterns, l1, l2, i,
                                      include_head=False)
                     for l1, l2 in itertools.combinations(range(1, 4), 2)
                     for i in range(6))
+        rng = item_window(5 + 104729, 6)   # perturbed_sparse_probe's window
         probe = max(_oracle_output_probe(
             tilde, patterns, l, _sparse_probes(tilde.layer_dims[l - 1], s, 8, rng))
             for l in range(1, 4))

@@ -55,8 +55,9 @@ def _one_of(choices):
     return (lambda v: v in choices), f"one of {list(choices)}"
 
 
-_ITEMS = ((lambda v: len(v) > 0 and all(i in verify.INIT_ITEMS for i in v)),
-          f"a non-empty list of items from {list(verify.INIT_ITEMS)}")
+_ITEMS = ((lambda v: len(v) > 0 and all(i in verify.INIT_ITEMS for i in v)
+           and len(set(v)) == len(v)),
+          f"a non-empty list of distinct items from {list(verify.INIT_ITEMS)}")
 
 # key: (type, default, may be null, (test, wording) of the range or choices).
 # Checks that tie keys together (phi's cap for mu, B <= n, s <= m) stay

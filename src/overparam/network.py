@@ -222,6 +222,10 @@ _MAGIC = b"OPNET1"
 
 
 def save_params(params: NetworkParams, path) -> None:
+    """Write `params` as a checkpoint in the format above.  Each array's own
+    buffer is written (a little-endian C-order copy only of an array that is
+    not already one), so no payload-sized bytes object is made; the format
+    and the bytes are unchanged."""
     params.validate()
     header = {
         "layer_dims": [int(m) for m in params.layer_dims],
@@ -230,9 +234,8 @@ def save_params(params: NetworkParams, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for w in params.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.output_vector, dtype="<f8").tobytes())
+        for a in (*params.weights, params.output_vector):
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 class CorruptCheckpointError(ValueError):
@@ -267,29 +270,33 @@ def _read_header(fh, path) -> tuple:
 def checkpoint_header(path) -> tuple:
     """(layer_dims, seed) of a checkpoint, read without its weights.  Raises
     as `load_params` does on a bad header or a payload of the wrong size."""
-    dims, seed, _, _ = _read_checkpoint(path, weights=False)
+    dims, seed, _ = _read_checkpoint(path, weights=False)
     return dims, seed
 
 
 def _read_checkpoint(path, weights: bool) -> tuple:
-    """(layer_dims, seed, sizes, payload bytes or None), with an OSError
+    """(layer_dims, seed, arrays), with `arrays` the flat W_1..W_L and v read
+    straight from the file when `weights` (else empty), and an OSError
     raised as a CorruptCheckpointError that names the path."""
     try:
         with open(path, "rb") as fh:
             dims, seed, sizes = _read_header(fh, path)
-            return dims, seed, sizes, fh.read() if weights else None
+            arrays = [np.empty(size, dtype="<f8") for size in sizes] if weights else []
+            for a in arrays:
+                fh.readinto(a)
+            return dims, seed, arrays
     except OSError as exc:
         raise CorruptCheckpointError(f"{path}: cannot be read ({exc})") from exc
 
 
 def load_params(path) -> NetworkParams:
-    dims, seed, sizes, payload = _read_checkpoint(path, weights=True)
-    values = np.frombuffer(payload, dtype="<f8")
-    pieces = np.split(values, np.cumsum(sizes)[:-1])
-    weights = [w.reshape(dims[l], dims[l + 1]).copy()
-               for l, w in enumerate(pieces[:-1])]
+    """The network of a checkpoint.  After the header and size checks each
+    weight is read straight into its own array, so no payload-sized bytes
+    copy is made; the format is unchanged."""
+    dims, seed, arrays = _read_checkpoint(path, weights=True)
+    weights = [a.reshape(dims[l], dims[l + 1]) for l, a in enumerate(arrays[:-1])]
     params = NetworkParams(layer_dims=dims, weights=weights,
-                           output_vector=pieces[-1].copy(), seed=seed)
+                           output_vector=arrays[-1], seed=seed)
     try:
         params.validate()
     except ValueError as exc:

@@ -139,6 +139,12 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
 # The largest input dimension a masked chain takes the exact path for.
 _THIN_CHAIN = 16
 
+# Bytes of the row block that _bilinear_probe takes through a chain at a
+# time, at the chain's widest layer.  At 64 probes and m=1000 a block holds
+# one example, and the (2, 3) pair of a [10, 1000, 1000, 1000] net at n=20
+# took 15-16 ms, as it did with all examples in one 10 MB block.
+_PROBE_BLOCK_BYTES = 1 << 19
+
 
 def _item_stream(seed: int, items: tuple, name: str) -> PortableRng:
     """Stream `seed` from ``k << 64`` raws in, k the index of `name` in
@@ -238,14 +244,32 @@ def _output_probe(params: NetworkParams, trace, sparsity: int, probes: int,
 def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
                     a_block: np.ndarray, b_block: np.ndarray) -> float:
     """max over examples and probe pairs of ``|b . W_l2^T chain_i a|``, with
-    chain_i the masked layers l1..l2-1.  The outer GEMMs do not depend on
-    the example, so only the middle layers run per example, on the
-    (n, probes, m) row block of every example's masked first layer."""
+    chain_i the masked layers l1..l2-1.
+
+    Only the middle layers depend on the example, and they run on
+    min(d_in, probes) rows per example, d_in the input dimension of layer
+    l1: the rows of W_l1 masked by the example's layer-l1 pattern when d_in
+    is at most the probe count (the a probes are then applied last), and
+    otherwise the probe images ``a^T W_l1`` masked the same way.  Examples
+    go through in blocks whose rows take at most ``_PROBE_BLOCK_BYTES`` at
+    the chain's widest layer (one example at least), so no (n, probes, m)
+    array is formed.
+    """
     w = params.weights
-    first = patterns[l1 - 1][:, None, :] * (a_block.T @ w[l1 - 1])
-    middle = MaskedChain(w, patterns, l1 + 1, l2 - 1).apply(first)
-    vals = _rows(middle, (b_block.T @ w[l2 - 1].T).T)
-    return float(np.max(np.abs(vals)))
+    rows_first = w[l1 - 1].shape[0] <= a_block.shape[1]
+    first = w[l1 - 1] if rows_first else a_block.T @ w[l1 - 1]
+    right = (b_block.T @ w[l2 - 1].T).T
+    step = max(1, _PROBE_BLOCK_BYTES
+               // (8 * first.shape[0] * max(params.layer_dims[l1:l2])))
+    worst = 0.0
+    for lo in range(0, patterns[0].shape[0], step):
+        block = [p[lo:lo + step] for p in patterns]
+        chain = MaskedChain(w, block, l1 + 1, l2 - 1)
+        vals = _rows(chain.apply(block[l1 - 1][:, None, :] * first), right)
+        if rows_first:
+            vals = a_block.T @ vals
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
 
 
 def _sparse_probes(dim: int, s: int, count: int, rng: PortableRng) -> np.ndarray:
@@ -416,10 +440,10 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     architecture with seed ``seed + t``.  An item passes when at most
     `allowed_failures` trials miss its threshold (entries without a
     threshold instead fit a constant and only require it to be finite).
-    `items` selects and orders the report's entries.  Item k of
-    `INIT_ITEMS` draws its probes in trial t from stream ``seed + 7919 t``,
-    starting ``k << 64`` raws in, so its values do not depend on which
-    others are selected or in what order.
+    `items` selects and orders the report's entries, each named once.
+    Item k of `INIT_ITEMS` draws its probes in trial t from stream
+    ``seed + 7919 t``, starting ``k << 64`` raws in, so its values do not
+    depend on which others are selected or in what order.
 
     `beta` defaults to ``m^-1/2`` (near-threshold window) and `sparsity_s`
     to a ``log``-sized support for the sparse probes.  `spectral_tol` is
@@ -459,6 +483,10 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     unknown = set(selected) - set(INIT_ITEMS)
     if unknown:
         raise ValueError(f"unknown items {sorted(unknown)}")
+    repeated = sorted({name for name in selected if selected.count(name) > 1})
+    if repeated:
+        raise ValueError(f"items must name each item once, got {repeated} "
+                         f"more than once")
     run = _InitRun(dataset=dataset, widths=tuple(dims[1:]), beta=beta,
                    sparsity=sparsity_s, delta=delta, probes=probes,
                    gradient_probes=gradient_probes, spectral_tol=spectral_tol)

@@ -1,11 +1,26 @@
-"""Reference computations that only the tests need, built on the batched
-forward pass and the gradient factors of `overparam.network`, and the reader
-of the dataset CSV format."""
+"""Reference computations that only the tests need: one-shot Box-Muller
+normals, computations built on the batched forward pass and the gradient
+factors of `overparam.network`, and the reader of the dataset CSV format."""
 
 import numpy as np
 
 from overparam.data import Dataset
 from overparam.network import batch_forward, gradient_factors
+
+
+def box_muller(rng, count: int) -> np.ndarray:
+    """`count` normals of `rng` from one Box-Muller pass over all of its
+    ``2 * ceil(count / 2)`` raws, the definition of `PortableRng.normals`."""
+    pairs = (count + 1) // 2
+    raw = rng.raw(2 * pairs)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
 
 
 def batch_loss(params, dataset, loss) -> float:

@@ -365,6 +365,7 @@ class TestConfigTable:
         ("verify", "tau", "-1.0", []),
         ("verify", "beta", "-1.0", []),
         ("verify", "verify_items", "[]", []),
+        ("verify", "verify_items", '["output_magnitude", "output_magnitude"]', []),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, checkpoint,
                                              command, key, raw, args):

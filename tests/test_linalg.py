@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam.linalg import (_LANCZOS_CYCLE, _SWEEP_BYTES, PortableRng,
-                              SpectralNormError, gaussian_matrix,
-                              power_iteration, spectral_norm)
+from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
+                              PortableRng, SpectralNormError, aligned_empty,
+                              gaussian_matrix, power_iteration, spectral_norm)
+
+from oracles import box_muller
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.integers(min_value=1, max_value=40)
@@ -249,6 +251,11 @@ class TestGaussianMatrix:
         with pytest.raises(ValueError):
             gaussian_matrix(3, 3, 0.0, rng)
 
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_rejects_non_finite_variance(self, variance):
+        with pytest.raises(ValueError, match="^variance must be positive and finite"):
+            gaussian_matrix(3, 3, variance, PortableRng(0))
+
     def test_pure_function_of_seed(self):
         a = gaussian_matrix(4, 4, 2.0, PortableRng(5))
         rng = PortableRng(5)
@@ -345,3 +352,34 @@ class TestPortableRng:
             got = fast.sample_without_replacement(population, size)
             assert np.array_equal(got, expected)
             assert fast._bits.pos == ref._bits.pos > size
+
+
+class TestNormalChunks:
+    """normals in chunks of _NORMAL_CHUNK raws against one Box-Muller pass."""
+
+    @pytest.mark.parametrize("count", [
+        1, 2, _NORMAL_CHUNK - 1, _NORMAL_CHUNK, _NORMAL_CHUNK + 1,
+        2 * _NORMAL_CHUNK + 6, 3 * _NORMAL_CHUNK + 7])
+    def test_chunks_match_one_pass(self, count):
+        for seed in (0, 77):
+            fast, ref = PortableRng(seed), PortableRng(seed)
+            fast.raw(3)   # start mid-stream, off a pair boundary
+            ref.raw(3)
+            got = fast.normals(count)
+            want = box_muller(ref, count)
+            assert got.shape == (count,)
+            assert got.tobytes() == want.tobytes()
+            assert fast.raw(1)[0] == ref.raw(1)[0]
+
+    def test_gaussian_matrix_scales_one_pass(self):
+        got = gaussian_matrix(3, _NORMAL_CHUNK // 3 + 5, 0.3, PortableRng(6))
+        want = box_muller(PortableRng(6), got.size) * np.sqrt(0.3)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (1000, 1000), (10, 1000)])
+def test_aligned_empty_starts_on_a_cache_line(shape):
+    a = aligned_empty(shape)
+    assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+    assert a.ctypes.data % 64 == 0
+    a[...] = 1.0   # writable over its whole extent

@@ -1,0 +1,63 @@
+"""Memory guards: set-up and the bilinear probe allocate little beyond the
+arrays they return.  tracemalloc sees numpy's data buffers, so one
+weight-sized temporary (8 MB at m = 1000) shows as a peak far above it."""
+
+import tracemalloc
+
+import pytest
+
+from overparam.data import generate_separated
+from overparam.linalg import PortableRng
+from overparam.network import (batch_forward, init_network, load_params,
+                               save_params)
+from overparam.verify import _bilinear_probe, _sparse_probes
+
+DIMS = [10, 1000, 1000, 1000]
+SLACK = 2 << 20   # bytes a call may hold beyond its result
+
+
+def traced(fn, *args):
+    """(fn(*args), peak traced bytes during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(params) -> int:
+    return sum(w.nbytes for w in params.weights) + params.output_vector.nbytes
+
+
+@pytest.fixture(scope="module")
+def net():
+    return init_network(DIMS, seed=3)
+
+
+def test_init_network():
+    params, peak = traced(init_network, DIMS, 3)
+    assert peak <= nbytes(params) + SLACK
+
+
+def test_load_params(net, tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_params(net, path)
+    params, peak = traced(load_params, path)
+    assert peak <= nbytes(params) + SLACK
+
+
+def test_save_params(net, tmp_path):
+    _, peak = traced(save_params, net, tmp_path / "net.ckpt")
+    assert peak <= SLACK
+
+
+@pytest.mark.parametrize("l1, l2", [(1, 2), (1, 3), (2, 3)])
+def test_bilinear_probe(net, l1, l2):
+    ds = generate_separated(n=20, d=10, mu=0.5, phi=0.1, seed=1)
+    patterns = batch_forward(net, ds.inputs).patterns
+    rng = PortableRng(5)
+    a = _sparse_probes(DIMS[l1 - 1], 8, 64, rng)
+    b = _sparse_probes(DIMS[l2], 8, 64, rng)
+    _, peak = traced(_bilinear_probe, net, patterns, l1, l2, a, b)
+    assert peak <= SLACK

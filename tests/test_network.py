@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,18 @@ class TestSerialization:
         for wa, wb in zip(loaded.weights, params.weights):
             assert np.array_equal(wa, wb)
         assert np.array_equal(loaded.output_vector, params.output_vector)
+
+    def test_bytes_are_magic_header_and_arrays(self, tmp_path):
+        params = init_network([3, 4, 6], seed=5)
+        # arrays that are not little-endian C-order are written as if they were
+        params.weights[0] = np.asfortranarray(params.weights[0])
+        params.weights[1] = params.weights[1].astype(">f8")
+        path = tmp_path / "net.ckpt"
+        save_params(params, path)
+        header = json.dumps({"layer_dims": [3, 4, 6], "seed": 5}, sort_keys=True)
+        arrays = (*params.weights, params.output_vector)
+        assert path.read_bytes() == b"OPNET1\n" + header.encode("ascii") + b"\n" \
+            + b"".join(a.astype("<f8").tobytes(order="C") for a in arrays)
 
     def test_byte_identical_rewrites(self, tmp_path):
         params = random_net(78)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from overparam.data import Dataset, generate_separated
 from overparam.linalg import PortableRng
+from overparam import verify
 from overparam.losses import builtin_loss
 from overparam.network import batch_forward, init_network
-from overparam.verify import (INIT_ITEMS, MaskedChain, _sparse_probes,
-                              concavity_inequality_check, mc_relu_kernel,
+from overparam.verify import (INIT_ITEMS, MaskedChain, _bilinear_probe,
+                              _sparse_probes, concavity_inequality_check,
+                              mc_relu_kernel,
                               relu_kernel_closed_form, subset_mean_variance,
                               verify_init_properties,
                               verify_perturbation_properties)
@@ -259,6 +261,7 @@ class TestInitBattery:
         ({"allowed_failures": -1}, "allowed_failures"),
         ({"items": "output_magnitude"}, "items"),
         ({"items": []}, "items"),
+        ({"items": ["output_magnitude", "output_magnitude"]}, "items"),
     ])
     def test_bad_arguments_rejected(self, kwargs, name):
         params, ds = small_battery_inputs()
@@ -574,6 +577,40 @@ class TestMaskedChain:
         norms = _chain(params.weights, patterns, 1, 3, head).norms(
             PortableRng(5), tol=1e-3)
         assert np.array_equal(norms, np.zeros(3))
+
+
+def _chain_matrix(params, patterns, l1, l2, example):
+    """Example's ``W_l2^T D_{l2-1} W_{l2-1}^T ... D_{l1} W_l1^T`` as one
+    explicit matrix, with the masks as diagonal matrices."""
+    c = params.weights[l1 - 1].T
+    for r in range(l1, l2):
+        c = params.weights[r].T @ np.diag(patterns[r - 1][example].astype(float)) @ c
+    return c
+
+
+class TestBilinearProbe:
+    """_bilinear_probe against max |b^T C_i a| over explicit chain matrices.
+    With d = 6, 8 probes take layer 1 through its masked rows and 4 probes
+    through the probe images; a later layer (m = 24) always takes the images.
+    A budget of 3072 bytes puts two examples in a block, so n = 5 runs in
+    blocks of 2, 2 and 1."""
+
+    @pytest.mark.parametrize("probes", [4, 8])
+    @pytest.mark.parametrize("block_bytes", [None, 3072])
+    def test_matches_dense_chains(self, monkeypatch, probes, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(verify, "_PROBE_BLOCK_BYTES", block_bytes)
+        params, ds = small_battery_inputs(m=24, depth=3, n=5, d=6)
+        patterns = batch_forward(params, ds.inputs).patterns
+        rng = PortableRng(9)
+        for l1, l2 in itertools.combinations(range(1, 4), 2):
+            a = _sparse_probes(params.layer_dims[l1 - 1], 3, probes, rng)
+            b = _sparse_probes(params.layer_dims[l2], 3, probes, rng)
+            dense = max(float(np.max(np.abs(
+                b.T @ _chain_matrix(params, patterns, l1, l2, i) @ a)))
+                for i in range(5))
+            assert _bilinear_probe(params, patterns, l1, l2, a, b) == \
+                pytest.approx(dense, rel=1e-12, abs=0)
 
 
 class TestChainItemsAgainstLoops:

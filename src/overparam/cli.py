@@ -33,6 +33,10 @@ EXIT_NUMERIC = 3
 
 SWEEP_AXES = ("m", "phi", "n", "L", "B")
 
+# the columns of sweep.csv, in order
+SWEEP_COLUMNS = ("axis", "value", "iterations", "iterations_to_zero_error",
+                 "final_loss", "max_radius", "stop_reason", "status", "error")
+
 # Seed roles are derived from the single config seed by fixed offsets.
 DATA_SEED_OFFSET = 0
 INIT_SEED_OFFSET = 1
@@ -260,9 +264,8 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
 def _sweep_row(axis: str, value: float, run_config: dict, run_dir: Path) -> dict:
     run_dir.mkdir(exist_ok=True)
-    row = {"axis": axis, "value": value, "status": "ok", "error": "",
-           "iterations": "", "iterations_to_zero_error": "", "final_loss": "",
-           "max_radius": "", "stop_reason": ""}
+    row = dict(dict.fromkeys(SWEEP_COLUMNS, ""), axis=axis, value=value,
+               status="ok")
     try:
         summary = train_once(run_config, run_dir)
     except Exception as exc:  # sub-run failures become rows, the sweep survives
@@ -282,7 +285,11 @@ def _sweep_row(axis: str, value: float, run_config: dict, run_dir: Path) -> dict
 
 def _sweep_settings(axis: str, text: str) -> list:
     """The (value, setting) pairs of `--values`, each checked as `axis`."""
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{axis} --values must be comma-separated numbers, "
+                          f"got {text!r}") from None
     settings = [_typed(axis, value) for value in values]
     if not settings or len(set(settings)) < len(settings):
         raise ConfigError(f"{axis} --values must give distinct settings, got {text!r}")
@@ -294,12 +301,10 @@ def cmd_sweep(config: dict, out_dir: Path, axis: str, settings: list) -> int:
                        out_dir / f"run_{axis}_{setting}")
             for value, setting in settings]
     rows.sort(key=lambda r: r["value"])
-    columns = ["axis", "value", "iterations", "iterations_to_zero_error",
-               "final_loss", "max_radius", "stop_reason", "status", "error"]
     with open(out_dir / "sweep.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([row[c] for c in SWEEP_COLUMNS] for row in rows)
     failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep over {axis}: {len(rows)} runs, {failures} failures "
           f"-> {out_dir / 'sweep.csv'}")
@@ -339,24 +344,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.init_config:
-        write_json(DEFAULT_CONFIG, Path(args.init_config))
-        print(f"wrote default config to {args.init_config}")
-        return EXIT_OK
-    if not args.command:
+    if not (args.init_config or args.command):
         parser.print_help()
         return EXIT_CONFIG
 
+    # an output path that cannot be written is a config error too
     try:
+        if args.init_config:
+            write_json(DEFAULT_CONFIG, Path(args.init_config))
+            print(f"wrote default config to {args.init_config}")
+            return EXIT_OK
         config = load_config(args.config, args.seed)
         if args.command == "sweep":
             settings = _sweep_settings(args.axis, args.values)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         if args.command == "gen-data":

@@ -7,7 +7,7 @@ apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def slice_diameter(mu: float) -> float:
     return 2.0 * np.sqrt(1.0 - mu * mu)
 
 
-def generate_separated(n: int, d: int, mu: float, phi: float, seed: int,
-                       rejection_budget: int = REJECTION_BUDGET) -> Dataset:
+def generate_separated(n: int, d: int, mu: float, phi: float, seed: int) -> Dataset:
     """Sample n labeled points uniform on the slice sphere, cross-class margin phi.
 
     Labels alternate +1, -1, ... (so classes are balanced up to one point).
@@ -95,9 +94,9 @@ def generate_separated(n: int, d: int, mu: float, phi: float, seed: int,
                 points[i] = x
                 break
             rejections += 1
-            if rejections > rejection_budget:
+            if rejections > REJECTION_BUDGET:
                 raise DataGenerationError(
-                    f"gave up after {rejection_budget} rejections at point {i}; "
+                    f"gave up after {REJECTION_BUDGET} rejections at point {i}; "
                     f"phi={phi:g} looks infeasible for n={n}, d={d}, mu={mu:g}")
     return Dataset(inputs=points, labels=labels, mu=float(mu), phi=float(phi))
 
@@ -121,20 +120,7 @@ class MarginReport:
         return self.norms_ok and self.bias_ok and self.margin_ok
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "class_counts": {str(k): v for k, v in sorted(self.class_counts.items())},
-            "min_norm": self.min_norm,
-            "max_norm": self.max_norm,
-            "last_coord_min": self.last_coord_min,
-            "last_coord_max": self.last_coord_max,
-            "min_cross_class_distance": self.min_cross_class_distance,
-            "min_same_class_distance": self.min_same_class_distance,
-            "norms_ok": self.norms_ok,
-            "bias_ok": self.bias_ok,
-            "margin_ok": self.margin_ok,
-            "passed": self.passed,
-        }
+        return dict(asdict(self), passed=self.passed)
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

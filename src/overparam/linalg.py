@@ -281,7 +281,7 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
         residual=float(residual[k]), iterations=max_iter)
 
 
-def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
+def power_iteration(a: np.ndarray, tol: float = 1e-10,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray, float, int]:
     """Largest singular value of `a` by restarted Lanczos on A^T A.
 
@@ -300,15 +300,14 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
-    calls).  Raises SpectralNormError after `max_iter` products.
+    calls).  Raises SpectralNormError after `_lanczos`'s cap of 10,000
+    products.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"need a nonempty 2-d matrix, got shape {a.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if start is None:
         start = PortableRng(_START_SEED).normals(a.shape[1])
     start = np.asarray(start, dtype=np.float64)
@@ -333,13 +332,13 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
         v = PortableRng(_START_SEED + it).normals(a.shape[1])
         return v / np.linalg.norm(v)
 
-    theta, v, residual, it = _lanczos(gram, start[None], tol, max_iter, degenerate)
+    theta, v, residual, it = _lanczos(gram, start[None], tol, degenerate=degenerate)
     if theta[0] == 0.0:     # only the zero matrix: a nonzero one is reseeded
         return 0.0, np.zeros(a.shape[1]), 0.0, 0
     return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def spectral_norm(a: np.ndarray, tol: float = 1e-10) -> float:
     """Largest singular value of `a`; exact 0 for the zero matrix."""
-    sigma, _, _, _ = power_iteration(a, tol=tol, max_iter=max_iter)
+    sigma, _, _, _ = power_iteration(a, tol=tol)
     return sigma

@@ -11,7 +11,7 @@ numerically on a grid and reports worst-case margins instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -160,11 +160,7 @@ class AssumptionReport:
         return {
             "loss": self.loss_name,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "margin": c.margin, "worst_x": c.worst_x,
-                 "passed": c.passed}
-                for c in self.checks
-            ],
+            "checks": [dict(asdict(c), passed=c.passed) for c in self.checks],
         }
 
 

@@ -9,6 +9,9 @@ and the last row, per-layer pattern drift from the initial network.  The
 row's fields are the columns of the trajectory CSV.  Training stops at the
 iteration cap, at the target loss, at zero training error (strict: a
 zero-margin example counts as an error), or at a loss that is not finite.
+The budget warnings (recorded radii above tau) and the final radii come
+from the rows' warm-started radius solves; a stop at the cap solves the
+radii of its iterate but writes no row for it.
 """
 
 from __future__ import annotations
@@ -151,18 +154,25 @@ def _cell(value) -> str:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration telemetry of one training run."""
+    """Per-iteration telemetry of one training run.  `warnings` are read
+    from the rows; `final_radii` (empty after a divergence) come from the
+    same warm radius solves as the rows'."""
 
     layer_count: int
     eta: float = float("nan")
     tau: float = float("nan")
     rows: list = field(default_factory=list)               # TrajectoryRow per iteration
-    warnings: list = field(default_factory=list)           # (k, layer, radius) with radius > tau
     stop_reason: str = ""
     iterations: int = 0                                    # update steps performed
     final_loss: float = float("nan")
     final_misclassified: int = -1
     final_radii: list = field(default_factory=list)
+
+    @property
+    def warnings(self) -> list:
+        """(k, layer, radius) for every recorded radius above tau."""
+        return [(row.k, l, r) for row in self.rows
+                for l, r in enumerate(row.radius, 1) if r > self.tau]
 
     def first_zero_error_iteration(self):
         for row in self.rows:
@@ -257,14 +267,8 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                                              [nan] * depth))
             stop = "diverged"
             break
-        if k >= config.max_iters and config.max_iters > 0:
-            stop = "max_iters"
-            break
-
-        lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
-        batch = np.arange(n) if batch_size == n \
-            else rng.sample_without_replacement(n, batch_size)
-
+        # solved before the cap's stop too, so that they are the final radii
+        # whatever stops the run; the solves draw nothing from rng
         radii = [0.0] * depth
         for l in range(depth):
             if k > 0:
@@ -272,8 +276,13 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                                    out=scratch[live.weights[l].shape])
                 radii[l], warm[l], _, _ = power_iteration(
                     diff, tol=_RADIUS_TOL, start=warm[l])
-            if radii[l] > config.tau:
-                record.warnings.append((k, l + 1, radii[l]))
+        if k >= config.max_iters and config.max_iters > 0:
+            stop = "max_iters"
+            break
+
+        lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
+        batch = np.arange(n) if batch_size == n \
+            else rng.sample_without_replacement(n, batch_size)
 
         factors = gradient_factors(live, trace, y, loss,
                                    rows=None if batch_size == n else batch)
@@ -305,32 +314,24 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                 w[i:i + rows] -= eta * (a[:, i:i + rows].T @ b)
         k += 1
 
-    # the last trace of the loop is of the returned weights
+    # the last trace and radii of the loop are of the returned weights
     record.stop_reason = stop
     record.iterations = k
     record.final_loss = loss_k
     record.final_misclassified = miscount
-    # the last row is of them too, unless a max_iters stop followed an update
     if stop != "diverged":
-        record.final_radii = (
-            list(record.rows[-1].radius) if record.rows[-1].k == k
-            else perturbation_radius(live, params0, tol=_RADIUS_TOL))
+        record.final_radii = list(radii)
     _log_budget_warnings(record.warnings, config.tau)
     return live, record
 
 
 def _log_budget_warnings(warnings: list, tau: float) -> None:
     """One line per layer that left the tau region: first crossing and count."""
-    first = {}
-    count = {}
-    for k, layer, radius in warnings:
-        first.setdefault(layer, (k, radius))
-        count[layer] = count.get(layer, 0) + 1
-    for layer in sorted(first):
-        k, radius = first[layer]
+    for layer in sorted({layer for _, layer, _ in warnings}):
+        over = [(k, radius) for k, l, radius in warnings if l == layer]
         log.warning("layer %d left the tau=%g region at iteration %d (radius %g); "
-                    "%d recorded iterations over budget", layer, tau, k, radius,
-                    count[layer])
+                    "%d recorded iterations over budget", layer, tau, *over[0],
+                    len(over))
 
 
 def run_gd(params0: NetworkParams, dataset, loss, config: TrainConfig):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,21 +87,11 @@ class PropertyEntry:
         return self.trial_failures() <= allowed_failures
 
     def as_dict(self, allowed_failures: int = 0) -> dict:
-        return {
-            "name": self.name,
-            "direction": self.direction,
-            "measured": self.measured,
-            "bound": self.bound,
-            "constant": self.constant,
-            "threshold": self.threshold,
-            "per_trial": list(self.per_trial),
-            "trials": self.trials,
-            "failures": self.trial_failures(),
-            "failure_fraction": (self.trial_failures() / self.trials
-                                 if self.trials else 0.0),
-            "passed": self.passed(allowed_failures),
-            "note": self.note,
-        }
+        failures = self.trial_failures()
+        return dict(asdict(self), measured=self.measured, constant=self.constant,
+                    trials=self.trials, failures=failures,
+                    failure_fraction=failures / self.trials if self.trials else 0.0,
+                    passed=self.passed(allowed_failures))
 
 
 @dataclass

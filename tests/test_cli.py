@@ -42,6 +42,19 @@ class TestInitConfig:
     def test_no_command_prints_help(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--init-config", "{tmp}"],                      # a directory
+        ["--init-config", "{tmp}/missing/config.json"],  # under no directory
+        ["train", "--config", "{tmp}/config.json",       # an existing file
+         "--out", "{tmp}/config.json"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        write_config(tmp_path)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
 
 class TestGenData:
     def test_writes_dataset_and_margin(self, tmp_path):
@@ -313,6 +326,7 @@ class TestSweep:
         ("m", "32,32.7"),       # an integer axis takes no fraction
         ("m", "32,32.0"),       # two values, one setting
         ("m", "16,inf"),
+        ("m", "32,abc"),        # not a number
     ])
     def test_bad_values_rejected_before_any_run(self, tmp_path, capsys,
                                                 axis, values):

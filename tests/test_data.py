@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from overparam import data
 from overparam.data import (DataGenerationError, Dataset, generate_separated,
                             save_dataset, slice_diameter, validate_dataset)
 
@@ -49,11 +50,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_separated(n=4, d=5, mu=0.6, phi=1.61, seed=0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # phi at the slice diameter forces antipodal pairs: unreachable for n > 2
-        with pytest.raises(DataGenerationError):
+        monkeypatch.setattr(data, "REJECTION_BUDGET", 500)
+        with pytest.raises(DataGenerationError, match="after 500 rejections"):
             generate_separated(n=8, d=4, mu=0.5, phi=slice_diameter(0.5),
-                               seed=0, rejection_budget=500)
+                               seed=0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,16 @@ class TestRunGd:
         assert not np.isfinite(losses[-1])
         assert all(np.isfinite(v) for v in losses[:-1])
 
+    def test_diverged_run_warns_only_on_finite_rows(self):
+        params, ds = small_problem()
+        final, rec = run_gd(params, ds, builtin_loss("exponential"),
+                            TrainConfig(max_iters=300, eta=1.0, tau=1e-3))
+        assert rec.stop_reason == "diverged"
+        nan_row = rec.rows[-1].k
+        assert rec.warnings
+        assert all(k < nan_row for k, _, _ in rec.warnings)
+        assert rec.summary()["budget_warnings"] == len(rec.warnings)
+
     def test_budget_warning_iff_radius_exceeds_tau(self):
         params, ds = small_problem()
         loss = builtin_loss("logistic")
@@ -153,6 +163,10 @@ class TestRunGd:
         # when no update followed; recompute the final radii instead
         for got, expected in zip(rec.final_radii, fresh):
             assert got == pytest.approx(expected, rel=1e-6, abs=1e-12)
+        assert rec.stop_reason == "max_iters"
+        dense = [np.linalg.norm(w - w0, 2)
+                 for w, w0 in zip(final.weights, params.weights)]
+        np.testing.assert_allclose(rec.final_radii, dense, rtol=1e-9, atol=0)
 
     def test_final_radii_of_a_zero_error_stop_are_its_last_row(self):
         params, ds = small_problem(m=64)

@@ -315,6 +315,17 @@ class TestPerturbationBattery:
         assert not entry.passed()
         assert "exceeds declared tau" in entry.note
 
+    def test_entries_in_stream_window_order(self):
+        # verify._PERTURBATION_ENTRIES places each entry's stream window, so
+        # it must restate the report order; here all ten entries apply
+        params, ds = small_battery_inputs()
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.05 * PortableRng(3).normals(
+            48 * 48).reshape(48, 48)
+        report = verify_perturbation_properties(params, tilde, ds, probes=4)
+        assert tuple(e.name for e in report.entries) == \
+            verify._PERTURBATION_ENTRIES
+
     def test_gradient_ratio_positive_and_stable(self):
         ds = generate_separated(n=10, d=6, mu=0.5, phi=0.08, seed=4)
         loss = builtin_loss("logistic")

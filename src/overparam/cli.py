@@ -10,8 +10,8 @@ of the config file and `--seed` against it before anything is written, and
 exits 2 with a message that starts with the key.  Integer keys take JSON
 integers or integral floats (``1e3``), float keys take finite numbers, and a
 bool is never a number.  Only the keys whose default is documented as null
-(eta, eta_scale, B, beta, s, verify_items) may be null; a null eta_scale
-means `optim.DEFAULT_ETA_SCALE`.  `sweep --values` go through the same check.
+(eta, B, beta, s, verify_items) may be null.  `sweep --values` go through the
+same check.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ CONFIG_TABLE = {
     "loss": (str, "logistic", False, _one_of(tuple(BUILTIN_LOSSES))),
     # training
     "eta": (float, None, True, _at_least(0)),
-    "eta_scale": (float, optim.DEFAULT_ETA_SCALE, True, _above(0)),
+    "eta_scale": (float, optim.DEFAULT_ETA_SCALE, False, _above(0)),
     "K": (int, 5000, False, _at_least(0)),
     "B": (int, None, True, _at_least(1)),
     "epsilon": (float, 1e-4, False, _above(0)),

@@ -194,13 +194,18 @@ def gradient_norms(factors: list) -> tuple:
 
     `factors` are the n-row ``(A, B)`` pairs of `gradient_factors`, so the
     nonzero singular values of each gradient are those of an n x n problem:
-    exact norms at O(n^2 m) cost without materializing the gradient.
+    exact norms at O(n^2 m) cost without materializing the gradient.  A
+    pair whose Gram matrices are not finite gets NaN norms.
     """
     spectral = []
     frobenius = []
     for a, b in factors:
         gram_a = a @ a.T
         gram_b = b @ b.T
+        if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
+            spectral.append(float("nan"))
+            frobenius.append(float("nan"))
+            continue
         frobenius.append(float(np.sqrt(max(0.0, np.sum(gram_a * gram_b)))))
         # ||A^T B||^2 is the top eigenvalue of gram_b gram_a, which for
         # gram_b = S S^T shares its eigenvalues with the symmetric S^T gram_a S

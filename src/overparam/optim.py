@@ -1,17 +1,17 @@
 """Full-batch and minibatch gradient descent with per-iteration telemetry.
 
-A run's trajectory is a list of `TrajectoryRow`s, one per recorded
-iteration, each describing the iterate *before* its update step: loss,
-misclassified count, the derivative sums, the largest output change since
-the previous row, per-layer distances from the initial weights (spectral
-norm), per-layer norms of the update gradient and, at snapshot iterations
-and the last row, per-layer pattern drift from the initial network.  The
-row's fields are the columns of the trajectory CSV.  Training stops at the
-iteration cap, at the target loss, at zero training error (strict: a
-zero-margin example counts as an error), or at a loss that is not finite.
-The budget warnings (recorded radii above tau) and the final radii come
-from the rows' warm-started radius solves; a stop at the cap solves the
-radii of its iterate but writes no row for it.
+A run's trajectory is a list of `TrajectoryRow`s, one for every iterate
+the run reaches, the returned one last.  Each row describes its iterate
+before any update from it: loss, misclassified count, the derivative sums,
+the largest output change since the previous row, per-layer distances from
+the initial weights (spectral norm), per-layer norms of the update gradient
+and, at snapshot iterations and the last row, per-layer pattern drift from
+the initial network.  The row's fields are the columns of the trajectory
+CSV.  After an iterate's row is written, training stops as diverged at a
+loss or a gradient norm that is not finite, else at the target loss, at
+zero training error (strict: a zero-margin example counts as an error) or
+at the iteration cap.  The summary's final values and the budget warnings
+(recorded radii above tau) are read from the rows.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def theoretical_step_size(n: int, depth: int, width: int, phi: float,
 class TrainConfig:
     max_iters: int
     eta: float | None = None            # explicit step size wins over eta_scale
-    eta_scale: float | None = None      # else eta = theoretical_step_size(...)
+    eta_scale: float = DEFAULT_ETA_SCALE    # else eta = theoretical_step_size(...)
     batch_size: int | None = None       # None => full batch
     target_loss: float = 1e-4
     tau: float = 0.1                    # perturbation budget (warning threshold)
@@ -94,8 +94,7 @@ class TrainConfig:
     def resolve_eta(self, n: int, depth: int, width: int, phi: float) -> float:
         if self.eta is not None:
             return self.eta
-        scale = self.eta_scale if self.eta_scale is not None else DEFAULT_ETA_SCALE
-        return theoretical_step_size(n, depth, width, phi, scale)
+        return theoretical_step_size(n, depth, width, phi, self.eta_scale)
 
 
 def _per_layer(**kwargs):
@@ -154,19 +153,16 @@ def _cell(value) -> str:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration telemetry of one training run.  `warnings` are read
-    from the rows; `final_radii` (empty after a divergence) come from the
-    same warm radius solves as the rows'."""
+    """Per-iteration telemetry of one training run: a row for every iterate
+    reached, the returned one last (a run stops as diverged at a loss or
+    gradient norm that is not finite).  The warnings and every final value
+    of `summary` are read from the rows."""
 
     layer_count: int
     eta: float = float("nan")
     tau: float = float("nan")
-    rows: list = field(default_factory=list)               # TrajectoryRow per iteration
+    rows: list = field(default_factory=list)               # TrajectoryRow per iterate
     stop_reason: str = ""
-    iterations: int = 0                                    # update steps performed
-    final_loss: float = float("nan")
-    final_misclassified: int = -1
-    final_radii: list = field(default_factory=list)
 
     @property
     def warnings(self) -> list:
@@ -181,16 +177,17 @@ class TrajectoryRecord:
         return None
 
     def summary(self) -> dict:
-        max_radius = max((max(row.radius) for row in self.rows), default=0.0)
+        last = self.rows[-1]
+        max_radius = max(max(row.radius) for row in self.rows)
         return {
-            "iterations": self.iterations,
+            "iterations": last.k,                          # update steps performed
             "rows": len(self.rows),
             "stop_reason": self.stop_reason,
             "eta": self.eta,
             "tau": self.tau,
-            "final_loss": self.final_loss,
-            "final_misclassified": self.final_misclassified,
-            "final_radii": list(self.final_radii),
+            "final_loss": last.loss,
+            "final_misclassified": last.misclassified,
+            "final_radii": [] if self.stop_reason == "diverged" else list(last.radius),
             "max_recorded_radius": max_radius,
             "budget_warnings": len(self.warnings),
             "first_zero_error_iteration": self.first_zero_error_iteration(),
@@ -251,9 +248,9 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
     init_patterns = None
     prev_outputs = None
 
-    k = 0
     stop = None
-    while True:
+    # iterates 0..max_iters at most: the cap stops the run at the last one
+    for k in range(config.max_iters + 1):
         trace = batch_forward(live, x)
         if init_patterns is None:
             init_patterns = trace.patterns
@@ -267,8 +264,6 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                                              [nan] * depth))
             stop = "diverged"
             break
-        # solved before the cap's stop too, so that they are the final radii
-        # whatever stops the run; the solves draw nothing from rng
         radii = [0.0] * depth
         for l in range(depth):
             if k > 0:
@@ -276,9 +271,6 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                                    out=scratch[live.weights[l].shape])
                 radii[l], warm[l], _, _ = power_iteration(
                     diff, tol=_RADIUS_TOL, start=warm[l])
-        if k >= config.max_iters and config.max_iters > 0:
-            stop = "max_iters"
-            break
 
         lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
         batch = np.arange(n) if batch_size == n \
@@ -288,11 +280,13 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
                                    rows=None if batch_size == n else batch)
         spec, fro = gradient_norms(factors)
 
-        if loss_k <= config.target_loss:
+        if not np.all(np.isfinite(spec + fro)):
+            stop = "diverged"
+        elif loss_k <= config.target_loss:
             stop = "target_loss"
         elif miscount == 0:
             stop = "zero_error"
-        elif config.max_iters == 0:
+        elif k >= config.max_iters:
             stop = "max_iters"
         drift = None
         if k in snapshots or stop is not None:
@@ -312,15 +306,8 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
             rows = max(1, _UPDATE_BYTES // (8 * w.shape[1]))
             for i in range(0, w.shape[0], rows):
                 w[i:i + rows] -= eta * (a[:, i:i + rows].T @ b)
-        k += 1
 
-    # the last trace and radii of the loop are of the returned weights
     record.stop_reason = stop
-    record.iterations = k
-    record.final_loss = loss_k
-    record.final_misclassified = miscount
-    if stop != "diverged":
-        record.final_radii = list(radii)
     _log_budget_warnings(record.warnings, config.tau)
     return live, record
 

@@ -132,6 +132,26 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "diverged"
 
+    def test_gradient_overflow_exits_3_with_artifacts(self, tmp_path):
+        # the exponential loss is still finite at the iterate whose gradient
+        # overflows
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "n": 8, "d": 4, "m": 16, "L": 2, "phi": 0.05, "mu": 0.5,
+            "loss": "exponential", "eta": 30, "K": 300, "tau": 0.001, "seed": 1}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "diverged"
+        assert summary["final_radii"] == []
+        assert (out / "checkpoint.net").exists()
+        with open(out / "trajectory.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert int(last["k"]) == summary["iterations"]
+        assert last["loss"] != "nan" and last["loss"] != "inf"
+        assert "nan" in [cell for name, cell in last.items()
+                         if name.startswith(("grad_spec_", "grad_fro_"))]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -380,6 +400,7 @@ class TestConfigTable:
         ("verify", "beta", "-1.0", []),
         ("verify", "verify_items", "[]", []),
         ("verify", "verify_items", '["output_magnitude", "output_magnitude"]', []),
+        ("train", "eta_scale", "null", []),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, checkpoint,
                                              command, key, raw, args):

@@ -84,7 +84,7 @@ class TestRunGd:
         k = 7
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=k, eta=0.0, tau=1.0))
-        assert len(rec.rows) == k
+        assert len(rec.rows) == k + 1
         assert rec.stop_reason == "max_iters"
         assert len(set(column(rec, "loss"))) == 1
         for wa, wb in zip(final.weights, params.weights):
@@ -97,7 +97,7 @@ class TestRunGd:
         grads = loss_gradient(params, ds, loss)
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=1, eta=eta, tau=1.0))
-        assert rec.iterations == 1
+        assert rec.summary()["iterations"] == 1
         for w1, w0, g in zip(final.weights, params.weights, grads):
             assert np.array_equal(w1, w0 - eta * g)
 
@@ -108,7 +108,7 @@ class TestRunGd:
                             TrainConfig(max_iters=50, eta=0.01, tau=1.0,
                                         target_loss=10.0))
         assert rec.stop_reason == "target_loss"
-        assert rec.iterations == 0
+        assert rec.summary()["iterations"] == 0
         assert len(rec.rows) == 1
         for wa, wb in zip(final.weights, params.weights):
             assert np.array_equal(wa, wb)
@@ -159,23 +159,24 @@ class TestRunGd:
         config = TrainConfig(max_iters=15, eta=0.05, tau=10.0)
         final, rec = run_gd(params, ds, loss, config)
         fresh = perturbation_radius(final, params)
-        # last recorded row is the pre-step state of the final iterate only
-        # when no update followed; recompute the final radii instead
-        for got, expected in zip(rec.final_radii, fresh):
+        # the final radii are the last row's, solved warm like every row's
+        final_radii = rec.summary()["final_radii"]
+        for got, expected in zip(final_radii, fresh):
             assert got == pytest.approx(expected, rel=1e-6, abs=1e-12)
         assert rec.stop_reason == "max_iters"
         dense = [np.linalg.norm(w - w0, 2)
                  for w, w0 in zip(final.weights, params.weights)]
-        np.testing.assert_allclose(rec.final_radii, dense, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(final_radii, dense, rtol=1e-9, atol=0)
 
     def test_final_radii_of_a_zero_error_stop_are_its_last_row(self):
         params, ds = small_problem(m=64)
         final, rec = run_gd(params, ds, builtin_loss("logistic"),
                             TrainConfig(max_iters=2000, eta=0.01, tau=100.0))
-        assert rec.stop_reason == "zero_error" and rec.iterations > 0
-        assert rec.final_radii == rec.rows[-1].radius
+        summary = rec.summary()
+        assert rec.stop_reason == "zero_error" and summary["iterations"] > 0
+        assert summary["final_radii"] == rec.rows[-1].radius
         fresh = perturbation_radius(final, params, tol=1e-8)
-        np.testing.assert_allclose(rec.final_radii, fresh, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(summary["final_radii"], fresh, rtol=1e-12, atol=0)
 
     def test_descent_on_small_problem(self):
         params, ds = small_problem(m=64)
@@ -265,7 +266,7 @@ class TestTrainingPath:
         run = run_gd if batch_size is None else run_sgd
         final, rec = run(params, ds, loss, config)
         assert rec.stop_reason == "max_iters"
-        iterates = oracle_iterates(params, ds, loss, 0.05, rec.iterations,
+        iterates = oracle_iterates(params, ds, loss, 0.05, rec.rows[-1].k,
                                    batch_size=batch_size, seed=4)
         for w, expected in zip(final.weights, iterates[-1]):
             assert np.array_equal(w, expected)
@@ -286,7 +287,7 @@ class TestTrainingPath:
         eta = 0.05
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=1, eta=eta, tau=10.0))
-        assert rec.iterations == 1
+        assert rec.rows[-1].k == 1
         factors = gradient_factors(params, batch_forward(params, ds.inputs),
                                    ds.labels, loss)
         for w1, w0, (a, b) in zip(final.weights, params.weights, factors):
@@ -332,7 +333,8 @@ class TestTrainingPath:
                      TrainConfig(max_iters=9, eta=0.02, tau=10.0,
                                  batch_size=batch_size))
         assert rec.stop_reason == "max_iters"
-        assert len(calls) == rec.iterations == 9
+        # a row for each of the 10 iterates, the last one's as at any stop
+        assert len(calls) == len(rec.rows) == rec.rows[-1].k + 1 == 10
         # each pass backprops the batch rows only
         rows = ds.n if batch_size is None else batch_size
         for trace in calls:
@@ -366,8 +368,9 @@ class TestZeroErrorCheck:
     def count_at_start(params, ds):
         _, rec = run_gd(params, ds, builtin_loss("logistic"),
                         TrainConfig(max_iters=0, eta=0.01, tau=1.0))
-        assert rec.final_misclassified == rec.rows[0].misclassified
-        return rec.final_misclassified
+        misclassified = rec.summary()["final_misclassified"]
+        assert misclassified == rec.rows[0].misclassified
+        return misclassified
 
     def test_zero_weights_all_ties_count(self):
         params, ds = small_problem()
@@ -380,7 +383,7 @@ class TestZeroErrorCheck:
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=2000, eta=0.01, tau=100.0))
         assert rec.stop_reason == "zero_error"
-        assert rec.final_misclassified == 0
+        assert rec.summary()["final_misclassified"] == 0
         outputs = batch_forward(final, ds.inputs).outputs
         assert np.count_nonzero(ds.labels * outputs <= 0.0) == 0
 
@@ -390,6 +393,98 @@ class TestZeroErrorCheck:
         ds.labels = np.sign(trace.outputs)
         ds.labels[2] = -ds.labels[2]
         assert self.count_at_start(params, ds) == 1
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestRecordOfEveryIterate:
+    """Every iterate a run reaches has a row, the returned one last, and the
+    summary's final values are that row's."""
+
+    @pytest.mark.parametrize("loss_name, config, nan_weight, stop", [
+        ("logistic", dict(max_iters=0, eta=0.01, tau=1e-3), False, "max_iters"),
+        ("logistic", dict(max_iters=1, eta=0.01, tau=1e-3), False, "max_iters"),
+        ("logistic", dict(max_iters=5, eta=0.01, tau=1e-3), False, "max_iters"),
+        ("logistic", dict(max_iters=2000, eta=0.05, tau=1e-3, target_loss=0.6),
+         False, "target_loss"),
+        ("logistic", dict(max_iters=2000, eta=0.05, tau=1e-3), False, "zero_error"),
+        ("exponential", dict(max_iters=300, eta=1e6, tau=1e9), False, "diverged"),
+        ("logistic", dict(max_iters=5, eta=0.01, tau=1e-3), True, "diverged"),
+    ], ids=["cap-0", "cap-1", "cap-5", "target-loss", "zero-error",
+            "loss-diverged", "gradient-diverged"])
+    def test_last_row_is_the_returned_iterate(self, loss_name, config,
+                                              nan_weight, stop):
+        params, ds = small_problem()
+        if nan_weight:
+            # the ReLU maps the NaN pre-activations to 0, so the loss stays
+            # finite while backprop carries the NaN into the layer-1 gradient
+            params.weights[1][0, 0] = np.nan
+        loss = builtin_loss(loss_name)
+        final, rec = run_gd(params, ds, loss, TrainConfig(**config))
+        summary = rec.summary()
+        assert rec.stop_reason == summary["stop_reason"] == stop
+        last = rec.rows[-1]
+        assert len(rec.rows) == summary["iterations"] + 1 == summary["rows"]
+        assert last.k == summary["iterations"]
+        if stop == "max_iters":
+            assert last.k == config["max_iters"]
+        assert same(summary["final_loss"], last.loss)
+        assert summary["final_misclassified"] == last.misclassified
+        margins = ds.labels * batch_forward(final, ds.inputs).outputs
+        assert same(float(np.mean(loss.value(margins))), last.loss)
+        if stop == "diverged":
+            assert summary["final_radii"] == []
+        else:
+            assert summary["final_radii"] == last.radius
+            dense = [np.linalg.norm(w - w0, 2)
+                     for w, w0 in zip(final.weights, params.weights)]
+            np.testing.assert_allclose(last.radius, dense, rtol=1e-9, atol=0)
+        recorded = [r for row in rec.rows for r in row.radius if not math.isnan(r)]
+        assert summary["max_recorded_radius"] == max(recorded)
+        assert summary["budget_warnings"] == sum(r > rec.tau for r in recorded)
+
+    def test_gradient_divergence_stops_before_any_update(self):
+        params, ds = small_problem()
+        params.weights[1][0, 0] = np.nan
+        final, rec = run_gd(params, ds, builtin_loss("logistic"),
+                            TrainConfig(max_iters=5, eta=0.01, tau=1.0))
+        assert rec.stop_reason == "diverged"
+        last, = rec.rows
+        assert np.isfinite(last.loss) and last.misclassified >= 0
+        assert math.isnan(last.grad_spec[0]) and math.isnan(last.grad_fro[0])
+        assert np.isfinite(last.grad_spec[1]) and np.isfinite(last.grad_fro[1])
+        for w, w0 in zip(final.weights, params.weights):
+            assert np.array_equal(w, w0, equal_nan=True)
+
+    def test_capped_run_warns_on_its_last_iterate(self, caplog):
+        params, ds = small_problem(m=64, data_seed=0, net_seed=1)
+        with caplog.at_level(logging.WARNING, logger="overparam.optim"):
+            _, rec = run_gd(params, ds, builtin_loss("logistic"),
+                            TrainConfig(max_iters=1, eta=0.05, tau=1e-3))
+        summary = rec.summary()
+        assert [(k, layer) for k, layer, _ in rec.warnings] == [(1, 1), (1, 2)]
+        assert summary["budget_warnings"] == params.depth
+        assert summary["max_recorded_radius"] == max(summary["final_radii"]) > 1e-3
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.WARNING]
+        assert len(lines) == params.depth
+        assert all("at iteration 1 " in line for line in lines)
+
+    def test_cap_at_the_zero_error_step_stops_at_zero_error(self):
+        params, ds = small_problem(m=64, data_seed=0, net_seed=1)
+        loss = builtin_loss("logistic")
+        _, free = run_gd(params, ds, loss,
+                         TrainConfig(max_iters=5000, eta=0.01, tau=1.0))
+        assert free.stop_reason == "zero_error"
+        steps = free.summary()["iterations"]
+        _, rec = run_gd(params, ds, loss,
+                        TrainConfig(max_iters=steps, eta=0.01, tau=1.0))
+        summary = rec.summary()
+        assert summary["stop_reason"] == "zero_error"
+        assert summary["first_zero_error_iteration"] == summary["iterations"] == steps
+        assert summary["final_misclassified"] == 0
 
 
 class TestPerturbationRadius:
@@ -540,10 +635,11 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)
         lines = path.read_text().splitlines()[1:]
-        # snapshots of an 8-step run: 0, 2, 4 and 6 (8 is never recorded)
+        # snapshots of an 8-step run: 0, 2, 4, 6 and the last iterate, 8
+        assert len(lines) == 9
         for k, line in enumerate(lines):
             drift = line.split(",")[-2:]
-            if k in (0, 2, 4, 6):
+            if k in (0, 2, 4, 6, 8):
                 assert all(cell.isdigit() for cell in drift), line
             else:
                 assert drift == ["", ""], line

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -208,7 +209,9 @@ def cmd_train(config: dict, out_dir: Path) -> int:
           f"final_loss={summary['final_loss']:.6g} "
           f"final_misclassified={summary['final_misclassified']}")
     if summary["stop_reason"] == "diverged":
-        print("training diverged; last finite rows preserved", file=sys.stderr)
+        what = "a gradient norm" if math.isfinite(summary["final_loss"]) else "the loss"
+        print(f"training diverged at iteration {summary['iterations']}: "
+              f"{what} is not finite", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -382,7 +385,7 @@ def main(argv=None) -> int:
     except (ValueError, data_mod.DataGenerationError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, linalg.SpectralNormError) as exc:
+    except linalg.SpectralNormError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_CONFIG

@@ -193,11 +193,10 @@ def aligned_empty(shape) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
-# a non-finite entry makes a start quotient NaN or inf; it is reported by
-# the degenerate hook, not by a RuntimeWarning
-@np.errstate(invalid="ignore")
-def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
-             degenerate=None) -> tuple:
+# a non-finite or overflowing product makes beta NaN or inf; it ends the
+# solve with theta inf, not a RuntimeWarning
+@np.errstate(invalid="ignore", over="ignore")
+def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tuple:
     """Top eigenpairs of n symmetric PSD operators by restarted Lanczos, in lockstep.
 
     `gram` maps an ``(n, dim)`` array, row i a vector for operator i, to the
@@ -215,15 +214,13 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
     rows keep iterating, and their Ritz values only rise toward their top
     eigenvalue.  An unconverged cycle restarts each row from its top Ritz
     vector.  A zero beta (breakdown) means the row's Krylov space is
-    invariant: its residual is 0 and its later basis vectors are 0.
+    invariant: its residual is 0 and its later basis vectors are 0.  So a
+    zero start row or a zero operator converges at once with theta 0.
 
-    When the start quotient of some rows is not in (0, inf),
-    ``degenerate(bad, iterations)`` gets their bool mask.  It may raise, or
-    return unit start rows for them, which restarts the cycle.  If it (or a
-    missing hook) returns None, the rows go on: a zero operator's product
-    is 0, so its theta and residual are 0.  After `max_iter` products it
-    raises SpectralNormError with the last iterate of the row of largest
-    residual.
+    A row whose beta is not finite (a non-finite operator, or a product
+    that overflows) ends the solve at once with theta inf; the other rows'
+    values are then unconverged.  After `max_iter` products it raises
+    SpectralNormError with the last iterate of the row of largest residual.
     """
     n, dim = start.shape
     norm = np.linalg.norm(start, axis=1, keepdims=True)
@@ -242,14 +239,6 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
             # Gram-Schmidt coefficients of w; the last one is q_j . w
             c = np.matmul(q, w[:, :, None])
             tri[:, j, j] = c[:, j, 0]
-            if j == 0:
-                bad = ~((tri[:, 0, 0] > 0.0) & (tri[:, 0, 0] < np.inf))
-                if bad.any():
-                    fresh = None if degenerate is None else degenerate(bad, it)
-                    if fresh is not None:
-                        v = basis[:, 0].copy()
-                        v[bad] = fresh
-                        break
             # full reorthogonalisation: classical Gram-Schmidt, twice
             w -= np.matmul(c.transpose(0, 2, 1), q)[:, 0]
             w -= np.matmul(np.matmul(q, w[:, :, None]).transpose(0, 2, 1), q)[:, 0]
@@ -265,6 +254,8 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
             live = beta > 0.0
             gap = np.abs(beta * y[:, -1])
             done = np.all(gap <= tol * theta)
+            if not done and not np.isfinite(beta).all():
+                return np.where(np.isfinite(beta), theta, np.inf), v, residual, it
             if done or j + 1 == _LANCZOS_CYCLE or it == max_iter:
                 v = np.matmul(y[:, None, :], q)[:, 0]
                 residual = gap / np.where(live, theta, 1.0)
@@ -281,6 +272,22 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000,
         residual=float(residual[k]), iterations=max_iter)
 
 
+def _sweep_gram(a: np.ndarray):
+    """`_lanczos`'s one-row product with A^T A: one sweep over `a` in row
+    blocks of about ``_SWEEP_BYTES``, ``w += (blk @ q) @ blk``, so a block
+    is read from memory once."""
+    rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
+
+    def gram(q):
+        q = q[0]
+        w = (a[:rows] @ q) @ a[:rows]
+        for i in range(rows, a.shape[0], rows):
+            blk = a[i:i + rows]
+            w += (blk @ q) @ blk
+        return w[None]
+    return gram
+
+
 def power_iteration(a: np.ndarray, tol: float = 1e-10,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray, float, int]:
     """Largest singular value of `a` by restarted Lanczos on A^T A.
@@ -288,15 +295,14 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     Returns ``(sigma, right_vector, residual, iterations)``; `iterations`
     counts products with A^T A.  This is `_lanczos` on one operator: the
     Ritz residual ``||A^T A x - theta x|| / theta`` at `tol` bounds the
-    relative error of ``sigma**2`` by `tol`.  Each product is one sweep over
-    `a` in row blocks of about ``_SWEEP_BYTES``, ``w += (blk @ q) @ blk``,
-    so a block is read from memory once.
+    relative error of ``sigma**2`` by `tol`.
 
-    `a` is not scanned up front.  When the Rayleigh quotient of a cycle's
-    start vector is not in (0, inf), the matrix is checked then: non-finite
-    entries raise ValueError, the zero matrix returns
-    ``(0.0, zeros, 0.0, 0)``, and otherwise the start vector lies in the
-    null space (or is zero) and is replaced by a fresh seeded one.
+    `a` is scanned only after a solve that ends with theta outside (0, inf)
+    or with residual 0: non-finite entries raise ValueError, and the zero
+    matrix returns ``(0.0, zeros, 0.0, 0)``.  Else the start was zero, null
+    or an eigenvector, or a product under- or overflowed: `_lanczos` runs
+    once more, from a fresh seeded start on the exact scaling ``a / 2**e``
+    (e the binary exponent of max|a|), and the iterations are summed.
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
@@ -313,29 +319,17 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (a.shape[1],):
         raise ValueError("start vector has wrong length")
-    rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
-
-    def gram(q):
-        q = q[0]
-        w = (a[:rows] @ q) @ a[:rows]
-        for i in range(rows, a.shape[0], rows):
-            blk = a[i:i + rows]
-            w += (blk @ q) @ blk
-        return w[None]
-
-    def degenerate(bad, it):
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
-        if not a.any():
-            return None
-        # the start vector is zero or fell in the null space; reseed
-        v = PortableRng(_START_SEED + it).normals(a.shape[1])
-        return v / np.linalg.norm(v)
-
-    theta, v, residual, it = _lanczos(gram, start[None], tol, degenerate=degenerate)
-    if theta[0] == 0.0:     # only the zero matrix: a nonzero one is reseeded
+    theta, v, residual, it = _lanczos(_sweep_gram(a), start[None], tol)
+    if 0.0 < theta[0] < np.inf and residual[0] > 0.0:
+        return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if not a.any():
         return 0.0, np.zeros(a.shape[1]), 0.0, 0
-    return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    fresh = PortableRng(_START_SEED + it).normals(a.shape[1])
+    theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(a, -e)), fresh[None], tol)
+    return float(np.ldexp(np.sqrt(theta[0]), e)), v[0], float(residual[0]), it + more
 
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-10) -> float:

@@ -117,8 +117,9 @@ def init_network(layer_dims, seed: int) -> NetworkParams:
     return params
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_forward(params: NetworkParams, inputs: np.ndarray) -> BatchTrace:
-    """Forward pass of a whole batch (rows of `inputs`)."""
+    """Forward pass of a whole batch (rows of `inputs`); overflow is silent."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ValueError(
@@ -195,13 +196,14 @@ def gradient_norms(factors: list) -> tuple:
     `factors` are the n-row ``(A, B)`` pairs of `gradient_factors`, so the
     nonzero singular values of each gradient are those of an n x n problem:
     exact norms at O(n^2 m) cost without materializing the gradient.  A
-    pair whose Gram matrices are not finite gets NaN norms.
+    pair whose Gram matrices are not finite (or overflow) gets NaN norms.
     """
     spectral = []
     frobenius = []
     for a, b in factors:
-        gram_a = a @ a.T
-        gram_b = b @ b.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_a = a @ a.T
+            gram_b = b @ b.T
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
             spectral.append(float("nan"))
             frobenius.append(float("nan"))

@@ -630,9 +630,9 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     for net, net_trace in ((trained, trace), (params0, trace0)):
         spec, fro = gradient_norms(gradient_factors(net, net_trace, y, loss))
         sum_lp = float(np.sum(loss.deriv(y * net_trace.outputs)))
-        ratios_lower.append(
-            fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi * sum_lp ** 2)
-            if sum_lp != 0.0 else math.inf)
+        with np.errstate(all="ignore"):   # a numpy power overflows, not raises
+            ratios_lower.append(float(fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi
+                                * np.float64(sum_lp) ** 2)) if sum_lp != 0.0 else math.inf)
         ratios_upper.append(
             max(spec) * n / (depth ** 2 * math.sqrt(m_max) * abs(sum_lp))
             if sum_lp != 0.0 else math.inf)

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -124,15 +125,18 @@ class TestTrain:
         assert (out_gd / "checkpoint.net").read_bytes() == \
             (out_sgd / "checkpoint.net").read_bytes()
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"eta": 1e7, "loss": "exponential",
                                       "tau": 1e12, "K": 200})
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "diverged"
+        assert (f"training diverged at iteration {summary['iterations']}: "
+                "the loss is not finite") in capsys.readouterr().err
 
-    def test_gradient_overflow_exits_3_with_artifacts(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_overflow_exits_3_with_artifacts(self, tmp_path, capsys):
         # the exponential loss is still finite at the iterate whose gradient
         # overflows
         cfg = tmp_path / "config.json"
@@ -143,6 +147,8 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "diverged"
+        assert (f"training diverged at iteration {summary['iterations']}: "
+                "a gradient norm is not finite") in capsys.readouterr().err
         assert summary["final_radii"] == []
         assert (out / "checkpoint.net").exists()
         with open(out / "trajectory.csv", newline="") as fh:
@@ -151,6 +157,27 @@ class TestTrain:
         assert last["loss"] != "nan" and last["loss"] != "inf"
         assert "nan" in [cell for name, cell in last.items()
                          if name.startswith(("grad_spec_", "grad_fro_"))]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_radius_solve_exits_3_with_artifacts(self, tmp_path):
+        # one step of eta 1e150 puts radii near 1e149, whose A^T A products
+        # overflow; the radius solve rescales instead of running to its cap
+        eta = 1e150
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n": 8, "d": 4, "m": 16, "L": 2, "phi": 0.05,
+                                   "mu": 0.5, "eta": eta, "K": 3, "tau": 0.1,
+                                   "seed": 1}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["checkpoint.net", "summary.json", "trajectory.csv"]
+        assert json.loads((out / "summary.json").read_text())["stop_reason"] == "diverged"
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # W_1 - W_0 is eta times the gradient at W_0
+        for layer in (1, 2):
+            assert float(rows[1][f"radius_{layer}"]) == pytest.approx(
+                eta * float(rows[0][f"grad_spec_{layer}"]), rel=1e-9)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -291,6 +318,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Lanczos did not reach")
         assert not (out / "init_properties.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_checkpoint_fails_gradient_ratios(self, tmp_path):
+        # the config of test_gradient_overflow_exits_3_with_artifacts, whose
+        # checkpoint's gradient overflows
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "n": 8, "d": 4, "m": 16, "L": 2, "phi": 0.05, "mu": 0.5,
+            "loss": "exponential", "eta": 30, "K": 300, "tau": 0.001, "seed": 1,
+            "trials": 2, "mc_samples": 2000}))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 3
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.net")]) == 0
+        pert = json.loads((out / "perturbation_properties.json").read_text())
+        lower = next(e for e in pert["entries"] if e["name"] == "gradient_lower_ratio")
+        assert not math.isfinite(lower["per_trial"][0])
+        assert pert["passed"] is False
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg = write_config(tmp_path)

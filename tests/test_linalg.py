@@ -105,6 +105,10 @@ class TestSpectralNorm:
         base = spectral_norm(a)
         for c in (-2.5, 0.3, 7.0):
             assert spectral_norm(c * a) == pytest.approx(abs(c) * base, rel=1e-8)
+        # ||A^T A q||^2 underflows or overflows: the rescaled re-solve
+        dense = np.linalg.norm(a, 2)
+        for c in (1e-100, 1e-80, 1e100, 1e300):
+            assert spectral_norm(c * a, tol=1e-12) == pytest.approx(c * dense, rel=1e-12)
 
 
 class TestLanczos:
@@ -164,6 +168,13 @@ class TestLanczos:
         sigma, _, _, iters = power_iteration(a, start=np.array([0.0, 0.0, 1.0, 1.0]))
         assert sigma == pytest.approx(3.0, rel=1e-12)
         assert iters >= 2    # the null-space step counts
+
+    def test_eigenvector_start_reseeds(self):
+        # the start e_2 breaks down at once on the eigenvalue 2**2
+        sigma, _, _, iters = power_iteration(np.diag([3.0, 2.0]),
+                                             start=np.array([0.0, 1.0]))
+        assert sigma == pytest.approx(3.0, rel=1e-12)
+        assert iters >= 2
 
     def test_warm_start_beats_cold_start(self):
         rng = PortableRng(11)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overparam.data import Dataset, generate_separated
+from overparam import linalg, verify
 from overparam.linalg import PortableRng
-from overparam import verify
 from overparam.losses import builtin_loss
 from overparam.network import batch_forward, init_network
 from overparam.verify import (INIT_ITEMS, MaskedChain, _bilinear_probe,
@@ -579,6 +580,16 @@ class TestMaskedChain:
             exact = np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2,
                                                 i, head), 2)
             assert norms[i] == pytest.approx(exact, rel=1e-10, abs=0)
+
+    def test_nan_weight_gives_inf(self, wide_net, monkeypatch):
+        # a NaN product ends the solve at once, well before this cap
+        monkeypatch.setattr(verify, "_lanczos",
+                            functools.partial(linalg._lanczos, max_iter=2))
+        params, patterns = wide_net
+        weights = [w.copy() for w in params.weights]
+        weights[1][0, 0] = np.nan
+        norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-10)
+        assert np.array_equal(norms, np.full(3, np.inf))
 
     @pytest.mark.parametrize("head", [True, False])
     def test_all_examples_dead(self, wide_net, head):

@@ -2,7 +2,9 @@
 
 Every command is a pure function of (config file, seed): rerunning with the
 same inputs reproduces byte-identical artifacts.  Exit codes: 0 success,
-2 configuration or feasibility error, 3 numerical failure.
+2 configuration or feasibility error, 3 numerical failure: a diverged run,
+a checkpoint whose weights are not finite or whose chains overflow, or a
+spectral solve that does not converge.
 
 `CONFIG_TABLE` gives every config key its type, default, null rule and
 range; `--init-config` writes its defaults.  `load_config` checks each key
@@ -23,6 +25,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data as data_mod
 from . import linalg, network, optim, verify
@@ -254,6 +258,11 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
 
     if checkpoint is not None:
         trained = network.load_params(checkpoint)
+        # the init battery and the oracles above do not read the checkpoint
+        if not all(np.isfinite(w).all() for w in trained.weights):
+            print(f"checkpoint {checkpoint} holds weights that are not finite; "
+                  f"the perturbation battery cannot measure it", file=sys.stderr)
+            return EXIT_NUMERIC
         pert = verify.verify_perturbation_properties(
             params0, trained, dataset, loss=builtin_loss(config["loss"]),
             declared_tau=config["tau"], spectral_tol=config["spectral_tol"],
@@ -382,12 +391,13 @@ def main(argv=None) -> int:
     except network.CorruptCheckpointError as exc:
         print(f"corrupt checkpoint: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # a LinAlgError (an SVD of an overflowed chain) is a ValueError too
+    except (linalg.SpectralNormError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, data_mod.DataGenerationError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except linalg.SpectralNormError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_CONFIG
 
 

@@ -116,23 +116,15 @@ class PortableRng:
             np.multiply(radius[:len(odd)], angle[:len(odd)], out=odd)
         return out
 
-    def integer_below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) via rejection on the raw stream."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = _TWO_64 - _TWO_64 % bound
-        while True:
-            r = int(self.raw(1)[0])
-            if r < limit:
-                return r % bound
-
     def sample_without_replacement(self, population: int, size: int) -> np.ndarray:
         """`size` distinct indices from range(population), partial Fisher-Yates.
 
-        Swap i takes ``integer_below(population - i)``.  The `size` raws are
-        drawn at once and taken in order; each rejected raw adds one more
-        draw, so the indices and the stream position are those of the
-        per-index draws.
+        Swap i takes an unbiased integer below ``population - i``: the next
+        raw r, redrawn while r is at least the largest multiple of the bound
+        below 2**64, taken modulo the bound.  The `size` raws are drawn at
+        once and taken in order; each rejected raw adds one more draw, so
+        the indices and the stream position are those of the per-index
+        draws.
         """
         if not 0 <= size <= population:
             raise ValueError("size must be in [0, population]")

@@ -65,7 +65,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _logistic_value(x):
-    return np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
+    # a NaN margin gives a NaN loss, which trainers treat as divergence
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
 def _logistic_deriv(x):

@@ -186,8 +186,11 @@ def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarra
         labels = labels[rows]
     coeff = np.asarray(loss.deriv(labels * trace.outputs), dtype=np.float64) \
         * labels / labels.shape[0]
-    return [(h, coeff[:, None] * g)
-            for h, g in zip(trace.hidden, backprop_signals(params, trace))]
+    # an overflowing product, or an infinite coefficient times a zero
+    # signal, is not finite, and gradient_norms reports it as NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(h, coeff[:, None] * g)
+                for h, g in zip(trace.hidden, backprop_signals(params, trace))]
 
 
 def gradient_norms(factors: list) -> tuple:

@@ -9,9 +9,12 @@ compares a trained network with its initialization: its distance from it,
 how far its hidden outputs and activation patterns drift from those at the
 initialization, and the gradient norm bounds at both points.
 
-Thresholded entries assert concrete limits; the remaining entries fit and
-report an empirical constant (their pass flag only demands a finite,
-positive value) because the matching theory constants are existential.
+Each item measures candidate values per trial (one per layer, chain pair,
+probe draw or batch), and its `PropertyEntry` folds them into the trial's
+worst value.  One rule passes a value: it is finite and at most the
+threshold ("upper") or strictly above it ("lower").  Entries without a
+threshold fit and report an empirical constant, because the matching theory
+constants are existential; their limit is +inf ("upper") or 0 ("lower").
 
 Each item draws its random probes from its own window of a `PortableRng`
 stream: item k reads from ``k << 64`` raws in, so its values do not depend
@@ -52,7 +55,8 @@ __all__ = [
 @dataclass
 class PropertyEntry:
     name: str
-    direction: str               # "upper": measured <= threshold; "lower": >=
+    direction: str               # "upper": worst is largest, passes <= threshold;
+                                 # "lower": worst is smallest, passes > threshold
     per_trial: list = field(default_factory=list)
     threshold: float | None = None
     bound: float | None = None   # reference scale the constant is fitted against
@@ -62,13 +66,19 @@ class PropertyEntry:
     def trials(self) -> int:
         return len(self.per_trial)
 
+    def fold(self, values) -> float:
+        """The worst of `values` in this entry's direction; NaN if any is NaN."""
+        return float(np.max(values) if self.direction == "upper" else np.min(values))
+
+    def record(self, values) -> PropertyEntry:
+        """Append one trial: the fold of its candidate values."""
+        self.per_trial.append(self.fold(values))
+        return self
+
     @property
     def measured(self) -> float:
         # worst case across trials
-        if not self.per_trial:
-            return float("nan")
-        return float(max(self.per_trial) if self.direction == "upper"
-                     else min(self.per_trial))
+        return self.fold(self.per_trial) if self.per_trial else float("nan")
 
     @property
     def constant(self) -> float | None:
@@ -77,11 +87,13 @@ class PropertyEntry:
         return self.measured / self.bound
 
     def trial_failures(self) -> int:
-        if self.threshold is None:
-            return sum(0 if np.isfinite(v) else 1 for v in self.per_trial)
-        if self.direction == "upper":
-            return sum(1 for v in self.per_trial if not v <= self.threshold)
-        return sum(1 for v in self.per_trial if not v >= self.threshold)
+        """Trials that fail the pass rule of the module docstring."""
+        upper = self.direction == "upper"
+        limit = self.threshold
+        if limit is None:
+            limit = math.inf if upper else 0.0
+        return sum(1 for v in self.per_trial if not (
+            math.isfinite(v) and (v <= limit if upper else v > limit)))
 
     def passed(self, allowed_failures: int = 0) -> bool:
         return self.trial_failures() <= allowed_failures
@@ -209,7 +221,10 @@ class MaskedChain:
         dim = self.weights[self.first - 1].shape[0]
         if dim <= _THIN_CHAIN:
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
-            return np.linalg.svd(self.apply(eye), compute_uv=False)[:, 0]
+            # the SVD raises LinAlgError on an operator that overflowed
+            with np.errstate(over="ignore", invalid="ignore"):
+                ops = self.apply(eye)
+            return np.linalg.svd(ops, compute_uv=False)[:, 0]
 
         def gram(rows):
             return self.apply_t(self.apply(rows[:, None, :]))[:, 0]
@@ -220,21 +235,20 @@ class MaskedChain:
 
 
 def _output_probe(params: NetworkParams, trace, sparsity: int, probes: int,
-                  rng: PortableRng) -> float:
-    """max over layers l, examples i and s-sparse probes u of ``|v . chain_i u|``,
-    with chain_i the masked layers l..L.  Row i of ``g_l W_l^T``, from one
-    backprop pass, is ``v^T chain_i``; layer l's probes are drawn in turn."""
-    worst = 0.0
-    for w, g in zip(params.weights, backprop_signals(params, trace)):
-        block = _sparse_probes(w.shape[0], sparsity, probes, rng)
-        worst = max(worst, float(np.max(np.abs((g @ w.T) @ block))))
-    return worst
+                  rng: PortableRng) -> list:
+    """Per layer l, the max over examples i and s-sparse probes u of
+    ``|v . chain_i u|``, with chain_i the masked layers l..L.  Row i of
+    ``g_l W_l^T``, from one backprop pass, is ``v^T chain_i``; layer l's
+    probes are drawn in turn."""
+    return [float(np.max(np.abs((g @ w.T)
+                                @ _sparse_probes(w.shape[0], sparsity, probes, rng))))
+            for w, g in zip(params.weights, backprop_signals(params, trace))]
 
 
 def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
-                    a_block: np.ndarray, b_block: np.ndarray) -> float:
-    """max over examples and probe pairs of ``|b . W_l2^T chain_i a|``, with
-    chain_i the masked layers l1..l2-1.
+                    a_block: np.ndarray, b_block: np.ndarray) -> list:
+    """Per block of examples, the max over its examples and the probe pairs
+    of ``|b . W_l2^T chain_i a|``, with chain_i the masked layers l1..l2-1.
 
     Only the middle layers depend on the example, and they run on
     min(d_in, probes) rows per example, d_in the input dimension of layer
@@ -251,15 +265,15 @@ def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
     right = (b_block.T @ w[l2 - 1].T).T
     step = max(1, _PROBE_BLOCK_BYTES
                // (8 * first.shape[0] * max(params.layer_dims[l1:l2])))
-    worst = 0.0
+    values = []
     for lo in range(0, patterns[0].shape[0], step):
         block = [p[lo:lo + step] for p in patterns]
         chain = MaskedChain(w, block, l1 + 1, l2 - 1)
         vals = _rows(chain.apply(block[l1 - 1][:, None, :] * first), right)
         if rows_first:
             vals = a_block.T @ vals
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+        values.append(float(np.max(np.abs(vals))))
+    return values
 
 
 def _sparse_probes(dim: int, s: int, count: int, rng: PortableRng) -> np.ndarray:
@@ -296,65 +310,61 @@ class _InitRun:
         return len(self.widths)
 
 
-# Each item measures one trial's worst value from (run, net, trace, rng).
+# Each item measures one trial's candidate values from (run, net, trace, rng);
+# its entry folds them.  A one-layer net has no layer pair, so the pair items
+# give it the vacuous 0.
 
-def _hidden_norm_deviation(run, net, trace, rng) -> float:
-    return max(float(np.max(np.abs(np.linalg.norm(h, axis=1) - 1.0)))
-               for h in trace.hidden[1:])
-
-
-def _weight_spectral_norm(run, net, trace, rng) -> float:
-    return max(spectral_norm(w, tol=run.spectral_tol) for w in net.weights)
+def _hidden_norm_deviation(run, net, trace, rng) -> list:
+    return [float(np.max(np.abs(np.linalg.norm(h, axis=1) - 1.0)))
+            for h in trace.hidden[1:]]
 
 
-def _cross_class_separation(run, net, trace, rng) -> float:
-    return min(cross_class_distance(_normalized_rows(h), run.dataset.labels)
-               for h in trace.hidden[1:])
+def _weight_spectral_norm(run, net, trace, rng) -> list:
+    return [spectral_norm(w, tol=run.spectral_tol) for w in net.weights]
 
 
-def _output_magnitude(run, net, trace, rng) -> float:
-    return float(np.max(np.abs(trace.outputs)))
+def _cross_class_separation(run, net, trace, rng) -> list:
+    return [cross_class_distance(_normalized_rows(h), run.dataset.labels)
+            for h in trace.hidden[1:]]
 
 
-def _near_threshold_fraction(run, net, trace, rng) -> float:
+def _output_magnitude(run, net, trace, rng) -> np.ndarray:
+    return np.abs(trace.outputs)
+
+
+def _near_threshold_fraction(run, net, trace, rng) -> list:
     """Most pre-activations of one example within beta of zero, in units of
-    2 m^1.5 beta (the raw count when beta is 0), over layers."""
-    worst = 0.0
-    for m, z in zip(run.widths, trace.preacts):
-        top = float(np.max(np.count_nonzero(np.abs(z) <= run.beta, axis=1)))
-        worst = max(worst, top if run.beta == 0.0
-                    else top / (2.0 * m ** 1.5 * run.beta))
-    return worst
+    2 m^1.5 beta (the raw count when beta is 0), per layer."""
+    return [float(np.max(np.count_nonzero(np.abs(z) <= run.beta, axis=1)))
+            / (1.0 if run.beta == 0.0 else 2.0 * m ** 1.5 * run.beta)
+            for m, z in zip(run.widths, trace.preacts)]
 
 
-def _chain_product_norm(run, net, trace, rng) -> float:
-    worst = 0.0
-    for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
-        chain = MaskedChain(net.weights, trace.patterns, l1, l2 - 1, head=l2)
-        worst = max(worst, float(np.max(chain.norms(rng, run.spectral_tol))))
-    return worst
+def _chain_product_norm(run, net, trace, rng) -> list:
+    return [float(np.max(MaskedChain(net.weights, trace.patterns, l1, l2 - 1,
+                                     head=l2).norms(rng, run.spectral_tol)))
+            for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2)] or [0.0]
 
 
-def _sparse_output_probe(run, net, trace, rng) -> float:
+def _sparse_output_probe(run, net, trace, rng) -> list:
     return _output_probe(net, trace, run.sparsity, run.probes, rng)
 
 
-def _sparse_bilinear_probe(run, net, trace, rng) -> float:
+def _sparse_bilinear_probe(run, net, trace, rng) -> list:
     dims = net.layer_dims
-    worst = 0.0
+    values = []
     for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
         a_block = _sparse_probes(dims[l1 - 1], run.sparsity, run.probes, rng)
         b_block = _sparse_probes(dims[l2], run.sparsity, run.probes, rng)
-        worst = max(worst, _bilinear_probe(net, trace.patterns, l1, l2,
-                                           a_block, b_block))
-    return worst
+        values += _bilinear_probe(net, trace.patterns, l1, l2, a_block, b_block)
+    return values or [0.0]
 
 
-def _active_gradient_nodes(run, net, trace, rng) -> float:
+def _active_gradient_nodes(run, net, trace, rng) -> list:
     # labeled form: nodes j where the norm of
     # (1/n) sum_i a_i y_i 1{<w_j, x_{L-1,i}> > 0} x_{L-1,i}
     # clears rank ceil(m_L phi / n); report that norm in units of
-    # ||a||_inf / n, minimized over random nonnegative probes a.
+    # ||a||_inf / n, one value per random nonnegative probe a.
     # Node j's vector is column j of h_prev^T x, x = c * active: its
     # squared norm x_j^T G x_j, with G the n x n Gram matrix of h_prev,
     # needs no (m_{L-1}, m_L) temporary.  Roundoff can leave a zero
@@ -364,24 +374,21 @@ def _active_gradient_nodes(run, net, trace, rng) -> float:
     h_prev = trace.hidden[run.depth - 1]
     gram = h_prev @ h_prev.T
     active = trace.patterns[run.depth - 1].astype(np.float64)
-    low = math.inf
+    values = []
     for _ in range(run.gradient_probes):
         a = np.abs(rng.normals(n))
         c = a * run.dataset.labels / n
         x = c[:, None] * active
         sq = np.einsum("ij,ij->j", x, gram @ x)
         norms = np.sort(np.sqrt(np.maximum(sq, 0.0)))[::-1]
-        low = min(low, norms[need - 1] * n / float(np.max(a)))
-    return low
+        values.append(norms[need - 1] * n / float(np.max(a)))
+    return values
 
 
-def _pairwise_inner_product(run, net, trace, rng) -> float:
+def _pairwise_inner_product(run, net, trace, rng) -> list:
     iu = np.triu_indices(run.dataset.n, k=1)
-    low = math.inf
-    for h in trace.hidden[1:]:
-        h = _normalized_rows(h)
-        low = min(low, float(np.min((h @ h.T)[iu])))
-    return low
+    return [float(np.min((h @ h.T)[iu]))
+            for h in map(_normalized_rows, trace.hidden[1:])]
 
 
 # name -> (measure, direction, threshold, bound).  `threshold` (None: the
@@ -428,8 +435,8 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
 
     Trial 0 evaluates `params` itself; trial t re-initializes the same
     architecture with seed ``seed + t``.  An item passes when at most
-    `allowed_failures` trials miss its threshold (entries without a
-    threshold instead fit a constant and only require it to be finite).
+    `allowed_failures` trials fail the entry's pass rule (see the module
+    docstring; entries without a threshold fit a constant).
     `items` selects and orders the report's entries, each named once.
     Item k of `INIT_ITEMS` draws its probes in trial t from stream
     ``seed + 7919 t``, starting ``k << 64`` raws in, so its values do not
@@ -495,7 +502,7 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
         trace = batch_forward(net, dataset.inputs)
         for name, entry in entries.items():
             rng = _item_stream(seed + 7919 * t, INIT_ITEMS, name)
-            entry.per_trial.append(_INIT_TABLE[name][0](run, net, trace, rng))
+            entry.record(_INIT_TABLE[name][0](run, net, trace, rng))
 
     return PropertyReport(
         meta={
@@ -523,7 +530,10 @@ _PERTURBATION_ENTRIES = (
 
 
 def _ratio(num: float, denom: float) -> float:
-    """num / denom, with 0 / 0 read as 0 and a positive num over 0 as inf."""
+    """num / denom, with 0 / 0 read as 0, a positive num over 0 as inf, and
+    NaN when either is NaN."""
+    if math.isnan(num) or math.isnan(denom):
+        return math.nan
     if denom > 0.0:
         return num / denom
     return math.inf if num > 0 else 0.0
@@ -555,111 +565,90 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     m_min, m_max = min(widths), max(widths)
 
     radii = perturbation_radius(trained, params0, tol=spectral_tol)
-    tau = max(radii)
+    radius_entry = PropertyEntry(name="perturbation_radius", direction="upper",
+                                 threshold=declared_tau).record(radii)
+    tau = radius_entry.measured
+    if declared_tau is not None and not tau <= declared_tau:
+        radius_entry.note = f"measured radius {tau:g} exceeds declared tau {declared_tau:g}"
     y = dataset.labels
     stream = seed + 104729
 
     trace0 = batch_forward(params0, dataset.inputs)
     trace = batch_forward(trained, dataset.inputs)
 
-    entries = []
-
-    radius_entry = PropertyEntry(
-        name="perturbation_radius", direction="upper",
-        per_trial=[tau], threshold=declared_tau,
-        note="" if declared_tau is None or tau <= declared_tau
-        else f"measured radius {tau:g} exceeds declared tau {declared_tau:g}")
-    entries.append(radius_entry)
-
-    entries.append(PropertyEntry(
-        name="perturbed_weight_norm", direction="upper",
-        per_trial=[max(spectral_norm(w, tol=spectral_tol)
-                       for w in trained.weights)],
-        bound=1.0))
+    entries = [radius_entry, PropertyEntry(
+        name="perturbed_weight_norm", direction="upper", bound=1.0).record(
+        [spectral_norm(w, tol=spectral_tol) for w in trained.weights])]
 
     # hidden drift from the initialization, per unit of L * sum of the
-    # per-layer radii
-    worst = 0.0
-    for l in range(1, depth + 1):
-        num = float(np.max(np.linalg.norm(trace.hidden[l] - trace0.hidden[l],
-                                          axis=1)))
-        worst = max(worst, _ratio(num, depth * sum(radii[:l])))
+    # per-layer radii; a norm that overflows reads inf, and fails
+    with np.errstate(over="ignore"):
+        drift = [float(np.max(np.linalg.norm(trace.hidden[l] - trace0.hidden[l],
+                                             axis=1))) for l in range(1, depth + 1)]
     entries.append(PropertyEntry(
-        name="hidden_drift_ratio", direction="upper", per_trial=[worst],
-        bound=1.0))
+        name="hidden_drift_ratio", direction="upper", bound=1.0).record(
+        [_ratio(num, depth * sum(radii[:l])) for l, num in enumerate(drift, 1)]))
 
     drift_scale = depth ** (4.0 / 3.0) * tau ** (2.0 / 3.0)
-    worst = max(_ratio(num, drift_scale * m) for num, m in
-                zip(max_pattern_distance(trace.patterns, trace0.patterns), widths))
     entries.append(PropertyEntry(
-        name="pattern_drift_ratio", direction="upper", per_trial=[worst],
-        bound=1.0))
+        name="pattern_drift_ratio", direction="upper", bound=1.0).record(
+        [_ratio(num, drift_scale * m) for num, m in
+         zip(max_pattern_distance(trace.patterns, trace0.patterns), widths)]))
 
     flipped = np.any(trace.patterns[-1] != trace0.patterns[-1], axis=0)
     union = int(np.count_nonzero(flipped))
     entries.append(PropertyEntry(
-        name="pattern_flip_union", direction="upper",
-        per_trial=[_ratio(union, n * drift_scale * widths[-1])],
-        bound=1.0,
-        note=f"{union} of {widths[-1]} last-layer nodes flipped for some example"))
+        name="pattern_flip_union", direction="upper", bound=1.0,
+        note=f"{union} of {widths[-1]} last-layer nodes flipped for some example"
+    ).record([_ratio(union, n * drift_scale * widths[-1])]))
 
     if depth >= 2:
-        worst = 0.0
         rng = _item_stream(stream, _PERTURBATION_ENTRIES, "perturbed_chain_norm")
-        for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
-            chain = MaskedChain(trained.weights, trace.patterns, l1, l2)
-            worst = max(worst, float(np.max(chain.norms(rng, spectral_tol))))
         entries.append(PropertyEntry(
-            name="perturbed_chain_norm", direction="upper",
-            per_trial=[worst / depth], bound=1.0))
+            name="perturbed_chain_norm", direction="upper", bound=1.0).record(
+            [float(np.max(MaskedChain(trained.weights, trace.patterns, l1, l2)
+                          .norms(rng, spectral_tol))) / depth
+             for l1, l2 in itertools.combinations(range(1, depth + 1), 2)]))
 
     if tau > 0.0:
         s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
-        worst = _output_probe(trained, trace, s_pert, probes, _item_stream(
-            stream, _PERTURBATION_ENTRIES, "perturbed_sparse_probe"))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
+        probe = _output_probe(trained, trace, s_pert, probes, _item_stream(
+            stream, _PERTURBATION_ENTRIES, "perturbed_sparse_probe"))
         entries.append(PropertyEntry(
-            name="perturbed_sparse_probe", direction="upper",
-            per_trial=[worst / scale], bound=1.0,
-            note=f"probe sparsity {s_pert}"))
+            name="perturbed_sparse_probe", direction="upper", bound=1.0,
+            note=f"probe sparsity {s_pert}").record([v / scale for v in probe]))
 
     # gradient norms at the trained point and at the initialization
-    ratios_lower = []
-    ratios_upper = []
+    lower = PropertyEntry(
+        name="gradient_lower_ratio", direction="lower", threshold=0.0, bound=1.0,
+        note="squared last-layer gradient Frobenius norm, in units of "
+             "m_L phi (sum l')^2 / n^5")
+    upper = PropertyEntry(name="gradient_upper_ratio", direction="upper", bound=1.0)
     for net, net_trace in ((trained, trace), (params0, trace0)):
         spec, fro = gradient_norms(gradient_factors(net, net_trace, y, loss))
         sum_lp = float(np.sum(loss.deriv(y * net_trace.outputs)))
         with np.errstate(all="ignore"):   # a numpy power overflows, not raises
-            ratios_lower.append(float(fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi
-                                * np.float64(sum_lp) ** 2)) if sum_lp != 0.0 else math.inf)
-        ratios_upper.append(
-            max(spec) * n / (depth ** 2 * math.sqrt(m_max) * abs(sum_lp))
-            if sum_lp != 0.0 else math.inf)
-    entries.append(PropertyEntry(
-        name="gradient_lower_ratio", direction="lower",
-        per_trial=ratios_lower, threshold=0.0, bound=1.0,
-        note="squared last-layer gradient Frobenius norm, in units of "
-             "m_L phi (sum l')^2 / n^5"))
-    entries.append(PropertyEntry(
-        name="gradient_upper_ratio", direction="upper",
-        per_trial=ratios_upper, bound=1.0))
+            lower.record([float(fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi
+                          * np.float64(sum_lp) ** 2)) if sum_lp != 0.0 else math.inf])
+        upper.record([s * n / (depth ** 2 * math.sqrt(m_max) * abs(sum_lp))
+                      for s in spec] if sum_lp != 0.0 else [math.inf])
+    entries += [lower, upper]
 
-    worst = 0.0
     batch_size = max(1, n // 4)
     lp = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64)
     rng = _item_stream(stream, _PERTURBATION_ENTRIES, "stochastic_gradient_upper_ratio")
+    ratios = []
     for _ in range(_BATCH_DRAWS):
         batch = rng.sample_without_replacement(n, batch_size)
         spec, _ = gradient_norms(gradient_factors(trained, trace, y, loss,
                                                   rows=batch))
-        batch_sum = float(np.sum(lp[batch]))
-        if batch_sum != 0.0:
-            worst = max(worst, max(spec) * batch_size /
-                        (depth ** 2 * math.sqrt(m_max) * abs(batch_sum)))
+        batch_scale = depth ** 2 * math.sqrt(m_max) * abs(float(np.sum(lp[batch])))
+        ratios += [_ratio(s * batch_size, batch_scale) for s in spec]
     entries.append(PropertyEntry(
-        name="stochastic_gradient_upper_ratio", direction="upper",
-        per_trial=[worst], bound=1.0, note=f"batch size {batch_size}"))
+        name="stochastic_gradient_upper_ratio", direction="upper", bound=1.0,
+        note=f"batch size {batch_size}").record(ratios))
 
     return PropertyReport(
         meta={

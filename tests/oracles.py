@@ -1,6 +1,7 @@
 """Reference computations that only the tests need: one-shot Box-Muller
-normals, computations built on the batched forward pass and the gradient
-factors of `overparam.network`, and the reader of the dataset CSV format."""
+normals, the per-index integer draw, computations built on the batched
+forward pass and the gradient factors of `overparam.network`, and the reader
+of the dataset CSV format."""
 
 import numpy as np
 
@@ -21,6 +22,18 @@ def box_muller(rng, count: int) -> np.ndarray:
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
     return out[:count]
+
+
+def integer_below(rng, bound: int) -> int:
+    """Unbiased integer in [0, bound) by rejection on `rng`'s raw stream, one
+    raw a draw: the per-index draw of `PortableRng.sample_without_replacement`."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    limit = 2 ** 64 - 2 ** 64 % bound
+    while True:
+        r = int(rng.raw(1)[0])
+        if r < limit:
+            return r % bound
 
 
 def batch_loss(params, dataset, loss) -> float:

@@ -1,5 +1,6 @@
 import csv
 import functools
+import itertools
 import json
 import math
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from overparam import linalg, verify
 from overparam.cli import CONFIG_TABLE, DEFAULT_CONFIG, ConfigError, load_config, main
 from overparam.data import generate_separated
+from overparam.losses import builtin_loss
 from overparam.network import init_network, save_params
 from overparam.verify import INIT_ITEMS
 
@@ -22,6 +24,11 @@ TINY = {
     "trials": 2, "probes": 4, "gradient_probes": 2, "mc_samples": 2000,
     "seed": 0,
 }
+
+
+# the settings of the eta x loss x m x L grid of TestVerify
+GRID_BASE = {"n": 6, "d": 4, "mu": 0.5, "phi": 0.05, "K": 20, "trials": 2,
+             "mc_samples": 1000, "probes": 4, "gradient_probes": 2}
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -337,6 +344,93 @@ class TestVerify:
         lower = next(e for e in pert["entries"] if e["name"] == "gradient_lower_ratio")
         assert not math.isfinite(lower["per_trial"][0])
         assert pert["passed"] is False
+
+    def _train_and_verify(self, tmp_path, config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        train_rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        verify_rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v"),
+                          "--checkpoint", str(tmp_path / "run" / "checkpoint.net")])
+        return train_rc, verify_rc
+
+    def _entry(self, tmp_path, name):
+        pert = json.loads((tmp_path / "v" / "perturbation_properties.json").read_text())
+        return next(e for e in pert["entries"] if e["name"] == name)
+
+    def test_nan_batch_fails_stochastic_ratio(self, tmp_path):
+        # the exponential loss diverges in its gradient; a NaN batch ratio
+        # is the entry's value, not skipped as a 0 that passes
+        assert self._train_and_verify(tmp_path, {
+            "n": 8, "d": 5, "m": 64, "L": 2, "loss": "exponential",
+            "trials": 2, "mc_samples": 1000}) == (3, 0)
+        entry = self._entry(tmp_path, "stochastic_gradient_upper_ratio")
+        assert math.isnan(entry["per_trial"][0])
+        assert entry["passed"] is False
+
+    def test_zero_gradient_fails_lower_ratio(self, tmp_path):
+        # training leaves every output and so every gradient cell at 0
+        assert self._train_and_verify(tmp_path, dict(GRID_BASE, **{
+            "loss": "logistic", "eta": 1e2, "m": 8, "L": 2})) == (0, 0)
+        entry = self._entry(tmp_path, "gradient_lower_ratio")
+        assert entry["per_trial"][0] == 0.0
+        assert entry["passed"] is False
+
+    def test_overflowing_checkpoint_is_a_numerical_failure(self, tmp_path, capsys):
+        # finite weights near 1e298 overflow the thin chains, and their SVD
+        # raises LinAlgError
+        assert self._train_and_verify(tmp_path, dict(GRID_BASE, **{
+            "loss": "logistic", "eta": 1e150, "m": 8, "L": 2})) == (3, 3)
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err
+        assert "infeasible configuration" not in err
+        assert not (tmp_path / "v" / "perturbation_properties.json").exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_checkpoint_exits_3(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, {"trials": 1, "verify_items": ["output_magnitude"]})
+        params = init_network([4, 16, 16], seed=1)
+        params.weights[1][2, 3] = bad
+        path = tmp_path / "bad.net"
+        save_params(params, path)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(path)]) == 3
+        assert f"checkpoint {path} holds weights that are not finite" in \
+            capsys.readouterr().err
+        # the init battery does not read the checkpoint
+        assert (out / "init_properties.json").exists()
+        assert not (out / "perturbation_properties.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_passes_only_what_it_measured(self, tmp_path, monkeypatch):
+        # eta from harmless to overflowing at the first step, both losses,
+        # two widths and three depths: each run exits as documented, and no
+        # entry passes on a non-finite value or a zero gradient lower ratio.
+        # The lemma oracles, a pure function of (seed, mc_samples, loss) and
+        # 40 % of the grid's time, are taken once per loss.
+        lemma_oracles = verify.lemma_oracles
+        oracles = functools.lru_cache(lambda seed, samples, name: lemma_oracles(
+            seed, samples, builtin_loss(name)))
+        monkeypatch.setattr(verify, "lemma_oracles",
+                            lambda seed, samples, loss: oracles(seed, samples, loss.name))
+        cases = itertools.product((1e-2, 1e2, 1e6, 1e150, 1e300),
+                                  ("logistic", "exponential"), (8, 32), (1, 2, 3))
+        for k, (eta, loss, m, depth) in enumerate(cases):
+            case = tmp_path / str(k)
+            case.mkdir()
+            train_rc, verify_rc = self._train_and_verify(case, dict(
+                GRID_BASE, eta=eta, loss=loss, m=m, L=depth))
+            assert train_rc in (0, 3) and verify_rc in (0, 3), (eta, loss, m, depth)
+            assert all((case / "run" / f).exists()
+                       for f in ("summary.json", "trajectory.csv", "checkpoint.net"))
+            for name in ("init_properties.json", "perturbation_properties.json"):
+                path = case / "v" / name
+                if verify_rc == 3 and not path.exists():
+                    continue
+                for e in json.loads(path.read_text())["entries"]:
+                    assert not e["passed"] or all(map(math.isfinite, e["per_trial"])), e
+                    if e["name"] == "gradient_lower_ratio":
+                        assert not e["passed"] or 0.0 not in e["per_trial"], e
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg = write_config(tmp_path)

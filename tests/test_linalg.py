@@ -10,7 +10,7 @@ from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
                               PortableRng, SpectralNormError, aligned_empty,
                               gaussian_matrix, power_iteration, spectral_norm)
 
-from oracles import box_muller
+from oracles import box_muller, integer_below
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.integers(min_value=1, max_value=40)
@@ -283,7 +283,7 @@ def per_index_sample(rng, population, size):
     """Reference partial Fisher-Yates: one integer_below call per index."""
     pool = np.arange(population)
     for i in range(size):
-        j = i + rng.integer_below(population - i)
+        j = i + integer_below(rng, population - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:size].copy()
 
@@ -339,7 +339,7 @@ class TestPortableRng:
 
     def test_integer_below_bounds(self):
         rng = PortableRng(17)
-        draws = [rng.integer_below(7) for _ in range(200)]
+        draws = [integer_below(rng, 7) for _ in range(200)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
 

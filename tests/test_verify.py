@@ -159,6 +159,62 @@ class TestConcavityInequality:
         assert violations == 0
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestPropertyEntryRule:
+    """One pass rule: a trial passes when its value is finite and at most
+    the threshold (upper) or strictly above it (lower); without a threshold
+    the limit is +inf (upper) or 0 (lower)."""
+
+    @pytest.mark.parametrize("direction, threshold, value, passed", [
+        ("upper", 1.0, 0.5, True), ("upper", 1.0, 1.0, True),
+        ("upper", 1.0, 2.0, False), ("upper", 1.0, 0.0, True),
+        ("upper", 1.0, NAN, False), ("upper", 1.0, INF, False),
+        ("upper", 1.0, -INF, False),
+        ("upper", None, 0.5, True), ("upper", None, 1e308, True),
+        ("upper", None, 0.0, True), ("upper", None, NAN, False),
+        ("upper", None, INF, False), ("upper", None, -INF, False),
+        ("lower", 1.0, 2.0, True), ("lower", 1.0, 1.0, False),
+        ("lower", 1.0, 0.5, False), ("lower", 1.0, 0.0, False),
+        ("lower", 1.0, NAN, False), ("lower", 1.0, INF, False),
+        ("lower", 1.0, -INF, False),
+        ("lower", None, 0.5, True), ("lower", None, -0.5, False),
+        ("lower", None, 0.0, False), ("lower", None, NAN, False),
+        ("lower", None, INF, False), ("lower", None, -INF, False),
+    ])
+    def test_pass_rule(self, direction, threshold, value, passed):
+        entry = verify.PropertyEntry(name="p", direction=direction,
+                                     threshold=threshold, per_trial=[value])
+        assert entry.trial_failures() == (0 if passed else 1)
+        assert entry.passed() is passed
+        assert entry.as_dict()["passed"] is passed
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    @pytest.mark.parametrize("per_trial", [[0.5, NAN], [NAN, 0.5]])
+    def test_nan_trial_is_the_measured_value(self, direction, per_trial):
+        entry = verify.PropertyEntry(name="p", direction=direction,
+                                     per_trial=per_trial)
+        assert math.isnan(entry.measured)
+
+    @pytest.mark.parametrize("num, denom, expected", [
+        (1.0, 4.0, 0.25), (0.0, 0.0, 0.0), (1.0, 0.0, INF), (NAN, 0.0, NAN),
+        (NAN, 4.0, NAN), (0.0, NAN, NAN), (1.0, NAN, NAN)])
+    def test_ratio_propagates_nan(self, num, denom, expected):
+        got = verify._ratio(num, denom)
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+
+    @pytest.mark.parametrize("direction, worst", [("upper", 3.0), ("lower", -1.0)])
+    def test_record_appends_each_trials_worst(self, direction, worst):
+        entry = verify.PropertyEntry(name="p", direction=direction)
+        assert entry.record([1.0, 3.0, -1.0]) is entry
+        entry.record(np.array([2.0]))
+        entry.record([0.5, NAN])
+        assert entry.per_trial[:2] == [worst, 2.0]
+        assert math.isnan(entry.per_trial[2])
+        assert entry.trial_failures() >= 1
+
+
 def item_window(seed, k):
     """Battery item k's window of stream `seed`: its raws from k << 64 on."""
     rng = PortableRng(seed)
@@ -611,7 +667,8 @@ def _chain_matrix(params, patterns, l1, l2, example):
 
 
 class TestBilinearProbe:
-    """_bilinear_probe against max |b^T C_i a| over explicit chain matrices.
+    """_bilinear_probe's largest block value against max |b^T C_i a| over
+    explicit chain matrices.
     With d = 6, 8 probes take layer 1 through its masked rows and 4 probes
     through the probe images; a later layer (m = 24) always takes the images.
     A budget of 3072 bytes puts two examples in a block, so n = 5 runs in
@@ -631,7 +688,7 @@ class TestBilinearProbe:
             dense = max(float(np.max(np.abs(
                 b.T @ _chain_matrix(params, patterns, l1, l2, i) @ a)))
                 for i in range(5))
-            assert _bilinear_probe(params, patterns, l1, l2, a, b) == \
+            assert max(_bilinear_probe(params, patterns, l1, l2, a, b)) == \
                 pytest.approx(dense, rel=1e-12, abs=0)
 
 

@@ -3,8 +3,9 @@
 Every command is a pure function of (config file, seed): rerunning with the
 same inputs reproduces byte-identical artifacts.  Exit codes: 0 success,
 2 configuration or feasibility error, 3 numerical failure: a diverged run,
-a checkpoint whose weights are not finite or whose chains overflow, or a
-spectral solve that does not converge.
+a checkpoint whose weights are not finite, or a spectral solve that does not
+converge.  A checkpoint with finite weights whose measurements overflow is
+measured: `verify` exits 0, and the entries that overflowed read inf and fail.
 
 `CONFIG_TABLE` gives every config key its type, default, null rule and
 range; `--init-config` writes its defaults.  `load_config` checks each key
@@ -266,7 +267,7 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
         pert = verify.verify_perturbation_properties(
             params0, trained, dataset, loss=builtin_loss(config["loss"]),
             declared_tau=config["tau"], spectral_tol=config["spectral_tol"],
-            probes=config["probes"], seed=init_seed,
+            seed=init_seed,
         )
         write_json(pert.as_dict(), out_dir / "perturbation_properties.json")
         print(f"perturbation battery: passed={pert.passed} "
@@ -391,7 +392,8 @@ def main(argv=None) -> int:
     except network.CorruptCheckpointError as exc:
         print(f"corrupt checkpoint: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # a LinAlgError (an SVD of an overflowed chain) is a ValueError too
+    # a LinAlgError (a dense eigen- or singular-value solve that does not
+    # converge) is a ValueError too
     except (linalg.SpectralNormError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,6 +11,7 @@ choice, but finite-difference checks must avoid kink-adjacent coordinates).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -193,30 +194,34 @@ def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarra
                 for h, g in zip(trace.hidden, backprop_signals(params, trace))]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradient_norms(factors: list) -> tuple:
     """(spectral, frobenius) norms per layer of the gradients ``A^T B``.
 
     `factors` are the n-row ``(A, B)`` pairs of `gradient_factors`, so the
     nonzero singular values of each gradient are those of an n x n problem:
     exact norms at O(n^2 m) cost without materializing the gradient.  A
-    pair whose Gram matrices are not finite (or overflow) gets NaN norms.
+    pair whose Gram matrices are not finite (or overflow) gets NaN norms; a
+    pair with finite Gram matrices whose squared norms overflow gets inf.
     """
     spectral = []
     frobenius = []
     for a, b in factors:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram_a = a @ a.T
-            gram_b = b @ b.T
+        gram_a = a @ a.T
+        gram_b = b @ b.T
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
             spectral.append(float("nan"))
             frobenius.append(float("nan"))
             continue
-        frobenius.append(float(np.sqrt(max(0.0, np.sum(gram_a * gram_b)))))
+        fro_sq = np.sum(gram_a * gram_b)
+        frobenius.append(math.sqrt(max(0.0, fro_sq)) if math.isfinite(fro_sq)
+                         else math.inf)
         # ||A^T B||^2 is the top eigenvalue of gram_b gram_a, which for
         # gram_b = S S^T shares its eigenvalues with the symmetric S^T gram_a S
         lam, vec = np.linalg.eigh(gram_b)
         s = vec * np.sqrt(np.maximum(lam, 0.0))
-        top = np.linalg.eigvalsh(s.T @ gram_a @ s)[-1]
+        inner = s.T @ gram_a @ s
+        top = np.linalg.eigvalsh(inner)[-1] if np.isfinite(inner).all() else math.inf
         spectral.append(float(np.sqrt(max(0.0, top))))
     return spectral, frobenius
 

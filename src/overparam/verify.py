@@ -16,11 +16,16 @@ threshold ("upper") or strictly above it ("lower").  Entries without a
 threshold fit and report an empirical constant, because the matching theory
 constants are existential; their limit is +inf ("upper") or 0 ("lower").
 
-Each item draws its random probes from its own window of a `PortableRng`
-stream: item k reads from ``k << 64`` raws in, so its values do not depend
-on which items ran before it.  Init item k (of `INIT_ITEMS`) reads stream
-``seed + 7919 t`` in trial t; perturbation entry k (of
-`_PERTURBATION_ENTRIES`) reads stream ``seed + 104729``.
+The sparse output probes, ``sparse_output_probe`` and
+``perturbed_sparse_probe``, take their suprema over all s-sparse unit
+vectors in closed form and draw nothing.  The items that draw (the wide
+masked chains of ``chain_product_norm`` and ``perturbed_chain_norm``, the
+probes of ``sparse_bilinear_probe`` and ``active_gradient_nodes``, and the
+batches of ``stochastic_gradient_upper_ratio``) each read their own window
+of a `PortableRng` stream: item k reads from ``k << 64`` raws in, so its
+values do not depend on which items ran before it.  Init item k (of
+`INIT_ITEMS`) reads stream ``seed + 7919 t`` in trial t; perturbation entry
+k (of `_PERTURBATION_ENTRIES`) reads stream ``seed + 104729``.
 """
 
 from __future__ import annotations
@@ -177,7 +182,7 @@ class MaskedChain:
 
     def __init__(self, weights, patterns, first: int, last: int,
                  head: int | None = None):
-        self.weights = weights
+        self.weights, self.patterns = weights, patterns
         self.first, self.last, self.head = first, last, head
         self.n = patterns[0].shape[0]
         self.masks = {r: patterns[r - 1][:, None, :]
@@ -215,34 +220,68 @@ class MaskedChain:
         ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
         most `tol`; example i starts from the i-th `dim` normals of the
         draw.  Each estimate approaches its norm from below.
-        An example whose operator is zero (a layer pattern with no active
-        unit) gets 0.
+
+        Both paths give inf for an example whose operator overflows or is
+        not finite.  An example whose norm comes out 0 is solved once more,
+        from the same start, on the exact scaling ``W_r / 2**e_r`` of each
+        weight of the chain (e_r the binary exponent of max|W_r|), and its
+        norm is scaled back by ``2**sum(e_r)``, as `linalg.power_iteration`
+        does for one matrix.  So a chain whose products underflow gets its
+        norm, and one whose operator is zero (a layer pattern with no active
+        unit) still gets 0.
         """
         dim = self.weights[self.first - 1].shape[0]
-        if dim <= _THIN_CHAIN:
+        start = None if dim <= _THIN_CHAIN else \
+            rng.normals(self.n * dim).reshape(self.n, dim)
+        values = self._norms(start, tol)
+        zero = values == 0.0
+        if zero.any():
+            layers = list(range(self.first, self.last + 1))
+            if self.head is not None:
+                layers.append(self.head)
+            weights = list(self.weights)
+            exps = []
+            for r in layers:
+                exps.append(int(np.frexp(np.max(np.abs(weights[r - 1])))[1]))
+                weights[r - 1] = np.ldexp(weights[r - 1], -exps[-1])
+            scaled = MaskedChain(weights, [p[zero] for p in self.patterns],
+                                 self.first, self.last, self.head)
+            values[zero] = np.ldexp(scaled._norms(
+                None if start is None else start[zero], tol), sum(exps))
+        return values
+
+    def _norms(self, start: np.ndarray | None, tol: float) -> np.ndarray:
+        """The thin path's exact norms when `start` is None, else the wide
+        path's from the (n, dim) start rows."""
+        if start is None:
+            dim = self.weights[self.first - 1].shape[0]
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
-            # the SVD raises LinAlgError on an operator that overflowed
             with np.errstate(over="ignore", invalid="ignore"):
                 ops = self.apply(eye)
-            return np.linalg.svd(ops, compute_uv=False)[:, 0]
+            finite = np.isfinite(ops).all(axis=(1, 2))
+            top = np.linalg.svd(np.where(finite[:, None, None], ops, 0.0),
+                                compute_uv=False)[:, 0]
+            return np.where(finite, top, np.inf)
 
         def gram(rows):
             return self.apply_t(self.apply(rows[:, None, :]))[:, 0]
 
-        start = rng.normals(self.n * dim).reshape(self.n, dim)
         theta, _, _, _ = _lanczos(gram, start, tol)
         return np.sqrt(theta)
 
 
-def _output_probe(params: NetworkParams, trace, sparsity: int, probes: int,
-                  rng: PortableRng) -> list:
-    """Per layer l, the max over examples i and s-sparse probes u of
-    ``|v . chain_i u|``, with chain_i the masked layers l..L.  Row i of
-    ``g_l W_l^T``, from one backprop pass, is ``v^T chain_i``; layer l's
-    probes are drawn in turn."""
-    return [float(np.max(np.abs((g @ w.T)
-                                @ _sparse_probes(w.shape[0], sparsity, probes, rng))))
-            for w, g in zip(params.weights, backprop_signals(params, trace))]
+def _output_probe(params: NetworkParams, trace, sparsity: int) -> list:
+    """Per layer l, the sup over examples i and s-sparse unit u of
+    ``|v . chain_i u|``, chain_i the masked layers l..L: the 2-norm of the
+    min(s, dim) largest |entries| of row i of ``g_l W_l^T`` (one backprop
+    pass), which is ``v^T chain_i``.  An overflowing row reads inf."""
+    values = []
+    for w, g in zip(params.weights, backprop_signals(params, trace)):
+        rest = max(0, w.shape[0] - sparsity)     # entries outside the support
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.partition(np.square(g @ w.T), rest, axis=1)
+            values.append(float(np.sqrt(np.max(np.sum(sq[:, rest:], axis=1)))))
+    return values
 
 
 def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
@@ -347,7 +386,7 @@ def _chain_product_norm(run, net, trace, rng) -> list:
 
 
 def _sparse_output_probe(run, net, trace, rng) -> list:
-    return _output_probe(net, trace, run.sparsity, run.probes, rng)
+    return _output_probe(net, trace, run.sparsity)
 
 
 def _sparse_bilinear_probe(run, net, trace, rng) -> list:
@@ -542,23 +581,22 @@ def _ratio(num: float, denom: float) -> float:
 def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParams,
                                    dataset, *, loss=None,
                                    declared_tau: float | None = None,
-                                   spectral_tol: float = 1e-3, probes: int = 64,
+                                   spectral_tol: float = 1e-3,
                                    seed: int = 0) -> PropertyReport:
     """Compare a trained parameter set with its initialization `params0`.
 
     Radii are measured (never trusted), like every spectral norm here at
     `spectral_tol`; exceeding `declared_tau` flags the report instead of
     raising.  Gradient entries use `loss` (default: logistic).  The settings
-    of the battery are fixed: the perturbed sparse probes have the expected
-    pattern drift ``min(m, ceil(L^(4/3) tau^(2/3) m))`` as their support, and
-    the stochastic gradient entry takes the worst of 8 (`_BATCH_DRAWS`)
-    batches of ``max(1, n // 4)`` examples.
+    of the battery are fixed: the perturbed sparse probe is the exact sup over
+    unit vectors whose support is the expected pattern drift
+    ``min(m, ceil(L^(4/3) tau^(2/3) m))``, and the stochastic gradient entry
+    takes the worst of 8 (`_BATCH_DRAWS`) batches of ``max(1, n // 4)``
+    examples.
     """
     if loss is None:
         loss = builtin_loss("logistic")
     n = dataset.n
-    if probes < 1:
-        raise ValueError(f"probes must be at least 1, got {probes}")
     dims = params0.layer_dims
     depth = params0.depth
     widths = dims[1:]
@@ -614,8 +652,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
         s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
-        probe = _output_probe(trained, trace, s_pert, probes, _item_stream(
-            stream, _PERTURBATION_ENTRIES, "perturbed_sparse_probe"))
+        probe = _output_probe(trained, trace, s_pert)
         entries.append(PropertyEntry(
             name="perturbed_sparse_probe", direction="upper", bound=1.0,
             note=f"probe sparsity {s_pert}").record([v / scale for v in probe]))
@@ -720,22 +757,26 @@ def subset_mean_variance(u, batch_size: int) -> tuple:
     return enumeration, formula
 
 
-def concavity_inequality_check(a: float, b: float, p: float) -> bool:
+def concavity_inequality_check(a, b, p):
     """(a - b) / b^{2p} >= (a^{1-2p} - b^{1-2p}) / (1 - 2p) within 1e-12 slack.
 
     Holds for all positive a, b because x^{1-2p} / (1 - 2p) is concave;
-    p = 1/2 is excluded (the right side degenerates).
+    p = 1/2 is excluded (the right side degenerates).  Takes scalars, which
+    give a bool, or arrays that broadcast, which give a bool array; one bad
+    element raises.
     """
-    if a <= 0 or b <= 0:
+    a, b, p = (np.asarray(x, dtype=np.float64) for x in (a, b, p))
+    if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("a and b must be positive")
-    if p == 0.5:
+    if np.any(p == 0.5):
         raise ValueError("p = 1/2 is excluded")
-    if not 0.0 <= p <= 1.0:
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1/2) or (1/2, 1]")
     lhs = (a - b) / b ** (2.0 * p)
     rhs = (a ** (1.0 - 2.0 * p) - b ** (1.0 - 2.0 * p)) / (1.0 - 2.0 * p)
-    slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-    return lhs - rhs >= -slack
+    slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    holds = lhs - rhs >= -slack
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def lemma_oracles(seed: int, mc_samples: int, loss) -> dict:
@@ -762,12 +803,9 @@ def lemma_oracles(seed: int, mc_samples: int, loss) -> dict:
     draws = 10_000
     # a and b log-uniform on [e^-3, e^3], p uniform on [0, 1) away from 1/2
     u = PortableRng(seed).uniforms(3 * draws).reshape(draws, 3)
-    violations = 0
-    for a, b, p in np.column_stack([np.exp(6.0 * u[:, :2] - 3.0), u[:, 2]]).tolist():
-        if abs(p - 0.5) < 1e-3:
-            p = 0.25
-        if not concavity_inequality_check(a, b, p):
-            violations += 1
+    a, b = np.exp(6.0 * u[:, :2] - 3.0).T
+    p = np.where(np.abs(u[:, 2] - 0.5) < 1e-3, 0.25, u[:, 2])
+    violations = int(np.count_nonzero(~concavity_inequality_check(a, b, p)))
     return {
         "relu_kernel": {
             "grid_points": int(grid.size),

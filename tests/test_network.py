@@ -323,6 +323,15 @@ class TestGradientNorms:
         assert spec == 0.0
         assert fro == 0.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_norms_are_inf(self, sign):
+        # finite Gram matrices near 1e200 whose products overflow; with
+        # alternating signs the Frobenius sum meets inf - inf
+        a = 1e100 * np.ones((3, 4))
+        b = 1e100 * np.ones((3, 5)) * np.array([1.0, sign, 1.0])[:, None]
+        (spec,), (fro,) = gradient_norms([(a, b)])
+        assert spec == fro == np.inf
+
     def test_factors_give_the_loss_gradient(self):
         params = random_net(15, dims=[4, 8, 6])
         ds = generate_separated(n=6, d=4, mu=0.5, phi=0.05, seed=8)

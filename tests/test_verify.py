@@ -146,6 +146,26 @@ class TestConcavityInequality:
         with pytest.raises(ValueError):
             concavity_inequality_check(-1.0, 2.0, 0.3)
 
+    def test_arrays_match_scalar_calls(self):
+        u = PortableRng(3).uniforms(300).reshape(100, 3)
+        a, b = np.exp(6.0 * u[:, :2] - 3.0).T
+        p = np.where(np.abs(u[:, 2] - 0.5) < 1e-3, 0.25, u[:, 2])
+        holds = concavity_inequality_check(a, b, p)
+        assert holds.dtype == bool and holds.shape == (100,)
+        scalar = [concavity_inequality_check(*map(float, t)) for t in zip(a, b, p)]
+        assert all(type(h) is bool for h in scalar)
+        assert holds.tolist() == scalar
+
+    @pytest.mark.parametrize("a, b, p", [
+        (np.array([1.0, -1.0]), 2.0, 0.3),
+        (1.0, np.array([2.0, 0.0]), 0.3),
+        (1.0, 2.0, np.array([0.3, 0.5])),
+        (1.0, 2.0, np.array([0.3, 1.5])),
+    ])
+    def test_one_bad_element_raises(self, a, b, p):
+        with pytest.raises(ValueError):
+            concavity_inequality_check(a, b, p)
+
     def test_random_triples(self):
         rng = PortableRng(7)
         violations = 0
@@ -379,7 +399,7 @@ class TestPerturbationBattery:
         tilde = params.copy()
         tilde.weights[1] = tilde.weights[1] + 0.05 * PortableRng(3).normals(
             48 * 48).reshape(48, 48)
-        report = verify_perturbation_properties(params, tilde, ds, probes=4)
+        report = verify_perturbation_properties(params, tilde, ds)
         assert tuple(e.name for e in report.entries) == \
             verify._PERTURBATION_ENTRIES
 
@@ -419,7 +439,7 @@ class TestPerturbationBattery:
         loss = builtin_loss("logistic")
         report = verify_perturbation_properties(params, trained, ds,
                                                 loss=loss, spectral_tol=1e-10,
-                                                probes=4, seed=2)
+                                                seed=2)
         assert [(e.name, e.trials) for e in report.entries] == [
             ("perturbation_radius", 1), ("perturbed_weight_norm", 1),
             ("hidden_drift_ratio", 1), ("pattern_drift_ratio", 1),
@@ -481,17 +501,6 @@ class TestPerturbationBattery:
         assert report.entry("stochastic_gradient_upper_ratio").per_trial == \
             pytest.approx([stochastic], rel=1e-8)
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"probes": 0}, "probes"),
-    ])
-    def test_bad_arguments_rejected(self, kwargs, name):
-        ds = generate_separated(n=6, d=4, mu=0.5, phi=0.08, seed=0)
-        params = init_network([4, 40, 40], seed=1)
-        tilde = params.copy()
-        tilde.weights[1] = tilde.weights[1] + 0.01 * np.eye(40)
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            verify_perturbation_properties(params, tilde, ds, **kwargs)
-
 
 # --- per-example reference for the batched masked-chain operator ------------
 
@@ -530,10 +539,29 @@ def _chain(weights, patterns, l1, l2, include_head):
     return MaskedChain(weights, patterns, l1, l2)
 
 
-def _oracle_output_probe(params, patterns, layer, block):
-    return max(float(np.max(np.abs(params.output_vector @ _apply_chain(
-        params.weights, patterns, layer, params.depth, block, i))))
-        for i in range(patterns[0].shape[0]))
+def _output_rows(params, patterns, layer):
+    """Each example's ``v^T chain_i`` over the masked layers layer..L, from
+    the per-example loop."""
+    eye = np.eye(params.layer_dims[layer - 1])
+    return [params.output_vector @ _apply_chain(params.weights, patterns, layer,
+                                                params.depth, eye, i)
+            for i in range(patterns[0].shape[0])]
+
+
+def _oracle_output_probe(params, patterns, layer, s):
+    """The sup of |r . u| over s-sparse unit u: the 2-norm of the s entries
+    of r largest in magnitude, taken by a full sort."""
+    return max(float(np.linalg.norm(np.sort(np.abs(row))[::-1][:s]))
+               for row in _output_rows(params, patterns, layer))
+
+
+def _brute_force_output_probe(params, patterns, layer, s):
+    """The sup of |r . u| over unit u on every support of min(s, dim)
+    entries: on support S it is ||r_S||."""
+    return max(float(np.linalg.norm(row[list(support)]))
+               for row in _output_rows(params, patterns, layer)
+               for support in itertools.combinations(range(row.size),
+                                                     min(s, row.size)))
 
 
 PAIRS_AND_FORMS = [(l1, l2, head)
@@ -647,6 +675,31 @@ class TestMaskedChain:
         norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-10)
         assert np.array_equal(norms, np.full(3, np.inf))
 
+    @pytest.mark.parametrize("fixture", ["net", "wide_net"])
+    def test_overflowing_chain_gives_inf_on_both_paths(self, request, fixture):
+        params, patterns = request.getfixturevalue(fixture)
+        weights = [w.copy() for w in params.weights]
+        weights[1] *= 1e300
+        weights[2] *= 1e300
+        norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-3)
+        assert np.array_equal(norms, np.full(patterns[0].shape[0], np.inf))
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-100])
+    def test_underflowing_chain_is_solved_at_scale(self, scale):
+        # the Gram products of norms near 1e-180 underflow; example 1 has
+        # no active layer-2 unit, and its zero operator stays 0
+        params = init_network([20, 64, 64, 64], seed=3)
+        ds = generate_separated(n=3, d=20, mu=0.5, phi=0.08, seed=0)
+        patterns = [p.copy() for p in batch_forward(params, ds.inputs).patterns]
+        patterns[1][1] = False
+        weights = [scale * w for w in params.weights]
+        norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-10)
+        exact = [np.linalg.norm(_dense_chain(weights, patterns, 1, 3, i, False), 2)
+                 for i in range(3)]
+        assert exact[1] == norms[1] == 0.0
+        assert 0.0 < min(exact[0], exact[2]) < 1e-170
+        np.testing.assert_allclose(norms, exact, rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("head", [True, False])
     def test_all_examples_dead(self, wide_net, head):
         params, patterns = wide_net
@@ -709,10 +762,8 @@ class TestChainItemsAgainstLoops:
                                              i, include_head=True)
                             for l1, l2 in pairs for i in range(6))
             elif name == "sparse_output_probe":
-                value = max(_oracle_output_probe(
-                    params, patterns, l, _sparse_probes(params.layer_dims[l - 1],
-                                                        3, 8, rng))
-                    for l in range(1, 4))
+                value = max(_oracle_output_probe(params, patterns, l, 3)
+                            for l in range(1, 4))
             else:
                 value = 0.0
                 for l1, l2 in pairs:
@@ -733,8 +784,7 @@ class TestChainItemsAgainstLoops:
         # small enough that the derived probe support stays below m = 48
         tilde.weights[1] = tilde.weights[1] + 0.002 * PortableRng(4).normals(
             48 * 48).reshape(48, 48)
-        report = verify_perturbation_properties(params, tilde, ds,
-                                                probes=8, seed=5,
+        report = verify_perturbation_properties(params, tilde, ds, seed=5,
                                                 spectral_tol=1e-10)
         tau = report.meta["measured_tau"]
         # the probe support is the expected pattern drift
@@ -745,13 +795,51 @@ class TestChainItemsAgainstLoops:
                                      include_head=False)
                     for l1, l2 in itertools.combinations(range(1, 4), 2)
                     for i in range(6))
-        rng = item_window(5 + 104729, 6)   # perturbed_sparse_probe's window
-        probe = max(_oracle_output_probe(
-            tilde, patterns, l, _sparse_probes(tilde.layer_dims[l - 1], s, 8, rng))
-            for l in range(1, 4))
+        probe = max(_oracle_output_probe(tilde, patterns, l, s) for l in range(1, 4))
         scale = 3 ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * math.sqrt(48 * math.log(48))
         assert report.entry("perturbed_chain_norm").measured * 3 == \
             pytest.approx(chain, rel=1e-10)
         assert report.entry("perturbed_sparse_probe").measured * scale == \
             pytest.approx(probe, rel=1e-10)
         assert report.entry("perturbed_sparse_probe").note == f"probe sparsity {s}"
+
+
+class TestOutputProbe:
+    """_output_probe, the closed-form sup over s-sparse unit vectors, against
+    brute force over supports and against the random probes it replaced."""
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 6])
+    def test_matches_brute_force_over_supports(self, s):
+        # d = 4 and m = 6: s < dim, s = dim and (layer 1 at s = 6) s > dim
+        params, ds = small_battery_inputs(m=6, depth=3, n=4, d=4, seed=2)
+        trace = batch_forward(params, ds.inputs)
+        values = verify._output_probe(params, trace, s)
+        exact = [_brute_force_output_probe(params, trace.patterns, l, s)
+                 for l in range(1, 4)]
+        np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_least_every_random_probe(self, seed):
+        params, ds = small_battery_inputs(m=48, depth=3, n=6, seed=seed)
+        trace = batch_forward(params, ds.inputs)
+        rng = PortableRng(seed)
+        for l, (value, w) in enumerate(zip(verify._output_probe(params, trace, 3),
+                                           params.weights), 1):
+            probes = _sparse_probes(w.shape[0], 3, 64, rng)
+            sampled = max(float(np.max(np.abs(row @ probes)))
+                          for row in _output_rows(params, trace.patterns, l))
+            assert sampled <= value * (1.0 + 1e-12)
+
+    def test_entries_ignore_probes_and_seed(self):
+        params, ds = small_battery_inputs(m=48, depth=3, n=6)
+        init = [verify_init_properties(params, ds, trials=1, seed=seed, probes=probes,
+                                       items=("sparse_output_probe",))
+                .entry("sparse_output_probe").per_trial
+                for seed, probes in ((0, 1), (7, 64))]
+        assert init[0] == init[1]
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.002 * PortableRng(4).normals(
+            48 * 48).reshape(48, 48)
+        pert = [verify_perturbation_properties(params, tilde, ds, seed=seed)
+                .entry("perturbed_sparse_probe").per_trial for seed in (0, 7)]
+        assert pert[0] == pert[1]

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import cross_class_distance
-from .linalg import PortableRng, _lanczos, spectral_norm
+from .linalg import THIN_SIDE, PortableRng, _lanczos, spectral_norm, thin_norms
 from .losses import builtin_loss, check_loss_assumptions
 from .network import (NetworkParams, backprop_signals, batch_forward,
                       gradient_factors, gradient_norms, init_network,
@@ -143,9 +143,6 @@ def _normalized_rows(h: np.ndarray) -> np.ndarray:
     return h / np.where(norms == 0.0, 1.0, norms)
 
 
-# The largest input dimension a masked chain takes the exact path for.
-_THIN_CHAIN = 16
-
 # Bytes of the row block that _bilinear_probe takes through a chain at a
 # time, at the chain's widest layer.  At 64 probes and m=1000 a block holds
 # one example, and the (2, 3) pair of a [10, 1000, 1000, 1000] net at n=20
@@ -211,10 +208,10 @@ class MaskedChain:
         A thin chain draws nothing from `rng` and a wide one ``n * dim``
         normals; each battery item reads its own window of the stream.
 
-        A thin chain, whose input dimension is at most ``_THIN_CHAIN`` (such
-        as one that starts at layer 1 and acts on R^d), is applied once to
-        the identity, and one stacked SVD of the n (dim, m_out) transposed
-        operators gives the exact norms.
+        A thin chain, whose input dimension is at most ``linalg.THIN_SIDE``
+        (such as one that starts at layer 1 and acts on R^d), is applied once
+        to the identity, and `linalg.thin_norms` of the n (dim, m_out)
+        transposed operators gives the exact norms.
 
         A wider chain runs `linalg._lanczos` on the n Gram operators
         ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
@@ -231,7 +228,7 @@ class MaskedChain:
         unit) still gets 0.
         """
         dim = self.weights[self.first - 1].shape[0]
-        start = None if dim <= _THIN_CHAIN else \
+        start = None if dim <= THIN_SIDE else \
             rng.normals(self.n * dim).reshape(self.n, dim)
         values = self._norms(start, tol)
         zero = values == 0.0
@@ -258,10 +255,7 @@ class MaskedChain:
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
             with np.errstate(over="ignore", invalid="ignore"):
                 ops = self.apply(eye)
-            finite = np.isfinite(ops).all(axis=(1, 2))
-            top = np.linalg.svd(np.where(finite[:, None, None], ops, 0.0),
-                                compute_uv=False)[:, 0]
-            return np.where(finite, top, np.inf)
+            return thin_norms(ops)[0]
 
         def gram(rows):
             return self.apply_t(self.apply(rows[:, None, :]))[:, 0]

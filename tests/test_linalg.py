@@ -7,14 +7,25 @@ from hypothesis import strategies as st
 
 from overparam import linalg
 from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
-                              PortableRng, SpectralNormError, aligned_empty,
-                              gaussian_matrix, power_iteration, spectral_norm)
+                              THIN_SIDE, PortableRng, SpectralNormError,
+                              aligned_empty, gaussian_matrix, power_iteration,
+                              spectral_norm, thin_norms)
 
 from oracles import box_muller, integer_below
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 dims = st.integers(min_value=1, max_value=40)
 examples = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def padded(a):
+    """`a` zero-padded to at least ``THIN_SIDE + 1`` along every axis, so a
+    matrix takes the Lanczos path; its singular values, and a vector's
+    products with it, do not change."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.zeros(tuple(max(n, THIN_SIDE + 1) for n in a.shape))
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
 
 
 def jacobi_sigma_max(a, sweeps=60, tol=1e-14):
@@ -101,7 +112,7 @@ class TestSpectralNorm:
 
     def test_absolute_scaling(self):
         rng = PortableRng(321)
-        a = rng.normals(36).reshape(6, 6)
+        a = padded(rng.normals(36).reshape(6, 6))
         base = spectral_norm(a)
         for c in (-2.5, 0.3, 7.0):
             assert spectral_norm(c * a) == pytest.approx(abs(c) * base, rel=1e-8)
@@ -142,7 +153,7 @@ class TestLanczos:
         assert residual <= 1e-12
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
 
-    @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
+    @pytest.mark.parametrize("shape", [(THIN_SIDE + 1, 1000), (1000, THIN_SIDE + 1)])
     def test_wide_and_tall(self, shape):
         a = gaussian_matrix(*shape, 1.0, PortableRng(7))
         sigma, _, _, iters = power_iteration(a, tol=1e-12)
@@ -164,16 +175,19 @@ class TestLanczos:
                                       rel=1e-10)
 
     def test_exact_null_start_reseeds(self):
-        a = np.diag([3.0, 2.0, 0.0, 0.0])
-        sigma, _, _, iters = power_iteration(a, start=np.array([0.0, 0.0, 1.0, 1.0]))
+        a = padded(np.diag([3.0, 2.0, 0.0, 0.0]))
+        sigma, _, _, iters = power_iteration(
+            a, start=padded(np.array([0.0, 0.0, 1.0, 1.0])))
         assert sigma == pytest.approx(3.0, rel=1e-12)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
         assert iters >= 2    # the null-space step counts
 
     def test_eigenvector_start_reseeds(self):
         # the start e_2 breaks down at once on the eigenvalue 2**2
-        sigma, _, _, iters = power_iteration(np.diag([3.0, 2.0]),
-                                             start=np.array([0.0, 1.0]))
+        a = padded(np.diag([3.0, 2.0]))
+        sigma, _, _, iters = power_iteration(a, start=padded(np.array([0.0, 1.0])))
         assert sigma == pytest.approx(3.0, rel=1e-12)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
         assert iters >= 2
 
     def test_warm_start_beats_cold_start(self):
@@ -187,8 +201,8 @@ class TestLanczos:
         assert sigma == pytest.approx(np.linalg.norm(nudged, 2), rel=1e-8)
 
     def test_first_step_is_a_power_step(self):
-        a = PortableRng(13).normals(48).reshape(8, 6)
-        v = PortableRng(14).normals(6)
+        a = padded(PortableRng(13).normals(48).reshape(8, 6))
+        v = padded(PortableRng(14).normals(6))
         v /= np.linalg.norm(v)
         u = a.T @ (a @ v)
         lam = v @ u
@@ -200,24 +214,27 @@ class TestLanczos:
 
 
 class TestLazyChecks:
-    """The input checks that run only when a cycle's first product is off."""
+    """The input checks that run only when a cycle's first product is off
+    (the matrices are past the thin rule)."""
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf])
     def test_infinite_entry_raises(self, entry):
-        a = PortableRng(17).normals(30).reshape(5, 6)
+        a = padded(PortableRng(17).normals(30).reshape(5, 6))
         a[3, 2] = entry
         with pytest.raises(ValueError, match="non-finite"):
             power_iteration(a)
 
     def test_zero_matrix_with_zero_start(self):
-        sigma, vec, residual, iters = power_iteration(np.zeros((7, 5)),
-                                                      start=np.zeros(5))
+        shape = (THIN_SIDE + 3, THIN_SIDE + 1)
+        sigma, vec, residual, iters = power_iteration(np.zeros(shape),
+                                                      start=np.zeros(shape[1]))
         assert (sigma, residual, iters) == (0.0, 0.0, 0)
-        assert np.array_equal(vec, np.zeros(5))
+        assert np.array_equal(vec, np.zeros(shape[1]))
 
     def test_zero_start_reseeds(self):
-        a = PortableRng(19).normals(63).reshape(9, 7)
-        sigma, _, _, _ = power_iteration(a, tol=1e-12, start=np.zeros(7))
+        a = padded(PortableRng(19).normals(63).reshape(9, 7))
+        sigma, _, _, iters = power_iteration(a, tol=1e-12, start=np.zeros(a.shape[1]))
+        assert iters > 0
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
 
 
@@ -226,15 +243,77 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("shape", [
         # 2, 3 and 5 full row blocks plus a partial one, then single rows
+        # zero-padded past the thin rule
         *[(blocks * (_SWEEP_BYTES // (8 * cols)) + 17, cols)
           for cols, blocks in ((200, 2), (1000, 3), (3000, 5))],
         (1, 1), (1, 3), (1, 5000)], ids=lambda shape: "%dx%d" % shape)
     def test_matches_dense(self, shape):
-        a = np.random.default_rng(shape[1]).standard_normal(shape)
-        sigma, _, _, _ = power_iteration(a, tol=1e-12)
+        a = padded(np.random.default_rng(shape[1]).standard_normal(shape))
+        sigma, _, _, iters = power_iteration(a, tol=1e-12)
+        assert iters > 0
         dense = np.linalg.norm(a, 2)
         assert sigma == pytest.approx(dense, rel=1e-12)
         assert sigma <= dense * (1.0 + 1e-12)
+
+
+class TestThinRule:
+    """A matrix whose short side is at most THIN_SIDE: exact norms from its
+    Gram matrix, no Lanczos product."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("rows", [1, THIN_SIDE, THIN_SIDE + 1])
+    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+    def test_matches_dense(self, rows, tall, scale):
+        base = np.random.default_rng(rows).standard_normal((rows, 300))
+        if tall:
+            base = base.T
+        a = scale * base
+        sigma, vec, residual, iters = power_iteration(a, tol=1e-12)
+        dense = np.linalg.norm(a, 2)
+        assert sigma == pytest.approx(dense, rel=1e-12)
+        # the right vector is a unit top singular vector (taken on the
+        # unscaled matrix, whose squares do not overflow)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(base @ vec) == pytest.approx(dense / scale, rel=1e-12)
+        if rows <= THIN_SIDE:
+            assert (residual, iters) == (0.0, 0)
+        else:
+            assert iters > 0     # 17 rows take Lanczos
+
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 3)])
+    def test_zero_matrix(self, shape):
+        sigma, vec, residual, iters = power_iteration(np.zeros(shape))
+        assert (sigma, residual, iters) == (0.0, 0.0, 0)
+        assert np.array_equal(vec, np.zeros(shape[1]))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 3)])
+    def test_non_finite_entry_raises(self, shape, entry):
+        a = PortableRng(23).normals(120).reshape(shape)
+        a[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iteration(a)
+
+    @pytest.mark.parametrize("rows", [3, THIN_SIDE + 1])
+    def test_norm_past_the_float_range_is_inf(self, rows):
+        # on both paths, with no overflow warning
+        sigma, _, _, iters = power_iteration(np.full((rows, 40), 1e308))
+        assert sigma == np.inf
+        assert (iters == 0) == (rows <= THIN_SIDE)
+
+    def test_stack_reads_each_matrix(self):
+        # a stack of four (5, 40) matrices: two finite, one zero, one with
+        # a NaN entry
+        stack = PortableRng(29).normals(4 * 5 * 40).reshape(4, 5, 40)
+        stack[1] *= 1e-200
+        stack[2] = 0.0
+        stack[3, 4, 0] = np.nan
+        sigma, vecs = thin_norms(stack)
+        for i in (0, 1):
+            assert sigma[i] == pytest.approx(np.linalg.norm(stack[i], 2), rel=1e-12)
+            assert sigma[i] == power_iteration(stack[i])[0]
+        assert sigma[2] == 0.0 and sigma[3] == np.inf
+        assert not vecs[2:].any()
 
 
 class TestGaussianMatrix:

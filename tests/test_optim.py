@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from overparam import network, optim
 from overparam.data import generate_separated
-from overparam.linalg import PortableRng
+from overparam.linalg import THIN_SIDE, PortableRng
 from overparam.losses import builtin_loss
 from overparam.network import (NetworkParams, backprop_signals, batch_forward,
                                gradient_factors, init_network)
@@ -175,8 +175,9 @@ class TestRunGd:
         summary = rec.summary()
         assert rec.stop_reason == "zero_error" and summary["iterations"] > 0
         assert summary["final_radii"] == rec.rows[-1].radius
-        fresh = perturbation_radius(final, params, tol=1e-8)
-        np.testing.assert_allclose(summary["final_radii"], fresh, rtol=1e-12, atol=0)
+        dense = [np.linalg.norm(w - w0, 2)
+                 for w, w0 in zip(final.weights, params.weights)]
+        np.testing.assert_allclose(summary["final_radii"], dense, rtol=1e-9, atol=0)
 
     def test_descent_on_small_problem(self):
         params, ds = small_problem(m=64)
@@ -257,9 +258,13 @@ class TestRunSgd:
 
 
 class TestTrainingPath:
-    @pytest.mark.parametrize("batch_size", [None, 3])
-    def test_matches_oracle_loop_bitwise(self, batch_size):
-        params, ds = small_problem()
+    # at m=16 every layer difference is thin and its radius exact; at m=64
+    # the (64, 64) layer takes the warm Lanczos solve
+    @pytest.mark.parametrize("batch_size, m", [
+        pytest.param(None, 16, id="None"), pytest.param(3, 16, id="3"),
+        pytest.param(None, 64, id="None-64"), pytest.param(3, 64, id="3-64")])
+    def test_matches_oracle_loop_bitwise(self, batch_size, m):
+        params, ds = small_problem(m=m)
         loss = builtin_loss("logistic")
         config = TrainConfig(max_iters=12, eta=0.05, tau=10.0, seed=4,
                              batch_size=batch_size)
@@ -274,7 +279,8 @@ class TestTrainingPath:
         for row in rec.rows:
             for r, w, w0 in zip(row.radius, iterates[row.k], params.weights):
                 dense = np.linalg.norm(w - w0, 2)
-                assert r == pytest.approx(dense, rel=1e-10, abs=0.0)
+                thin = min(w.shape) <= THIN_SIDE
+                assert r == pytest.approx(dense, rel=1e-12 if thin else 1e-9, abs=0.0)
 
     @pytest.mark.parametrize("m", [300, 16])
     def test_blocked_update_matches_dense_product(self, m):

@@ -5,7 +5,8 @@ same inputs reproduces byte-identical artifacts.  Exit codes: 0 success,
 2 configuration or feasibility error, 3 numerical failure: a diverged run,
 a checkpoint whose weights are not finite, or a spectral solve that does not
 converge.  A checkpoint with finite weights whose measurements overflow is
-measured: `verify` exits 0, and the entries that overflowed read inf and fail.
+measured: `verify` exits 0, and the entries that overflowed read inf, or NaN
+where both sides of a ratio did, and fail.
 
 `CONFIG_TABLE` gives every config key its type, default, null rule and
 range; `--init-config` writes its defaults.  `load_config` checks each key

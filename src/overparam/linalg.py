@@ -385,7 +385,7 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
         raise ValueError("matrix has non-finite entries")
     if not a.any():
         return 0.0, np.zeros(a.shape[1]), 0.0, 0
-    e = int(np.frexp(np.max(np.abs(a)))[1])
+    e = int(np.frexp(max(a.max(), -a.min()))[1])   # max|a|, without an |a| temporary
     fresh = PortableRng(_START_SEED + it).normals(a.shape[1])
     theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(a, -e)), fresh[None], tol)
     with np.errstate(over="ignore"):   # a norm past the float range reads inf

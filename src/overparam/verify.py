@@ -203,65 +203,52 @@ class MaskedChain:
         return t
 
     def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
-        """Spectral norm of each example's operator.
+        """Spectral norm of each example's operator, from one solve on the
+        exact scaling of its weights.
 
-        A thin chain draws nothing from `rng` and a wide one ``n * dim``
-        normals; each battery item reads its own window of the stream.
+        Mask r is scaled by ``2**-e_r``, e_r the binary exponent of max|W_r|,
+        with the head's exponent folded into the last mask (and each e_r
+        kept where ``2**-e_r`` is a float).  The solve sees an operator near
+        1 in magnitude, and its norms are scaled back by ``2**sum(e_r)``, so
+        a norm past the float range reads inf.  Scaling by powers of two
+        commutes with rounding: weights ``2**k W_r`` give exactly the norms
+        times ``2**(k * number of weights)``.
 
         A thin chain, whose input dimension is at most ``linalg.THIN_SIDE``
-        (such as one that starts at layer 1 and acts on R^d), is applied once
-        to the identity, and `linalg.thin_norms` of the n (dim, m_out)
-        transposed operators gives the exact norms.
-
-        A wider chain runs `linalg._lanczos` on the n Gram operators
-        ``apply_t(apply(.))`` in lockstep until every Ritz residual is at
-        most `tol`; example i starts from the i-th `dim` normals of the
-        draw.  Each estimate approaches its norm from below.
-
-        Both paths give inf for an example whose operator overflows or is
-        not finite.  An example whose norm comes out 0 is solved once more,
-        from the same start, on the exact scaling ``W_r / 2**e_r`` of each
-        weight of the chain (e_r the binary exponent of max|W_r|), and its
-        norm is scaled back by ``2**sum(e_r)``, as `linalg.power_iteration`
-        does for one matrix.  So a chain whose products underflow gets its
-        norm, and one whose operator is zero (a layer pattern with no active
-        unit) still gets 0.
+        (such as one from layer 1, acting on R^d), draws nothing from `rng`:
+        applied once to the identity, `linalg.thin_norms` of the n operators
+        gives the exact norms.  A wider one draws ``n * dim`` normals and runs
+        `linalg._lanczos` on the n Gram operators ``apply_t(apply(.))`` in
+        lockstep until every Ritz residual is at most `tol`, example i from
+        the i-th `dim` normals; each estimate approaches its norm from below.
+        Each battery item reads its own window of the stream.  A non-finite
+        operator reads inf, and a zero one (a layer pattern with no active
+        unit) 0.
         """
-        dim = self.weights[self.first - 1].shape[0]
-        start = None if dim <= THIN_SIDE else \
-            rng.normals(self.n * dim).reshape(self.n, dim)
-        values = self._norms(start, tol)
-        zero = values == 0.0
-        if zero.any():
-            layers = list(range(self.first, self.last + 1))
-            if self.head is not None:
-                layers.append(self.head)
-            weights = list(self.weights)
-            exps = []
-            for r in layers:
-                exps.append(int(np.frexp(np.max(np.abs(weights[r - 1])))[1]))
-                weights[r - 1] = np.ldexp(weights[r - 1], -exps[-1])
-            scaled = MaskedChain(weights, [p[zero] for p in self.patterns],
-                                 self.first, self.last, self.head)
-            values[zero] = np.ldexp(scaled._norms(
-                None if start is None else start[zero], tol), sum(exps))
-        return values
+        def exponent(w):   # of max|w|, without an |w| temporary
+            return int(np.frexp(max(w.max(), -w.min()))[1])
 
-    def _norms(self, start: np.ndarray | None, tol: float) -> np.ndarray:
-        """The thin path's exact norms when `start` is None, else the wide
-        path's from the (n, dim) start rows."""
-        if start is None:
-            dim = self.weights[self.first - 1].shape[0]
+        layers = range(self.first, self.last + 1)
+        exps = [exponent(self.weights[r - 1]) for r in layers]
+        if self.head is not None:
+            exps[-1] += exponent(self.weights[self.head - 1])
+        exps = [min(max(e, -1023), 1074) for e in exps]   # 2**-e stays a float
+        patterns = list(self.patterns)
+        for r, e in zip(layers, exps):
+            patterns[r - 1] = self.patterns[r - 1] * np.ldexp(1.0, -e)
+        chain = MaskedChain(self.weights, patterns, self.first, self.last, self.head)
+        dim = self.weights[self.first - 1].shape[0]
+        if dim <= THIN_SIDE:
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
             with np.errstate(over="ignore", invalid="ignore"):
-                ops = self.apply(eye)
-            return thin_norms(ops)[0]
-
-        def gram(rows):
-            return self.apply_t(self.apply(rows[:, None, :]))[:, 0]
-
-        theta, _, _, _ = _lanczos(gram, start, tol)
-        return np.sqrt(theta)
+                sigma = thin_norms(chain.apply(eye))[0]
+        else:
+            theta, _, _, _ = _lanczos(
+                lambda rows: chain.apply_t(chain.apply(rows[:, None, :]))[:, 0],
+                rng.normals(self.n * dim).reshape(self.n, dim), tol)
+            sigma = np.sqrt(theta)
+        with np.errstate(over="ignore"):   # a norm past the float range reads inf
+            return np.ldexp(sigma, sum(exps))
 
 
 def _output_probe(params: NetworkParams, trace, sparsity: int) -> list:
@@ -270,9 +257,9 @@ def _output_probe(params: NetworkParams, trace, sparsity: int) -> list:
     min(s, dim) largest |entries| of row i of ``g_l W_l^T`` (one backprop
     pass), which is ``v^T chain_i``.  An overflowing row reads inf."""
     values = []
-    for w, g in zip(params.weights, backprop_signals(params, trace)):
-        rest = max(0, w.shape[0] - sparsity)     # entries outside the support
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, g in zip(params.weights, backprop_signals(params, trace)):
+            rest = max(0, w.shape[0] - sparsity)     # entries outside the support
             sq = np.partition(np.square(g @ w.T), rest, axis=1)
             values.append(float(np.sqrt(np.max(np.sum(sq[:, rest:], axis=1)))))
     return values
@@ -643,7 +630,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
              for l1, l2 in itertools.combinations(range(1, depth + 1), 2)]))
 
     if tau > 0.0:
-        s_pert = int(min(m_min, max(1, math.ceil(drift_scale * m_min))))
+        s_pert = max(1, math.ceil(min(drift_scale, 1.0) * m_min))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
         probe = _output_probe(trained, trace, s_pert)

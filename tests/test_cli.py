@@ -390,6 +390,26 @@ class TestVerify:
         assert chain["passed"] is False
         assert pert["passed"] is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_past_float_range_is_measured_and_fails(self, tmp_path):
+        # finite weights up to 6.6e307 put the radius past the float range:
+        # it reads inf and fails, and the entries it scales are still taken
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(GRID_BASE, m=32, L=2)))
+        params = init_network([4, 32, 32], seed=1)
+        params.weights[1] *= 1e308
+        path = tmp_path / "huge.net"
+        save_params(params, path)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(path)]) == 0
+        radius = self._entry(tmp_path, "perturbation_radius")
+        assert radius["per_trial"] == [math.inf]
+        assert radius["passed"] is False
+        for name in ("init_properties.json", "perturbation_properties.json"):
+            for e in json.loads((out / name).read_text())["entries"]:
+                assert not e["passed"] or all(map(math.isfinite, e["per_trial"])), e
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_nonfinite_checkpoint_exits_3(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path, {"trials": 1, "verify_items": ["output_magnitude"]})

@@ -709,6 +709,34 @@ class TestMaskedChain:
             PortableRng(5), tol=1e-3)
         assert np.array_equal(norms, np.zeros(3))
 
+    @pytest.mark.parametrize("head", [True, False])
+    @pytest.mark.parametrize("fixture", ["net", "wide_net"])
+    def test_norms_follow_exact_weight_scaling(self, request, fixture, head):
+        # 2**k on each of the chain's three weights scales every norm by
+        # exactly 2**(3k), also where the Gram products of the wide path
+        # would land in subnormals (k near -170) or overflow (k >= 222)
+        params, patterns = request.getfixturevalue(fixture)
+        base = _chain(params.weights, patterns, 1, 3, head).norms(
+            PortableRng(5), tol=1e-10)
+        for k in (-340, -172, -170, 222, 300):
+            weights = [np.ldexp(w, k) for w in params.weights]
+            norms = _chain(weights, patterns, 1, 3, head).norms(
+                PortableRng(5), tol=1e-10)
+            assert np.array_equal(norms, np.ldexp(base, 3 * k)), k
+
+    @pytest.mark.parametrize("fixture", ["net", "wide_net"])
+    def test_head_exponent_folded_past_float_range(self, request, fixture):
+        # 2**k on the last masked layer and on the head would fold 2**-2k
+        # into the last mask, which no float holds: norms near 2**1200 read
+        # inf, not 0, and norms near 2**-1120 read 0, with no warning
+        params, patterns = request.getfixturevalue(fixture)
+        n = patterns[0].shape[0]
+        for k, expected in ((600, np.inf), (-560, 0.0)):
+            weights = params.weights[:1] + [np.ldexp(w, k) for w in params.weights[1:]]
+            norms = MaskedChain(weights, patterns, 1, 2, head=3).norms(
+                PortableRng(5), tol=1e-10)
+            assert np.array_equal(norms, np.full(n, expected)), k
+
 
 def _chain_matrix(params, patterns, l1, l2, example):
     """Example's ``W_l2^T D_{l2-1} W_{l2-1}^T ... D_{l1} W_l1^T`` as one

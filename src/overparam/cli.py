@@ -58,6 +58,10 @@ def _above(low):
     return (lambda v: v > low), f"above {low}"
 
 
+def _from_up_to(low, high):
+    return (lambda v: low <= v < high), f"in [{low}, {high})"
+
+
 def _inside(low, high):
     return (lambda v: low < v < high), f"in ({low}, {high})"
 
@@ -99,8 +103,10 @@ CONFIG_TABLE = {
     "probes": (int, 64, False, _at_least(1)),
     "gradient_probes": (int, 8, False, _at_least(1)),
     # a Lanczos residual below about 1e-15 is reached only through roundoff;
-    # the floor keeps whether a job converges off the last bits of its GEMMs
-    "spectral_tol": (float, 1e-3, False, _at_least(1e-12)),
+    # the floor keeps whether a job converges off the last bits of its GEMMs.
+    # A residual r brackets an eigenvalue in [theta (1 - r), theta (1 + r)],
+    # which certifies nothing from r = 1 on.
+    "spectral_tol": (float, 1e-3, False, _from_up_to(1e-12, 1)),
     "verify_items": (list, None, True, _ITEMS),
     "mc_samples": (int, 100000, False, _at_least(1000)),
     # seeding

@@ -202,88 +202,115 @@ def aligned_empty(shape) -> np.ndarray:
 # solve with theta inf, not a RuntimeWarning
 @np.errstate(invalid="ignore", over="ignore")
 def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tuple:
-    """Top eigenpairs of n symmetric PSD operators by restarted Lanczos, in lockstep.
+    """Top eigenpairs of n symmetric PSD operators by restarted Lanczos, each
+    stopped at its own tolerance.
 
-    `gram` maps an ``(n, dim)`` array, row i a vector for operator i, to the
-    n products; `start` holds the n start rows (zero rows allowed).  Returns
-    ``(theta, vectors, residual, iterations)``: each row's top Ritz value,
-    Ritz vector (unit to roundoff) and Ritz residual, and the number of
-    `gram` calls.
+    `start` holds the n start rows (zero rows allowed).  ``gram(rows, ids)``
+    maps the ``(k, dim)`` rows of the operators still iterating to their k
+    products; ``ids`` are those operators' indices into `start`, ascending,
+    and the set only shrinks.  Returns ``(theta, vectors, residual,
+    iterations)`` in the order of `start`: each row's top Ritz value, Ritz
+    vector (unit to roundoff) and Ritz residual, and the number of `gram`
+    calls.
 
-    Each cycle grows every row's orthonormal Krylov basis, with full
+    Each cycle grows each row's orthonormal Krylov basis, with full
     reorthogonalisation, by up to ``_LANCZOS_CYCLE`` vectors, and after each
     step takes the top Ritz pair ``(theta, x)`` of the row's tridiagonal
     projection; the first step is a power step.  The residual
-    ``||G x - theta x|| / theta`` is ``|beta_j y_j| / theta``.  The rows stop
-    together, when every residual is at most `tol`; until then converged
-    rows keep iterating, and their Ritz values only rise toward their top
-    eigenvalue.  An unconverged cycle restarts each row from its top Ritz
-    vector.  A zero beta (breakdown) means the row's Krylov space is
-    invariant: its residual is 0 and its later basis vectors are 0.  So a
-    zero start row or a zero operator converges at once with theta 0.
+    ``||G x - theta x|| / theta`` is ``|beta_j y_j| / theta``.  A row stops
+    at the first step where its residual is at most `tol`: its values are
+    final, and it takes no more products, so each row gets the values and
+    the product count of its own solve.  An unconverged cycle restarts each
+    row from its top Ritz vector.  A zero beta (breakdown) means the row's
+    Krylov space is invariant, so its residual is 0: a zero start row or a
+    zero operator stops at its first product with theta 0.
 
     A row whose beta is not finite (a non-finite operator, or a product
-    that overflows) ends the solve at once with theta inf; the other rows'
-    values are then unconverged.  After `max_iter` products it raises
-    SpectralNormError with the last iterate of the row of largest residual.
+    that overflows) ends the solve at once with theta inf; the other rows
+    still iterating keep their unconverged values.  After `max_iter` products
+    it raises SpectralNormError with the last iterate of the row of largest
+    residual.
     """
     n, dim = start.shape
     norm = np.linalg.norm(start, axis=1, keepdims=True)
     v = start / np.where(norm > 0.0, norm, 1.0)
+    # the rows still iterating sit at the front of `basis` and `tri`, in the
+    # order of `start`, and every step works on views of the first k
     basis = np.empty((n, _LANCZOS_CYCLE, dim))
     tri = np.zeros((n, _LANCZOS_CYCLE, _LANCZOS_CYCLE))
-    theta = np.zeros(n)
-    residual = np.full(n, np.inf)
+    ids = np.arange(n)
+    theta, vectors, residual = np.zeros(n), v, np.full(n, np.inf)
     it = 0
     while it < max_iter:
-        basis[:, 0] = v
+        k = len(ids)
+        basis[:k, 0] = v
         for j in range(_LANCZOS_CYCLE):
             it += 1
-            q = basis[:, : j + 1]
-            w = gram(basis[:, j])
+            q = basis[:k, : j + 1]
+            w = gram(basis[:k, j], ids)
             # Gram-Schmidt coefficients of w; the last one is q_j . w
             c = np.matmul(q, w[:, :, None])
-            tri[:, j, j] = c[:, j, 0]
+            tri[:k, j, j] = c[:, j, 0]
             # full reorthogonalisation: classical Gram-Schmidt, twice
             w -= np.matmul(c.transpose(0, 2, 1), q)[:, 0]
             w -= np.matmul(np.matmul(q, w[:, :, None]).transpose(0, 2, 1), q)[:, 0]
             beta = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
             if j == 0:
                 # the 1x1 projection is its own Ritz pair
-                theta, y = tri[:, 0, 0].copy(), np.ones((n, 1))
+                th, y = tri[:k, 0, 0].copy(), np.ones((k, 1))
             else:
-                ritz, vecs = np.linalg.eigh(tri[:, : j + 1, : j + 1])
-                theta, y = ritz[:, -1], vecs[:, :, -1]
+                ritz, vecs = np.linalg.eigh(tri[:k, : j + 1, : j + 1])
+                th, y = ritz[:, -1], vecs[:, :, -1]
             # residual <= tol as |beta_j y_j| <= tol * theta: a breakdown
             # (beta = 0) passes, and a zero operator's theta is not divided by
             live = beta > 0.0
             gap = np.abs(beta * y[:, -1])
-            done = np.all(gap <= tol * theta)
+            stop = gap <= tol * th
+            done = stop.all()
+            if stop.any() and not done:
+                gone = ids[stop]
+                theta[gone] = th[stop]
+                residual[gone] = gap[stop] / np.where(live[stop], th[stop], 1.0)
+                for r in np.flatnonzero(stop):
+                    vectors[ids[r]] = y[r] @ q[r]
+                # move the rows left forward, each with its live basis and
+                # its projection; dst <= src, so no row is overwritten unread
+                keep = np.flatnonzero(~stop)
+                for dst, src in enumerate(keep):
+                    if dst < src:
+                        basis[dst, : j + 1] = basis[src, : j + 1]
+                        tri[dst, : j + 1, : j + 1] = tri[src, : j + 1, : j + 1]
+                ids, w, beta, th, y, gap, live = (
+                    a[keep] for a in (ids, w, beta, th, y, gap, live))
+                k = len(ids)
+                q = basis[:k, : j + 1]
             if not done and not np.isfinite(beta).all():
-                return np.where(np.isfinite(beta), theta, np.inf), v, residual, it
+                theta[ids] = np.where(np.isfinite(beta), th, np.inf)
+                return theta, vectors, residual, it
             if done or j + 1 == _LANCZOS_CYCLE or it == max_iter:
                 v = np.matmul(y[:, None, :], q)[:, 0]
-                residual = gap / np.where(live, theta, 1.0)
+                theta[ids], vectors[ids] = th, v
+                residual[ids] = gap / np.where(live, th, 1.0)
                 if done:
-                    return theta, v, residual, it
+                    return theta, vectors, residual, it
                 break
-            np.divide(w, np.where(live, beta, 1.0)[:, None], out=basis[:, j + 1])
-            tri[:, j + 1, j] = tri[:, j, j + 1] = beta
-    k = int(np.argmax(residual))
+            np.divide(w, np.where(live, beta, 1.0)[:, None], out=basis[:k, j + 1])
+            tri[:k, j + 1, j] = tri[:k, j, j + 1] = beta
+    worst = int(np.argmax(residual))
     raise SpectralNormError(
         f"Lanczos did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {residual[k]:g})",
-        sigma=float(np.sqrt(max(theta[k], 0.0))), vector=v[k],
-        residual=float(residual[k]), iterations=max_iter)
+        f"(last residual {residual[worst]:g})",
+        sigma=float(np.sqrt(max(theta[worst], 0.0))), vector=vectors[worst],
+        residual=float(residual[worst]), iterations=max_iter)
 
 
 def _sweep_gram(a: np.ndarray):
-    """`_lanczos`'s one-row product with A^T A: one sweep over `a` in row
-    blocks of about ``_SWEEP_BYTES``, ``w += (blk @ q) @ blk``, so a block
-    is read from memory once."""
+    """`_lanczos`'s one-row product with A^T A (its `ids` go unused): one
+    sweep over `a` in row blocks of about ``_SWEEP_BYTES``,
+    ``w += (blk @ q) @ blk``, so a block is read from memory once."""
     rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
 
-    def gram(q):
+    def gram(q, ids):
         q = q[0]
         w = (a[:rows] @ q) @ a[:rows]
         for i in range(rows, a.shape[0], rows):

@@ -218,9 +218,11 @@ class MaskedChain:
         (such as one from layer 1, acting on R^d), draws nothing from `rng`:
         applied once to the identity, `linalg.thin_norms` of the n operators
         gives the exact norms.  A wider one draws ``n * dim`` normals and runs
-        `linalg._lanczos` on the n Gram operators ``apply_t(apply(.))`` in
-        lockstep until every Ritz residual is at most `tol`, example i from
-        the i-th `dim` normals; each estimate approaches its norm from below.
+        `linalg._lanczos` on the n Gram operators ``apply_t(apply(.))``,
+        example i from the i-th `dim` normals, each until its own Ritz
+        residual is at most `tol`; each estimate approaches its norm from
+        below.  Whenever examples stop, the chain GEMMs are rebuilt over the
+        masks of the examples left, so a stopped example costs no more flops.
         Each battery item reads its own window of the stream.  A non-finite
         operator reads inf, and a zero one (a layer pattern with no active
         unit) 0.
@@ -243,10 +245,16 @@ class MaskedChain:
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma = thin_norms(chain.apply(eye))[0]
         else:
-            theta, _, _, _ = _lanczos(
-                lambda rows: chain.apply_t(chain.apply(rows[:, None, :]))[:, 0],
-                rng.normals(self.n * dim).reshape(self.n, dim), tol)
-            sigma = np.sqrt(theta)
+            def gram(rows, ids):
+                nonlocal chain
+                if chain.n > len(ids):   # chain only the examples left
+                    chain = None         # one set of mask copies at a time
+                    chain = MaskedChain(self.weights, [p[ids] for p in patterns],
+                                        self.first, self.last, self.head)
+                return chain.apply_t(chain.apply(rows[:, None, :]))[:, 0]
+
+            start = rng.normals(self.n * dim).reshape(self.n, dim)
+            sigma = np.sqrt(_lanczos(gram, start, tol)[0])
         with np.errstate(over="ignore"):   # a norm past the float range reads inf
             return np.ldexp(sigma, sum(exps))
 

@@ -562,6 +562,9 @@ class TestConfigTable:
         ("verify", "verify_items", "[]", []),
         ("verify", "verify_items", '["output_magnitude", "output_magnitude"]', []),
         ("train", "eta_scale", "null", []),
+        # a residual of 1 or more certifies nothing
+        ("verify", "spectral_tol", "1", []),
+        ("verify", "spectral_tol", "1.5", []),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, checkpoint,
                                              command, key, raw, args):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from overparam import linalg
 from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
-                              THIN_SIDE, PortableRng, SpectralNormError,
+                              THIN_SIDE, PortableRng, SpectralNormError, _lanczos,
                               aligned_empty, gaussian_matrix, power_iteration,
                               spectral_norm, thin_norms)
 
@@ -122,8 +122,33 @@ class TestSpectralNorm:
             assert spectral_norm(c * a, tol=1e-12) == pytest.approx(c * dense, rel=1e-12)
 
 
+def diagonal_batch(dim=40):
+    """Diagonal PSD operators with top eigenvalue 1 and gaps from 0.9 down to
+    0.002 below it, in mixed order, and their start rows."""
+    gaps = (0.9, 0.002, 0.3, 0.01, 0.05)
+    diags = np.array([np.concatenate(([1.0], np.linspace(1.0 - g, 0.0, dim - 1)))
+                      for g in gaps])
+    return diags, PortableRng(23).normals(len(gaps) * dim).reshape(len(gaps), dim)
+
+
+def recording(diags, calls):
+    """A `_lanczos` product with the operators `diags` that appends each
+    call's `ids` to `calls`; row r's product depends on row r alone."""
+    def gram(rows, ids):
+        calls.append(ids.copy())
+        return rows * diags[ids]
+    return gram
+
+
+def solo(diags, start, i, tol, max_iter=10_000):
+    """`_lanczos` on operator i alone, from its own start row."""
+    return _lanczos(recording(diags[i:i + 1], []), start[i:i + 1], tol, max_iter)
+
+
 class TestLanczos:
-    """power_iteration against dense SVD norms."""
+    """power_iteration against dense SVD norms, and `_lanczos` stopping each
+    operator of a batch at its own tolerance: a row gets the values and the
+    product count of its solve alone."""
 
     @examples
     @given(rows=dims, cols=dims, seed=seeds)
@@ -211,6 +236,86 @@ class TestLanczos:
         assert sigma ** 2 == pytest.approx(lam, rel=1e-14)
         assert residual == pytest.approx(np.linalg.norm(u - lam * v) / lam,
                                          rel=1e-12)
+
+    def test_each_row_matches_its_solve_alone(self):
+        diags, start = diagonal_batch()
+        calls = []
+        theta, vectors, residual, iters = _lanczos(recording(diags, calls), start, 1e-8)
+        counts = []
+        for i in range(len(start)):
+            alone = solo(diags, start, i, 1e-8)
+            assert theta[i] == pytest.approx(alone[0][0], rel=1e-12)
+            assert np.linalg.norm(vectors[i] - alone[1][0]) <= 1e-12
+            assert residual[i] == pytest.approx(alone[2][0], rel=1e-12)
+            # the row takes its own products, and none after it met tol
+            assert [i in ids for ids in calls] == \
+                [True] * alone[3] + [False] * (iters - alone[3])
+            counts.append(alone[3])
+        assert len(set(counts)) == len(counts)   # the rows stop at different steps
+        assert iters == len(calls) == max(counts)
+        assert sum(len(ids) for ids in calls) == sum(counts)
+
+    def test_ids_ascend_and_only_shrink(self):
+        diags, start = diagonal_batch()
+        calls = []
+        _lanczos(recording(diags, calls), start, 1e-8)
+        assert np.array_equal(calls[0], np.arange(len(start)))
+        for ids, later in zip(calls, calls[1:]):
+            assert np.all(np.diff(ids) > 0)
+            assert set(later) <= set(ids)
+
+    def test_zero_start_row_stops_at_its_first_product(self):
+        diags, start = diagonal_batch()
+        start[1] = 0.0
+        calls = []
+        theta, vectors, residual, _ = _lanczos(recording(diags, calls), start, 1e-8)
+        assert 1 in calls[0]
+        assert all(1 not in ids for ids in calls[1:])
+        assert (theta[1], residual[1]) == (0.0, 0.0)
+        assert not vectors[1].any()
+
+    def test_cap_reports_the_callers_worst_row(self):
+        diags, start = diagonal_batch()
+        cap, last = 20, []
+        for i in range(len(start)):
+            try:
+                theta, vec, res, _ = solo(diags, start, i, 1e-8, max_iter=cap)
+                last.append((res[0], np.sqrt(theta[0]), vec[0]))
+            except SpectralNormError as err:
+                last.append((err.residual, err.sigma, err.vector))
+        worst = int(np.argmax([res for res, _, _ in last]))
+        # row 0 stops before the cap, so the worst row has moved forward
+        assert last[0][0] <= 1e-8 and worst > 0
+        with pytest.raises(SpectralNormError) as info:
+            _lanczos(recording(diags, []), start, 1e-8, max_iter=cap)
+        err = info.value
+        assert err.iterations == cap
+        assert err.residual == pytest.approx(last[worst][0], rel=1e-12)
+        assert err.sigma == pytest.approx(last[worst][1], rel=1e-12)
+        assert np.linalg.norm(err.vector - last[worst][2]) <= 1e-12
+
+    def test_non_finite_row_ends_the_solve(self):
+        diags, start = diagonal_batch()
+        calls = []
+        plain = recording(diags, calls)
+
+        def gram(rows, ids):
+            out = plain(rows, ids)
+            # the first product of the second cycle, after row 0 has stopped
+            # at 7 products
+            if len(calls) == _LANCZOS_CYCLE + 1:
+                out[ids == 3] = np.nan
+            return out
+
+        theta, vectors, residual, iters = _lanczos(gram, start, 1e-8)
+        alone = solo(diags, start, 0, 1e-8)
+        assert iters == _LANCZOS_CYCLE + 1
+        # the stopped row keeps its values; the others are unconverged
+        assert theta[0] == pytest.approx(alone[0][0], rel=1e-12)
+        assert residual[0] == pytest.approx(alone[2][0], rel=1e-12)
+        assert np.linalg.norm(vectors[0] - alone[1][0]) <= 1e-12
+        assert theta[3] == np.inf
+        assert np.all(np.isfinite(theta[[1, 2, 4]]))
 
 
 class TestLazyChecks:

@@ -617,6 +617,23 @@ class TestMaskedChain:
         ref_rng.normals(n * dim)
         assert ref_rng.raw(1)[0] == batch_rng.raw(1)[0]
 
+    @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
+    def test_each_norm_is_its_chain_solved_alone(self, wide_net, l1, l2, head):
+        # at tol 1e-3 the examples stop at different steps; a row kept
+        # iterating past its own stop would read a larger norm
+        params, patterns = wide_net
+        n = patterns[0].shape[0]
+        dim = params.weights[l1 - 1].shape[0]
+        norms = _chain(params.weights, patterns, l1, l2, head).norms(
+            PortableRng(17), tol=1e-3)
+        starts = PortableRng(17).normals(n * dim).reshape(n, dim)
+        for i in range(n):
+            alone = _chain(params.weights, [p[i:i + 1] for p in patterns], l1, l2, head)
+            theta, _, _, _ = linalg._lanczos(
+                lambda rows, ids: alone.apply_t(alone.apply(rows[:, None, :]))[:, 0],
+                starts[i:i + 1], 1e-3)
+            assert norms[i] == pytest.approx(np.sqrt(theta[0]), rel=1e-12)
+
     @pytest.mark.parametrize("l1, l2, head",
                              [case for case in PAIRS_AND_FORMS if case[0] == 1])
     def test_thin_norms_are_exact(self, net, l1, l2, head):

@@ -4,10 +4,16 @@ Matrices are numpy float64 arrays in C (row-major) order throughout the
 package.  Activation patterns are numpy bool arrays and are only ever used
 as elementwise masks, never as 0/1 float diagonals.
 
-Spectral norms have two rules.  A thin matrix, one whose short side is at
-most ``THIN_SIDE``, gets its norm exactly from ``eigh`` of its small Gram
-matrix (`thin_norms`, which also takes a stack of them).  Any other matrix
-gets it from restarted Lanczos on A^T A (`power_iteration`).
+Every spectral norm of the package is taken here, of a matrix
+(`power_iteration`) or of each example's masked chain (`MaskedChain`), by
+one of two rules.  An operator whose short side is at most ``THIN_SIDE``
+gets its norm exactly from ``eigh`` of its small Gram matrix (`thin_norms`).
+Any other gets it from restarted Lanczos on its Gram operator (`_lanczos`).
+Exact scaling keeps both inside the float range: the operator is taken on
+``a / 2**e``, e the binary exponent of max|a| (`_peak`), which commutes with
+rounding, so ``2**k a`` gets exactly ``2**k`` times the norm.
+`power_iteration`'s Lanczos path scales only to re-solve after an under- or
+overflow.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from numpy.random import PCG64
 
 __all__ = [
+    "MaskedChain",
     "PortableRng",
     "SpectralNormError",
     "gaussian_matrix",
@@ -225,11 +232,11 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
     Krylov space is invariant, so its residual is 0: a zero start row or a
     zero operator stops at its first product with theta 0.
 
-    A row whose beta is not finite (a non-finite operator, or a product
-    that overflows) ends the solve at once with theta inf; the other rows
-    still iterating keep their unconverged values.  After `max_iter` products
-    it raises SpectralNormError with the last iterate of the row of largest
-    residual.
+    A row whose new diagonal entry or beta is not finite (a non-finite
+    operator, or a product that overflows) ends the solve before ``eigh``
+    sees it, with theta inf; the other rows still iterating keep the values
+    of their last finished cycle.  After `max_iter` products it raises
+    SpectralNormError with the last iterate of the row of largest residual.
     """
     n, dim = start.shape
     norm = np.linalg.norm(start, axis=1, keepdims=True)
@@ -255,6 +262,11 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
             w -= np.matmul(c.transpose(0, 2, 1), q)[:, 0]
             w -= np.matmul(np.matmul(q, w[:, :, None]).transpose(0, 2, 1), q)[:, 0]
             beta = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+            # a non-finite product ends the solve before eigh sees it
+            fine = np.isfinite(beta) & np.isfinite(tri[:k, j, j])
+            if not fine.all():
+                theta[ids[~fine]] = np.inf
+                return theta, vectors, residual, it
             if j == 0:
                 # the 1x1 projection is its own Ritz pair
                 th, y = tri[:k, 0, 0].copy(), np.ones((k, 1))
@@ -284,9 +296,6 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
                     a[keep] for a in (ids, w, beta, th, y, gap, live))
                 k = len(ids)
                 q = basis[:k, : j + 1]
-            if not done and not np.isfinite(beta).all():
-                theta[ids] = np.where(np.isfinite(beta), th, np.inf)
-                return theta, vectors, residual, it
             if done or j + 1 == _LANCZOS_CYCLE or it == max_iter:
                 v = np.matmul(y[:, None, :], q)[:, 0]
                 theta[ids], vectors[ids] = th, v
@@ -320,24 +329,29 @@ def _sweep_gram(a: np.ndarray):
     return gram
 
 
+def _peak(a: np.ndarray) -> tuple:
+    """max|a| of a matrix, or of each matrix of a stack, and its binary
+    exponent e (0 where max|a| is 0, inf or NaN).  One max and one min make
+    no |a| temporary, which raised a train-gd benchmark job's peak RSS by
+    about 0.1 MiB."""
+    peak = np.maximum(np.max(a, axis=(-2, -1)), -np.min(a, axis=(-2, -1)))
+    return peak, np.frexp(np.where(np.isfinite(peak), peak, 0.0))[1]
+
+
 def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral norms and top right singular vectors of a stack of thin
     matrices, exact to roundoff.
 
     `stack` is ``(n, k, m)`` with ``min(k, m) <= THIN_SIDE``.  Each matrix
-    is taken on its exact scaling ``a / 2**e`` (e the binary exponent of
-    max|a|), whose entries lie below 1 in magnitude, so its Gram matrix on
-    the short side cannot overflow; one stacked ``eigh`` of the n Grams
-    gives every top eigenpair.  Returns ``(sigma, vectors)``: the n norms
+    is taken on its exact scaling, whose entries lie below 1 in magnitude,
+    so its Gram matrix on the short side cannot overflow; one stacked
+    ``eigh`` of the n Grams gives every top eigenpair.  Returns ``(sigma, vectors)``: the n norms
     and the n unit right vectors, ``(n, m)``.  A matrix with a non-finite
     entry gets inf and the zero matrix 0, both with a zero vector.
     """
     k, m = stack.shape[1:]
-    # max|a| without an |a| temporary: in a train-gd benchmark job, that
-    # temporary raised the peak RSS by about 0.1 MiB
-    peak = np.maximum(np.max(stack, axis=(1, 2)), -np.min(stack, axis=(1, 2)))
+    peak, e = _peak(stack)
     finite = np.isfinite(peak)
-    e = np.frexp(np.where(finite, peak, 0.0))[1]
     # 2**-e in two factors, each a float for any exponent; two products took
     # 9 us on a (10, 1000) matrix, where np.ldexp took 46 us
     half = -e // 2
@@ -368,20 +382,14 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     Ritz residual ``||A^T A x - theta x|| / theta`` at `tol` bounds the
     relative error of ``sigma**2`` by `tol`.
 
-    The thin rule: a matrix with ``min(a.shape) <= THIN_SIDE`` takes its
-    norm and right vector from `thin_norms` (``eigh`` of its small Gram
-    matrix on the exact scaling ``a / 2**e``), with residual 0 and 0
-    iterations, since no product with A^T A is taken; `tol` and `start`
-    go unused.  Non-finite entries raise ValueError and the zero matrix
-    returns ``(0.0, zeros, 0.0, 0)``, as on the Lanczos path.
-
-    On the Lanczos path `a` is scanned only after a solve that ends with
-    theta outside (0, inf) or with residual 0: non-finite entries raise
-    ValueError, and the zero matrix returns ``(0.0, zeros, 0.0, 0)``.  Else
-    the start was zero, null or an eigenvector, or a product under- or
-    overflowed: `_lanczos` runs once more, from a fresh seeded start on the
-    exact scaling ``a / 2**e`` (e the binary exponent of max|a|), and the
-    iterations are summed.
+    A thin matrix takes its norm and right vector from `thin_norms`, with
+    residual 0 and 0 iterations; `tol` and `start` go unused.  On either
+    path non-finite entries raise ValueError and the zero matrix returns
+    ``(0.0, zeros, 0.0, 0)``.  The Lanczos path scans `a` only after a solve
+    that ends with theta outside (0, inf) or with residual 0.  Past those
+    two cases the start was zero, null or an eigenvector, or a product
+    under- or overflowed: `_lanczos` runs once more, from a fresh seeded
+    start on the exact scaling of `a`, and the iterations are summed.
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
@@ -400,7 +408,7 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     if min(a.shape) <= THIN_SIDE:
         sigma, v = thin_norms(a[None])
         # a finite matrix whose norm overflows reads inf as well
-        if sigma[0] == np.inf and not np.all(np.isfinite(a)):
+        if sigma[0] == np.inf and not np.isfinite(_peak(a)[0]):
             raise ValueError("matrix has non-finite entries")
         return float(sigma[0]), v[0], 0.0, 0
     if start is None:
@@ -408,11 +416,11 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     theta, v, residual, it = _lanczos(_sweep_gram(a), start[None], tol)
     if 0.0 < theta[0] < np.inf and residual[0] > 0.0:
         return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
-    if not np.all(np.isfinite(a)):
+    peak, e = _peak(a)
+    if not np.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
-    if not a.any():
+    if peak == 0.0:
         return 0.0, np.zeros(a.shape[1]), 0.0, 0
-    e = int(np.frexp(max(a.max(), -a.min()))[1])   # max|a|, without an |a| temporary
     fresh = PortableRng(_START_SEED + it).normals(a.shape[1])
     theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(a, -e)), fresh[None], tol)
     with np.errstate(over="ignore"):   # a norm past the float range reads inf
@@ -424,3 +432,99 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-10) -> float:
     """Largest singular value of `a`; exact 0 for the zero matrix."""
     sigma, _, _, _ = power_iteration(a, tol=tol)
     return sigma
+
+
+def _rows(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``block @ w`` over the last axis of an (n, b, dim) block, as one GEMM.
+    The weight goes on the right: on one BLAS thread of a 2-core Xeon,
+    (20, 1000) @ W takes 1.2 ms and W^T @ (1000, 20), the same flops, 2.1 ms."""
+    return (block.reshape(-1, block.shape[-1]) @ w).reshape(*block.shape[:-1], w.shape[1])
+
+
+class MaskedChain:
+    """Masked chain products of all n examples at once.
+
+    Example i's operator is ``D_{last,i} W_last^T ... D_{first,i} W_first^T``,
+    where ``D_{r,i}`` masks to the active units of its layer-r pattern; with
+    `head` it gains a final unmasked ``W_head^T``.  ``apply`` and
+    ``apply_t`` (the transpose) act on row blocks of shape ``(n, b, dim)``,
+    taking example i's b rows through example i's operator, so each layer is
+    one GEMM over n*b rows with the weight on the right.  ``first > last``
+    leaves no masked layers.
+    """
+
+    def __init__(self, weights, patterns, first: int, last: int,
+                 head: int | None = None):
+        self.weights, self.patterns = weights, patterns
+        self.first, self.last, self.head = first, last, head
+        self.n = patterns[0].shape[0]
+        self.masks = {r: patterns[r - 1][:, None, :]
+                      for r in range(first, last + 1)}
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        t = block
+        for r in range(self.first, self.last + 1):
+            t = _rows(t, self.weights[r - 1])
+            t *= self.masks[r]
+        if self.head is not None:
+            t = _rows(t, self.weights[self.head - 1])
+        return t
+
+    def apply_t(self, block: np.ndarray) -> np.ndarray:
+        t = block
+        if self.head is not None:
+            t = _rows(t, self.weights[self.head - 1].T)
+        for r in range(self.last, self.first - 1, -1):
+            t = _rows(self.masks[r] * t, self.weights[r - 1].T)
+        return t
+
+    def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
+        """Spectral norm of each example's operator, from one solve on the
+        exact scaling of its weights.
+
+        Mask r is scaled by ``2**-e_r``, e_r the binary exponent of max|W_r|
+        (the head's folded into the last mask, each kept where ``2**-e_r`` is
+        a float), and the norms are scaled back by ``2**sum(e_r)``: weights
+        ``2**k W_r`` give exactly the norms times ``2**(k * number of
+        weights)``, and a norm past the float range reads inf.
+
+        A thin chain, whose input dimension is at most ``THIN_SIDE`` (such
+        as one from layer 1, acting on R^d), draws nothing from `rng`:
+        applied once to the identity, `thin_norms` of the n operators gives
+        the exact norms.  A wider one draws ``n * dim`` normals and runs the
+        Lanczos rule on the n Gram operators ``apply_t(apply(.))``,
+        example i from the i-th `dim` normals, each until its own Ritz
+        residual is at most `tol`; each estimate approaches its norm from
+        below.  Whenever examples stop, the chain GEMMs are rebuilt over the
+        masks of the examples left, so a stopped example costs no more flops.
+        A non-finite
+        operator reads inf, and a zero one (a layer pattern with no active
+        unit) 0.
+        """
+        layers = range(self.first, self.last + 1)
+        exps = [int(_peak(self.weights[r - 1])[1]) for r in layers]
+        if self.head is not None:
+            exps[-1] += int(_peak(self.weights[self.head - 1])[1])
+        exps = [min(max(e, -1023), 1074) for e in exps]   # 2**-e stays a float
+        patterns = list(self.patterns)
+        for r, e in zip(layers, exps):
+            patterns[r - 1] = self.patterns[r - 1] * np.ldexp(1.0, -e)
+        chain = MaskedChain(self.weights, patterns, self.first, self.last, self.head)
+        dim = self.weights[self.first - 1].shape[0]
+        if dim <= THIN_SIDE:
+            eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma = thin_norms(chain.apply(eye))[0]
+        else:
+            def gram(rows, ids):
+                nonlocal chain
+                if chain.n > len(ids):   # chain only the examples left
+                    chain = None         # one set of mask copies at a time
+                    chain = MaskedChain(self.weights, [p[ids] for p in patterns],
+                                        self.first, self.last, self.head)
+                return chain.apply_t(chain.apply(rows[:, None, :]))[:, 0]
+
+            start = rng.normals(self.n * dim).reshape(self.n, dim)
+            sigma = np.sqrt(_lanczos(gram, start, tol)[0])
+        with np.errstate(over="ignore"):   # a norm past the float range reads inf
+            return np.ldexp(sigma, sum(exps))

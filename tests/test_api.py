@@ -19,6 +19,7 @@ from overparam.data import generate_separated
 from overparam.network import init_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(cli.__file__).resolve().parent
 
 
 def module_constants(path, names) -> dict:
@@ -71,3 +72,15 @@ def test_every_config_key_is_read():
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
             and node.value.id == "config" and isinstance(node.slice, ast.Constant)}
     assert set(cli.CONFIG_TABLE) - read == set()
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a `_` name is private to its module; one that another module needs
+    # belongs in the public interface of its own
+    found = [f"{path.name}: {alias.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").startswith("overparam"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam import linalg, verify
+from overparam import linalg
 from overparam.cli import CONFIG_TABLE, DEFAULT_CONFIG, ConfigError, load_config, main
 from overparam.data import generate_separated
 from overparam.network import init_network, load_params, save_params
@@ -212,6 +212,20 @@ class TestVerify:
         assert all(row["within_4_stderr"]
                    for row in oracles["relu_kernel"]["monte_carlo"])
 
+    def test_entry_failing_its_one_trial_fails(self, tmp_path):
+        # one trial and the default allowed_failures of 1: the one failed
+        # trial is every trial, so the entry and the battery fail
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n": 20, "d": 10, "m": 16, "L": 3, "trials": 1}))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "init_properties.json").read_text())
+        entry = next(e for e in report["entries"]
+                     if e["name"] == "hidden_norm_deviation")
+        assert entry["measured"] > entry["threshold"]
+        assert (entry["failures"], entry["trials"], entry["passed"]) == (1, 1, False)
+        assert report["passed"] is False
+
     def test_with_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path)
         run = tmp_path / "run"
@@ -314,7 +328,7 @@ class TestVerify:
     def test_unconverged_solver_exits_3(self, tmp_path, capsys, monkeypatch):
         # d=20 puts chain (1, 2) on the Lanczos path; cut off after one
         # product, it cannot bring its residual to 1e-12
-        monkeypatch.setattr(verify, "_lanczos",
+        monkeypatch.setattr(linalg, "_lanczos",
                             functools.partial(linalg._lanczos, max_iter=1))
         cfg = write_config(tmp_path, {
             "n": 4, "d": 20, "m": 24, "L": 2, "trials": 1,

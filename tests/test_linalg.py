@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from overparam import linalg
 from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
                               THIN_SIDE, PortableRng, SpectralNormError, _lanczos,
-                              aligned_empty, gaussian_matrix, power_iteration,
-                              spectral_norm, thin_norms)
+                              _peak, aligned_empty, gaussian_matrix,
+                              power_iteration, spectral_norm, thin_norms)
 
 from oracles import box_muller, integer_below
 
@@ -317,12 +317,33 @@ class TestLanczos:
         assert theta[3] == np.inf
         assert np.all(np.isfinite(theta[[1, 2, 4]]))
 
+    def test_nan_inside_a_cycle_reads_inf(self):
+        # row 1's 5th product turns NaN, at a step whose projection would go
+        # to eigh; row 0 keeps the values of its last finished cycle, here
+        # those of its start
+        diags = np.array([np.linspace(1.0, 0.0, 30), np.linspace(2.0, 0.5, 30)])
+        start = np.ones((2, 30))
+        calls = []
+        plain = recording(diags, calls)
+
+        def gram(rows, ids):
+            out = plain(rows, ids)
+            if len(calls) == 5:
+                out[ids == 1] = np.nan
+            return out
+
+        theta, vectors, residual, iters = _lanczos(gram, start, 1e-8)
+        assert iters == 5
+        assert theta[1] == np.inf
+        assert (theta[0], residual[0]) == (0.0, np.inf)
+        np.testing.assert_allclose(vectors[0], start[0] / np.sqrt(30), rtol=1e-15)
+
 
 class TestLazyChecks:
     """The input checks that run only when a cycle's first product is off
     (the matrices are past the thin rule)."""
 
-    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
     def test_infinite_entry_raises(self, entry):
         a = padded(PortableRng(17).normals(30).reshape(5, 6))
         a[3, 2] = entry
@@ -341,6 +362,37 @@ class TestLazyChecks:
         sigma, _, _, iters = power_iteration(a, tol=1e-12, start=np.zeros(a.shape[1]))
         assert iters > 0
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+
+
+class TestPeak:
+    """max|a| and its binary exponent, of a matrix or of each of a stack."""
+
+    @pytest.mark.parametrize("a", [
+        [[0.0, -0.0], [0.0, 0.0]], [[5e-324, 0.0]], [[1e308, 1.0]],
+        [[1.0, -1e308]], [[0.5, -3.0], [2.0, 1.0]]],
+        ids=["zero", "subnormal", "1e308", "-1e308", "negative"])
+    def test_finite_matrix_matches_abs_max(self, a):
+        a = np.array(a)
+        peak, e = _peak(a)
+        assert peak == np.abs(a).max()
+        assert e == np.frexp(np.abs(a).max())[1]
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, entry):
+        a = np.ones((3, 4))
+        a[1, 2] = entry
+        peak, e = _peak(a)
+        assert np.isnan(peak) if np.isnan(entry) else peak == np.inf
+        assert e == 0
+
+    def test_stack_takes_each_matrix(self):
+        stack = np.array([np.zeros((2, 3)), [[0.25, -6.0, 1.0], [2.0, 0.0, 3.0]],
+                          [[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]])
+        peak, e = _peak(stack)
+        assert peak.shape == e.shape == (3,)
+        assert (peak[0], e[0]) == (0.0, 0)
+        assert (peak[1], e[1]) == (6.0, np.frexp(6.0)[1])
+        assert np.isnan(peak[2]) and e[2] == 0
 
 
 class TestSweepBlocks:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from overparam.data import Dataset, generate_separated
 from overparam import linalg, verify
-from overparam.linalg import PortableRng
+from overparam.linalg import MaskedChain, PortableRng
 from overparam.losses import builtin_loss
 from overparam.network import batch_forward, init_network
-from overparam.verify import (INIT_ITEMS, MaskedChain, _bilinear_probe,
+from overparam.verify import (INIT_ITEMS, _bilinear_probe,
                               _sparse_probes, concavity_inequality_check,
                               mc_relu_kernel,
                               relu_kernel_closed_form, subset_mean_variance,
@@ -209,6 +209,16 @@ class TestPropertyEntryRule:
         assert entry.trial_failures() == (0 if passed else 1)
         assert entry.passed() is passed
         assert entry.as_dict()["passed"] is passed
+
+    @pytest.mark.parametrize("per_trial, allowed, passed", [
+        ([2.0], 1, False), ([2.0, 2.0], 2, False), ([2.0, 0.5], 1, True),
+        ([2.0, 0.5, 2.0], 1, False), ([0.5], 0, True)])
+    def test_entry_failing_every_trial_never_passes(self, per_trial, allowed,
+                                                    passed):
+        entry = verify.PropertyEntry(name="p", direction="upper", threshold=1.0,
+                                     per_trial=per_trial)
+        assert entry.passed(allowed) is passed
+        assert entry.as_dict(allowed)["passed"] is passed
 
     @pytest.mark.parametrize("direction", ["upper", "lower"])
     @pytest.mark.parametrize("per_trial", [[0.5, NAN], [NAN, 0.5]])
@@ -684,7 +694,7 @@ class TestMaskedChain:
 
     def test_nan_weight_gives_inf(self, wide_net, monkeypatch):
         # a NaN product ends the solve at once, well before this cap
-        monkeypatch.setattr(verify, "_lanczos",
+        monkeypatch.setattr(linalg, "_lanczos",
                             functools.partial(linalg._lanczos, max_iter=2))
         params, patterns = wide_net
         weights = [w.copy() for w in params.weights]

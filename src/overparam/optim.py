@@ -3,15 +3,24 @@
 A run's trajectory is a list of `TrajectoryRow`s, one for every iterate
 the run reaches, the returned one last.  Each row describes its iterate
 before any update from it: loss, misclassified count, the derivative sums,
-the largest output change since the previous row, per-layer distances from
-the initial weights (spectral norm), per-layer norms of the update gradient
-and, at snapshot iterations and the last row, per-layer pattern drift from
-the initial network.  The row's fields are the columns of the trajectory
-CSV.  After an iterate's row is written, training stops as diverged at a
-loss or a gradient norm that is not finite, else at the target loss, at
-zero training error (strict: a zero-margin example counts as an error) or
-at the iteration cap.  The summary's final values and the budget warnings
-(recorded radii above tau) are read from the rows.
+the largest output change since the previous row, per-layer bounds on the
+distance from the initial weights (spectral norm), per-layer norms of the
+update gradient and, at snapshot iterations and the last row, per-layer
+pattern drift from the initial network.  The row's fields are the columns
+of the trajectory CSV.  After an iterate's row is written, training stops
+as diverged at a loss or a gradient norm that is not finite, else at the
+target loss, at zero training error (strict: a zero-margin example counts
+as an error) or at the iteration cap.
+
+The distance bound is the paper's sum of step lengths: ||W_l - W_l^(0)||_2
+is at most the layer's last exact radius plus eta times the spectral norms
+of the update gradients since (`grad_spec`, under SGD the batch gradient
+the step applies).  The exact radius is solved only where a decision reads
+it: at the snapshot rows, at the last row and for a layer whose bound
+exceeds tau; a diverged row solves nothing.  So an unsolved cell is
+certified inside the budget, and the budget warnings (exact radii above
+tau) are those every radius would give.  The summary's final values and
+the warnings are read from the rows.
 """
 
 from __future__ import annotations
@@ -43,14 +52,14 @@ log = logging.getLogger(__name__)
 DEFAULT_ETA_SCALE = 2.0e10
 
 # Ritz-residual tolerance of the warm-started Lanczos solves
-# (linalg.power_iteration) behind the per-iteration radius telemetry and the
-# final radii.  The relative error of a Ritz value is about its residual
-# squared over the relative spectral gap (Kato-Temple), so the radii come
-# out far more accurate than 1e-5.  On perfbench's train-gd and train-sgd
-# configs at seed 0 (n=40, d=10, m=1000, L=3, SGD at B=10; one BLAS
-# thread), a (1000, 1000) solve took 4.49 products for GD and 5.47 for SGD,
-# against 6.76 and 7.47 at 1e-8, and every row's radius stayed within
-# 4.4e-11 (GD) and 5.5e-11 (SGD) of the dense SVD norm.  The (10, 1000)
+# (linalg.power_iteration) behind the exact radii and the final radii.  The
+# relative error of a Ritz value is about its residual squared over the
+# relative spectral gap (Kato-Temple), so the radii come out far more
+# accurate than 1e-5.  On perfbench's train-gd and train-sgd configs at seed
+# 0 (n=40, d=10, m=1000, L=3, SGD at B=10; one BLAS thread), the (1000,
+# 1000) solves took 8.0 products each for GD (only the last row solves, from
+# a cold start) and 5.9 for SGD, and every exact radius stayed within
+# 4.2e-12 (GD) and 5.1e-11 (SGD) of the dense SVD norm.  The (10, 1000)
 # layer-1 difference is thin, and power_iteration takes it exactly.
 _RADIUS_TOL = 1e-5
 
@@ -77,11 +86,11 @@ def theoretical_step_size(n: int, depth: int, width: int, phi: float,
 @dataclass
 class TrainConfig:
     max_iters: int
+    tau: float                          # perturbation budget: warnings, radius solves
     eta: float | None = None            # explicit step size wins over eta_scale
     eta_scale: float = DEFAULT_ETA_SCALE    # else eta = theoretical_step_size(...)
     batch_size: int | None = None       # None => full batch
     target_loss: float = 1e-4
-    tau: float = 0.1                    # perturbation budget (warning threshold)
     seed: int = 0
 
     def validate(self, n: int) -> None:
@@ -111,9 +120,9 @@ def _per_layer(**kwargs):
 class TrajectoryRow:
     """Telemetry of one recorded iteration; its fields are the CSV columns.
 
-    None leaves a field's cells empty: the first row has no previous
-    outputs for `delta_max`, and `pattern_drift` is taken only at snapshot
-    iterations and at the last row.
+    None leaves a cell empty: the first row has no previous outputs for
+    `delta_max`, `pattern_drift` is taken only at snapshot iterations and at
+    the last row, and a `radius` cell only where its layer was solved.
     """
 
     k: int
@@ -122,7 +131,8 @@ class TrajectoryRow:
     sum_lprime: float                   # over the full set
     batch_sum_lprime: float             # over the update batch
     delta_max: float | None             # max_i |yhat_k - yhat_{k-1}|
-    radius: list = _per_layer()         # ||W_l - W_l^(0)||_2
+    radius: list = _per_layer()         # ||W_l - W_l^(0)||_2, None if unsolved
+    radius_bound: list = _per_layer()   # last radius + eta * grad_spec since
     grad_spec: list = _per_layer()      # ||G_l||_2 of the update gradient
     grad_fro: list = _per_layer()       # ||G_l||_F
     pattern_drift: list | None = _per_layer(default=None)   # max_i l0 drift
@@ -171,9 +181,11 @@ class TrajectoryRecord:
 
     @property
     def warnings(self) -> list:
-        """(k, layer, radius) for every recorded radius above tau."""
+        """(k, layer, radius) for every exact radius above tau.  An unsolved
+        cell is certified at most tau by its `radius_bound`."""
         return [(row.k, l, r) for row in self.rows
-                for l, r in enumerate(row.radius, 1) if r > self.tau]
+                for l, r in enumerate(row.radius, 1)
+                if r is not None and r > self.tau]
 
     def first_zero_error_iteration(self):
         for row in self.rows:
@@ -183,7 +195,7 @@ class TrajectoryRecord:
 
     def summary(self) -> dict:
         last = self.rows[-1]
-        max_radius = max(max(row.radius) for row in self.rows)
+        exact = [r for row in self.rows for r in row.radius if r is not None]
         return {
             "iterations": last.k,                          # update steps performed
             "rows": len(self.rows),
@@ -193,7 +205,8 @@ class TrajectoryRecord:
             "final_loss": last.loss,
             "final_misclassified": last.misclassified,
             "final_radii": [] if self.stop_reason == "diverged" else list(last.radius),
-            "max_recorded_radius": max_radius,
+            "max_recorded_radius": max(exact, default=None),
+            "max_radius_bound": max(max(row.radius_bound) for row in self.rows),
             "budget_warnings": len(self.warnings),
             "first_zero_error_iteration": self.first_zero_error_iteration(),
         }
@@ -243,12 +256,16 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
     record = TrajectoryRecord(layer_count=depth, eta=eta, tau=config.tau)
     snapshots = _snapshot_iterations(config.max_iters)
     warm = [None] * depth
-    # one weight-sized work array per shape, reused every step for the radius
-    # difference: a fresh weight-sized temporary per step is paid for in page
-    # faults.  It starts on a cache line: at m=1000 on one BLAS thread,
-    # train-sgd ran 35.2 steps/s that way against 31.9 with it 16 bytes past
-    # a line, where glibc puts a buffer of megabytes (medians of 8
-    # interleaved runs)
+    # per layer, the last exact radius plus the step lengths eta * grad_spec
+    # since: by the triangle inequality a bound on ||W_l - W_l^(0)||_2.  A
+    # row records it as it stood before the row's own solve
+    bound = [0.0] * depth
+    # one weight-sized work array per shape for the radius difference,
+    # starting on a cache line (glibc puts a buffer of megabytes 16 bytes
+    # past one).  With solves only where the bound calls for them, a fresh
+    # np.subtract temporary instead lost 0.8 % steps/s on perfbench's
+    # train-sgd and 0.6 % on sweep-width, and took sweep-width's peak RSS
+    # 201.6 -> 204.4 MiB (medians of 10 alternating pairs, one BLAS thread)
     scratch = {w.shape: aligned_empty(w.shape) for w in params0.weights}
     init_patterns = None
     prev_outputs = None
@@ -265,17 +282,10 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
         if not np.isfinite(loss_k):
             nan = float("nan")
             record.rows.append(TrajectoryRow(k, loss_k, -1, nan, nan, None,
-                                             [nan] * depth, [nan] * depth,
-                                             [nan] * depth))
+                                             [None] * depth, bound,
+                                             [nan] * depth, [nan] * depth))
             stop = "diverged"
             break
-        radii = [0.0] * depth
-        for l in range(depth):
-            if k > 0:
-                diff = np.subtract(live.weights[l], params0.weights[l],
-                                   out=scratch[live.weights[l].shape])
-                radii[l], warm[l], _, _ = power_iteration(
-                    diff, tol=_RADIUS_TOL, start=warm[l])
 
         lprime = np.asarray(loss.deriv(margins), dtype=np.float64)
         batch = np.arange(n) if batch_size == n \
@@ -293,19 +303,35 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
             stop = "zero_error"
         elif k >= config.max_iters:
             stop = "max_iters"
-        drift = None
-        if k in snapshots or stop is not None:
-            drift = max_pattern_distance(trace.patterns, init_patterns)
+        snapshot = k in snapshots or stop is not None
+        drift = max_pattern_distance(trace.patterns, init_patterns) \
+            if snapshot else None
+        # exact radii at the snapshots and the last row, and wherever the
+        # bound does not certify radius <= tau; a diverged row solves nothing
+        radii = [None] * depth
+        for l in range(depth):
+            if stop == "diverged":
+                break
+            if k == 0:
+                radii[l] = 0.0
+            elif snapshot or bound[l] > config.tau:
+                diff = np.subtract(live.weights[l], params0.weights[l],
+                                   out=scratch[live.weights[l].shape])
+                radii[l], warm[l], _, _ = power_iteration(
+                    diff, tol=_RADIUS_TOL, start=warm[l])
         record.rows.append(TrajectoryRow(
             k=k, loss=loss_k, misclassified=miscount,
             sum_lprime=float(lprime.sum()),
             batch_sum_lprime=float(lprime[batch].sum()),
             delta_max=None if prev_outputs is None
             else float(np.max(np.abs(trace.outputs - prev_outputs))),
-            radius=radii, grad_spec=spec, grad_fro=fro, pattern_drift=drift))
+            radius=radii, radius_bound=bound, grad_spec=spec, grad_fro=fro,
+            pattern_drift=drift))
         if stop is not None:
             break
         prev_outputs = trace.outputs
+        bound = [(b if r is None else r) + eta * g
+                 for b, r, g in zip(bound, radii, spec)]
 
         for w, (a, b) in zip(live.weights, factors):
             rows = max(1, _UPDATE_BYTES // (8 * w.shape[1]))

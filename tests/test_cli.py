@@ -2,6 +2,7 @@ import csv
 import functools
 import itertools
 import json
+import logging
 import math
 import tempfile
 from pathlib import Path
@@ -131,6 +132,41 @@ class TestTrain:
             (out_sgd / "trajectory.csv").read_bytes()
         assert (out_gd / "checkpoint.net").read_bytes() == \
             (out_sgd / "checkpoint.net").read_bytes()
+
+    # the warnings that an exact radius on every row gives at seed 0: a
+    # layer is solved wherever its step-length bound exceeds tau, so the
+    # cells left unsolved can hide none of them
+    @pytest.mark.parametrize("config, lines", [
+        ({"n": 20, "d": 10, "m": 200, "L": 3}, [
+            "layer 1 left the tau=0.1 region at iteration 3 (radius 0.111766); "
+            "2 recorded iterations over budget",
+            "layer 2 left the tau=0.1 region at iteration 3 (radius 0.107095); "
+            "2 recorded iterations over budget",
+            "layer 3 left the tau=0.1 region at iteration 3 (radius 0.102094); "
+            "2 recorded iterations over budget"]),
+        ({"n": 32, "d": 10, "mu": 0.5, "phi": 0.1, "L": 3, "m": 125, "tau": 0.1}, [
+            "layer 1 left the tau=0.1 region at iteration 18 (radius 0.10188); "
+            "32 recorded iterations over budget",
+            "layer 2 left the tau=0.1 region at iteration 14 (radius 0.103672); "
+            "36 recorded iterations over budget",
+            "layer 3 left the tau=0.1 region at iteration 9 (radius 0.101849); "
+            "41 recorded iterations over budget"]),
+        ({"n": 40, "d": 10, "mu": 0.5, "phi": 0.1, "L": 3, "m": 1000, "tau": 0.1},
+         []),
+        ({}, []),
+    ], ids=["n20-m200", "n32-m125", "n40-m1000", "default"])
+    def test_budget_warnings_are_pinned(self, tmp_path, caplog, config, lines):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        with caplog.at_level(logging.WARNING, logger="overparam.optim"):
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING] == lines
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "zero_error"
+        assert summary["budget_warnings"] == sum(
+            int(line.split("); ")[1].split()[0]) for line in lines)
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"eta": 1e7, "loss": "exponential",

@@ -275,12 +275,21 @@ class TestTrainingPath:
                                    batch_size=batch_size, seed=4)
         for w, expected in zip(final.weights, iterates[-1]):
             assert np.array_equal(w, expected)
-        # every recorded radius against a dense norm of that row's iterate
+        # every exact radius and every bound against a dense norm of that
+        # row's iterate; a Ritz value approaches the norm from below
+        solved = 0
         for row in rec.rows:
-            for r, w, w0 in zip(row.radius, iterates[row.k], params.weights):
+            for r, bound, w, w0 in zip(row.radius, row.radius_bound,
+                                       iterates[row.k], params.weights):
                 dense = np.linalg.norm(w - w0, 2)
-                thin = min(w.shape) <= THIN_SIDE
-                assert r == pytest.approx(dense, rel=1e-12 if thin else 1e-9, abs=0.0)
+                assert bound >= dense * (1.0 - 1e-9)
+                if r is not None:
+                    solved += 1
+                    thin = min(w.shape) <= THIN_SIDE
+                    assert r == pytest.approx(dense, rel=1e-12 if thin else 1e-9,
+                                              abs=0.0)
+        # tau 10 is above every bound: the snapshots 0, 3, 6, 9 and 12 solve
+        assert solved == 5 * params.depth
 
     @pytest.mark.parametrize("m", [300, 16])
     def test_blocked_update_matches_dense_product(self, m):
@@ -367,6 +376,62 @@ class TestTrainingPath:
             assert f"{len(events)} recorded iterations over budget" in line
 
 
+def solved_layers(row):
+    return [l for l, r in enumerate(row.radius, 1) if r is not None]
+
+
+class TestRadiusSolves:
+    """Exact radii only where a decision reads them: at the snapshot rows, at
+    the last row, and for a layer whose step-length bound exceeds tau."""
+
+    # the middle tau of each run has bounds on both sides of it
+    @pytest.mark.parametrize("batch_size, tau", [
+        (None, 1e3), (None, 0.05), (None, 1e-9), (3, 1e3), (3, 0.2), (3, 1e-9)],
+        ids=["gd-above", "gd-middle", "gd-below", "sgd-above", "sgd-middle",
+             "sgd-below"])
+    def test_solves_follow_the_bound(self, batch_size, tau):
+        params, ds = small_problem(m=64)
+        run = run_gd if batch_size is None else run_sgd
+        _, rec = run(params, ds, builtin_loss("logistic"),
+                     TrainConfig(max_iters=10, eta=0.05, tau=tau,
+                                 batch_size=batch_size))
+        assert rec.stop_reason == "max_iters"
+        assert rec.rows[0].radius == rec.rows[0].radius_bound == [0.0, 0.0]
+        for prev, row in zip(rec.rows, rec.rows[1:]):
+            # the last exact radius, or bound, plus the step's length
+            assert row.radius_bound == [
+                (b if r is None else r) + rec.eta * g
+                for b, r, g in zip(prev.radius_bound, prev.radius, prev.grad_spec)]
+            snapshot = row.k in (2, 5, 7, 10)
+            assert solved_layers(row) == [
+                l for l, b in enumerate(row.radius_bound, 1) if snapshot or b > tau]
+        bounds = [b for row in rec.rows[1:] for b in row.radius_bound]
+        if tau == 1e3:      # only the snapshots and the last row
+            assert max(bounds) < tau
+        elif tau == 1e-9:   # every row past the first
+            assert min(bounds) > tau
+        else:               # bounds on both sides, and per layer
+            assert min(bounds) < tau < max(bounds)
+            assert any(len(solved_layers(row)) == 1 for row in rec.rows)
+        assert rec.summary()["max_radius_bound"] == max(bounds)
+
+    @pytest.mark.parametrize("loss_name, eta, nan_weight", [
+        ("exponential", 1e6, False), ("logistic", 0.01, True)],
+        ids=["loss-diverged", "gradient-diverged"])
+    def test_diverged_row_solves_nothing(self, loss_name, eta, nan_weight):
+        params, ds = small_problem()
+        if nan_weight:
+            params.weights[1][0, 0] = np.nan
+        _, rec = run_gd(params, ds, builtin_loss(loss_name),
+                        TrainConfig(max_iters=300, eta=eta, tau=1e-3))
+        assert rec.stop_reason == "diverged"
+        last = rec.rows[-1]
+        assert last.radius == [None] * params.depth
+        assert all(not math.isnan(b) for b in last.radius_bound)
+        # every row before it is over the budget, so solved in full
+        assert all(solved_layers(row) == [1, 2] for row in rec.rows[:-1])
+
+
 class TestZeroErrorCheck:
     """The misclassified count of a run: y_i f(x_i) <= 0, ties included."""
 
@@ -447,8 +512,10 @@ class TestRecordOfEveryIterate:
             dense = [np.linalg.norm(w - w0, 2)
                      for w, w0 in zip(final.weights, params.weights)]
             np.testing.assert_allclose(last.radius, dense, rtol=1e-9, atol=0)
-        recorded = [r for row in rec.rows for r in row.radius if not math.isnan(r)]
-        assert summary["max_recorded_radius"] == max(recorded)
+        if stop == "diverged":
+            assert last.radius == [None] * params.depth
+        recorded = [r for row in rec.rows for r in row.radius if r is not None]
+        assert summary["max_recorded_radius"] == max(recorded, default=None)
         assert summary["budget_warnings"] == sum(r > rec.tau for r in recorded)
 
     def test_gradient_divergence_stops_before_any_update(self):
@@ -567,7 +634,8 @@ class TestTrajectoryCsv:
         write_trajectory_csv(TrajectoryRecord(layer_count=3), path)
         assert path.read_text() == (
             "k,loss,misclassified,sum_lprime,batch_sum_lprime,delta_max,"
-            "radius_1,radius_2,radius_3,grad_spec_1,grad_spec_2,grad_spec_3,"
+            "radius_1,radius_2,radius_3,radius_bound_1,radius_bound_2,radius_bound_3,"
+            "grad_spec_1,grad_spec_2,grad_spec_3,"
             "grad_fro_1,grad_fro_2,grad_fro_3,"
             "pattern_drift_1,pattern_drift_2,pattern_drift_3\n")
 
@@ -579,24 +647,26 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)
         last = path.read_text().splitlines()[-1]
-        assert last == f"{rec.rows[-1].k},inf,-1,nan,nan,,nan,nan,nan,nan,nan,nan,,"
+        bound = ",".join(f"{b:.17g}" for b in rec.rows[-1].radius_bound)
+        assert last == f"{rec.rows[-1].k},inf,-1,nan,nan,,,,{bound},nan,nan,nan,nan,,"
 
     def test_rows_with_and_without_drift(self, tmp_path):
         record = TrajectoryRecord(layer_count=2, rows=[
             TrajectoryRow(k=0, loss=0.5, misclassified=2, sum_lprime=-1.25,
                           batch_sum_lprime=-0.75, delta_max=None,
-                          radius=[0.0, 0.0], grad_spec=[1.0, 2.0],
-                          grad_fro=[1.5, 2.5], pattern_drift=[0, 0]),
+                          radius=[0.0, 0.0], radius_bound=[0.0, 0.0],
+                          grad_spec=[1.0, 2.0], grad_fro=[1.5, 2.5],
+                          pattern_drift=[0, 0]),
             TrajectoryRow(k=1, loss=0.25, misclassified=0, sum_lprime=-1.0,
                           batch_sum_lprime=-0.5, delta_max=0.125,
-                          radius=[0.1, 0.2], grad_spec=[1.0, 2.0],
-                          grad_fro=[1.5, 2.5]),
+                          radius=[0.1, None], radius_bound=[0.125, 0.25],
+                          grad_spec=[1.0, 2.0], grad_fro=[1.5, 2.5]),
         ])
         path = tmp_path / "traj.csv"
         write_trajectory_csv(record, path)
         assert path.read_text().splitlines()[1:] == [
-            "0,0.5,2,-1.25,-0.75,,0,0,1,2,1.5,2.5,0,0",
-            "1,0.25,0,-1,-0.5,0.125,0.10000000000000001,0.20000000000000001,"
+            "0,0.5,2,-1.25,-0.75,,0,0,0,0,1,2,1.5,2.5,0,0",
+            "1,0.25,0,-1,-0.5,0.125,0.10000000000000001,,0.125,0.25,"
             "1,2,1.5,2.5,,",
         ]
 
@@ -609,7 +679,9 @@ class TestTrajectoryCsv:
         rows = data.draw(st.lists(st.builds(
             TrajectoryRow, k=ints, loss=floats, misclassified=ints,
             sum_lprime=floats, batch_sum_lprime=floats,
-            delta_max=st.none() | floats, radius=per_layer, grad_spec=per_layer,
+            delta_max=st.none() | floats,
+            radius=st.lists(st.none() | floats, min_size=layers, max_size=layers),
+            radius_bound=per_layer, grad_spec=per_layer,
             grad_fro=per_layer, pattern_drift=st.none() | st.lists(
                 ints, min_size=layers, max_size=layers)), min_size=1, max_size=4))
         path = tmp_path_factory.mktemp("csv") / "traj.csv"
@@ -619,7 +691,7 @@ class TestTrajectoryCsv:
         for row, line in zip(rows, lines[1:]):
             expected = [row.k, row.loss, row.misclassified, row.sum_lprime,
                         row.batch_sum_lprime, row.delta_max, *row.radius,
-                        *row.grad_spec, *row.grad_fro,
+                        *row.radius_bound, *row.grad_spec, *row.grad_fro,
                         *(row.pattern_drift or [None] * layers)]
             cells = line.split(",")
             assert len(cells) == len(expected) == len(lines[0].split(","))

@@ -2,11 +2,12 @@
 
 Every command is a pure function of (config file, seed): rerunning with the
 same inputs reproduces byte-identical artifacts.  Exit codes: 0 success,
-2 configuration or feasibility error, 3 numerical failure: a diverged run,
-a checkpoint whose weights are not finite, or a spectral solve that does not
-converge.  A checkpoint with finite weights whose measurements overflow is
-measured: `verify` exits 0, and the entries that overflowed read inf, or NaN
-where both sides of a ratio did, and fail.
+2 configuration or feasibility error, or a checkpoint from another run (its
+header's provenance differs from the config's), 3 numerical failure: a
+diverged run, a checkpoint whose weights are not finite, or a spectral solve
+that does not converge.  A checkpoint with finite weights whose measurements
+overflow is measured: `verify` exits 0, and the entries that overflowed read
+inf, or NaN where both sides of a ratio did, and fail.
 
 `CONFIG_TABLE` gives every config key its type, default, null rule and
 range; `--init-config` writes its defaults.  `load_config` checks each key
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -160,30 +162,37 @@ def write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _dataset_from_config(config: dict) -> data_mod.Dataset:
-    return data_mod.generate_separated(
+def _instance(config: dict) -> tuple:
+    """(dataset, loss, provenance) of the run `config` describes.  The
+    provenance dict is a checkpoint's header, which `verify` compares: the
+    layer_dims, the seeds, the data and the loss, but not the training
+    schedule (eta, K, B, tau).  data_sha256 hashes the little-endian C-order
+    float64 inputs and labels."""
+    data_seed = config["seed"] + DATA_SEED_OFFSET
+    dataset = data_mod.generate_separated(
         n=config["n"], d=config["d"], mu=config["mu"], phi=config["phi"],
-        seed=config["seed"] + DATA_SEED_OFFSET)
-
-
-def _dims_from_config(config: dict) -> list:
+        seed=data_seed)
     # the output layer needs an even width for the half/half sign vector;
     # an odd configured width is bumped by one on the last layer only
     dims = [config["d"]] + [config["m"]] * config["L"]
-    if dims[-1] % 2 != 0:
-        dims[-1] += 1
-    return dims
+    dims[-1] += dims[-1] % 2
+    loss = builtin_loss(config["loss"])
+    data = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                    for a in (dataset.inputs, dataset.labels))
+    return dataset, loss, {
+        "layer_dims": dims, "init_seed": config["seed"] + INIT_SEED_OFFSET,
+        "data_seed": data_seed, "n": config["n"], "d": config["d"],
+        "mu": config["mu"], "phi": config["phi"], "loss": loss.name,
+        "data_sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _train_config(config: dict) -> optim.TrainConfig:
-    return optim.TrainConfig(
-        max_iters=config["K"], eta=config["eta"], eta_scale=config["eta_scale"],
-        batch_size=config["B"], target_loss=config["epsilon"], tau=config["tau"],
-        seed=config["seed"] + TRAIN_SEED_OFFSET)
+def _dataset_from_config(config: dict) -> data_mod.Dataset:
+    # perfbench/test_perfbench_checks.py reads the program's dataset by this name
+    return _instance(config)[0]
 
 
 def cmd_gen_data(config: dict, out_dir: Path) -> int:
-    dataset = _dataset_from_config(config)
+    dataset = _instance(config)[0]
     data_mod.save_dataset(dataset, out_dir / "dataset.csv")
     report = data_mod.validate_dataset(dataset)
     write_json(report.as_dict(), out_dir / "margin.json")
@@ -195,22 +204,19 @@ def cmd_gen_data(config: dict, out_dir: Path) -> int:
 
 def train_once(config: dict, out_dir: Path) -> dict:
     """Run one training job into `out_dir` and return its summary dict."""
-    dataset = _dataset_from_config(config)
-    params0 = network.init_network(_dims_from_config(config),
-                                   config["seed"] + INIT_SEED_OFFSET)
-    loss = builtin_loss(config["loss"])
-    train_config = _train_config(config)
-    if train_config.batch_size is None:
-        final, record = optim.run_gd(params0, dataset, loss, train_config)
-    else:
-        final, record = optim.run_sgd(params0, dataset, loss, train_config)
+    dataset, loss, provenance = _instance(config)
+    params0 = network.init_network(provenance["layer_dims"], provenance["init_seed"])
+    train_config = optim.TrainConfig(
+        max_iters=config["K"], eta=config["eta"], eta_scale=config["eta_scale"],
+        batch_size=config["B"], target_loss=config["epsilon"], tau=config["tau"],
+        seed=config["seed"] + TRAIN_SEED_OFFSET)
+    run = optim.run_gd if train_config.batch_size is None else optim.run_sgd
+    final, record = run(params0, dataset, loss, train_config)
     optim.write_trajectory_csv(record, out_dir / "trajectory.csv")
-    summary = record.summary()
-    summary["loss"] = loss.name
-    summary["layer_dims"] = [int(m) for m in params0.layer_dims]
-    summary["seed"] = config["seed"]
+    summary = dict(record.summary(), loss=loss.name, seed=config["seed"],
+                   layer_dims=provenance["layer_dims"])
     write_json(summary, out_dir / "summary.json")
-    network.save_params(final, out_dir / "checkpoint.net")
+    network.save_params(final, out_dir / "checkpoint.net", provenance)
     return summary
 
 
@@ -229,27 +235,23 @@ def cmd_train(config: dict, out_dir: Path) -> int:
 
 
 def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
-    dims = _dims_from_config(config)
-    init_seed = config["seed"] + INIT_SEED_OFFSET
+    dataset, loss, provenance = _instance(config)
+    init_seed = provenance["init_seed"]
     if checkpoint is not None:
-        # the perturbation battery compares the checkpoint with this config's
-        # initialisation, which is only meaningful if it was trained from it.
-        # Only the header is read here, so that a bad checkpoint fails before
-        # the init battery runs without its weights held through that battery.
-        trained_dims, trained_seed = network.checkpoint_header(checkpoint)
-        if trained_seed is None:
-            print(f"checkpoint {checkpoint} records no init seed; cannot check "
-                  f"that it was trained from this config's network", file=sys.stderr)
-            return EXIT_CONFIG
-        if trained_seed != init_seed or list(trained_dims) != dims:
-            print(f"checkpoint {checkpoint} was trained from another network: "
-                  f"init seed {trained_seed}, layer_dims {list(trained_dims)}; "
-                  f"this config initialises seed {init_seed}, layer_dims {dims}",
-                  file=sys.stderr)
+        # the perturbation battery measures the checkpoint against this
+        # config's initialisation, data and loss, so it must come from this
+        # run.  Only the header is read here, so that a bad checkpoint fails
+        # before the init battery runs without its weights held through it.
+        header = network.checkpoint_header(checkpoint)
+        differ = [k for k in sorted(header.keys() | provenance.keys())
+                  if header.get(k, "missing") != provenance.get(k, "missing")]
+        if differ:
+            print(f"checkpoint {checkpoint} is from another run: " + "; ".join(
+                f"{k} {header.get(k, 'missing')} there, {provenance.get(k, 'missing')}"
+                f" here" for k in differ), file=sys.stderr)
             return EXIT_CONFIG
 
-    dataset = _dataset_from_config(config)
-    params0 = network.init_network(dims, init_seed)
+    params0 = network.init_network(provenance["layer_dims"], init_seed)
     report = verify.verify_init_properties(
         params0, dataset, beta=config["beta"], sparsity_s=config["s"],
         trials=config["trials"], seed=init_seed,
@@ -258,8 +260,7 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
         gradient_probes=config["gradient_probes"], items=config["verify_items"],
     )
     write_json(report.as_dict(), out_dir / "init_properties.json")
-    write_json(verify.lemma_oracles(config["seed"], config["mc_samples"],
-                                    builtin_loss(config["loss"])),
+    write_json(verify.lemma_oracles(config["seed"], config["mc_samples"], loss),
                out_dir / "lemma_oracles.json")
     print(f"init battery: passed={report.passed} "
           f"({len(report.entries)} properties, {config['trials']} trials)")
@@ -272,7 +273,7 @@ def cmd_verify(config: dict, out_dir: Path, checkpoint: str | None) -> int:
                   f"the perturbation battery cannot measure it", file=sys.stderr)
             return EXIT_NUMERIC
         pert = verify.verify_perturbation_properties(
-            params0, trained, dataset, loss=builtin_loss(config["loss"]),
+            params0, trained, dataset, loss=loss,
             declared_tau=config["tau"], spectral_tol=config["spectral_tol"],
             seed=init_seed,
         )

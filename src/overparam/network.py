@@ -47,7 +47,6 @@ class NetworkParams:
     layer_dims: tuple
     weights: list
     output_vector: np.ndarray
-    seed: int | None = None
 
     @property
     def depth(self) -> int:
@@ -77,7 +76,6 @@ class NetworkParams:
             layer_dims=tuple(self.layer_dims),
             weights=[w.copy() for w in self.weights],
             output_vector=self.output_vector.copy(),
-            seed=self.seed,
         )
 
 
@@ -113,7 +111,7 @@ def init_network(layer_dims, seed: int) -> NetworkParams:
     ]
     half = dims[-1] // 2
     v = np.concatenate([np.ones(half), -np.ones(half)])
-    params = NetworkParams(layer_dims=dims, weights=weights, output_vector=v, seed=seed)
+    params = NetworkParams(layer_dims=dims, weights=weights, output_vector=v)
     params.validate()
     return params
 
@@ -230,22 +228,21 @@ def gradient_norms(factors: list) -> tuple:
 #
 # Deterministic binary format (identical bytes for identical params):
 #   line 1: b"OPNET1"
-#   line 2: JSON header {layer_dims, seed} (sorted keys)
+#   line 2: JSON header (sorted keys): layer_dims, and the provenance of the
+#           run that wrote it: init_seed, data_seed, n, d, mu, phi, loss and
+#           data_sha256 (see `cli._instance`)
 #   then little-endian float64 C-order raw bytes of W_1..W_L and v.
 
 _MAGIC = b"OPNET1"
 
 
-def save_params(params: NetworkParams, path) -> None:
-    """Write `params` as a checkpoint in the format above.  Each array's own
+def save_params(params: NetworkParams, path, provenance: dict | None = None) -> None:
+    """Write `params` as a checkpoint in the format above, its header the
+    `provenance` dict with the layer_dims of `params`.  Each array's own
     buffer is written (a little-endian C-order copy only of an array that is
-    not already one), so no payload-sized bytes object is made; the format
-    and the bytes are unchanged."""
+    not already one), so no payload-sized bytes object is made."""
     params.validate()
-    header = {
-        "layer_dims": [int(m) for m in params.layer_dims],
-        "seed": params.seed,
-    }
+    header = dict(provenance or {}, layer_dims=[int(m) for m in params.layer_dims])
     with open(path, "wb") as fh:
         fh.write(_MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
@@ -261,7 +258,7 @@ class CorruptCheckpointError(ValueError):
 
 
 def _read_header(fh, path) -> tuple:
-    """(layer_dims, seed, sizes) from an open checkpoint positioned at its
+    """(header, layer_dims, sizes) from an open checkpoint positioned at its
     start, after checking that the rest of the file is exactly the payload
     of those dims; `sizes` counts the float64 values of W_1..W_L and v."""
     if fh.readline().strip() != _MAGIC:
@@ -279,27 +276,26 @@ def _read_header(fh, path) -> tuple:
         raise CorruptCheckpointError(
             f"{path}: {payload} payload bytes, but layer_dims {list(dims)} "
             f"need {8 * sum(sizes)}")
-    return dims, header.get("seed"), sizes
+    return header, dims, sizes
 
 
-def checkpoint_header(path) -> tuple:
-    """(layer_dims, seed) of a checkpoint, read without its weights.  Raises
+def checkpoint_header(path) -> dict:
+    """The header dict of a checkpoint, read without its weights.  Raises
     as `load_params` does on a bad header or a payload of the wrong size."""
-    dims, seed, _ = _read_checkpoint(path, weights=False)
-    return dims, seed
+    return _read_checkpoint(path, weights=False)[0]
 
 
 def _read_checkpoint(path, weights: bool) -> tuple:
-    """(layer_dims, seed, arrays), with `arrays` the flat W_1..W_L and v read
+    """(header, layer_dims, arrays), with `arrays` the flat W_1..W_L and v read
     straight from the file when `weights` (else empty), and an OSError
     raised as a CorruptCheckpointError that names the path."""
     try:
         with open(path, "rb") as fh:
-            dims, seed, sizes = _read_header(fh, path)
+            header, dims, sizes = _read_header(fh, path)
             arrays = [np.empty(size, dtype="<f8") for size in sizes] if weights else []
             for a in arrays:
                 fh.readinto(a)
-            return dims, seed, arrays
+            return header, dims, arrays
     except OSError as exc:
         raise CorruptCheckpointError(f"{path}: cannot be read ({exc})") from exc
 
@@ -308,10 +304,9 @@ def load_params(path) -> NetworkParams:
     """The network of a checkpoint.  After the header and size checks each
     weight is read straight into its own array, so no payload-sized bytes
     copy is made; the format is unchanged."""
-    dims, seed, arrays = _read_checkpoint(path, weights=True)
+    _, dims, arrays = _read_checkpoint(path, weights=True)
     weights = [a.reshape(dims[l], dims[l + 1]) for l, a in enumerate(arrays[:-1])]
-    params = NetworkParams(layer_dims=dims, weights=weights,
-                           output_vector=arrays[-1], seed=seed)
+    params = NetworkParams(layer_dims=dims, weights=weights, output_vector=arrays[-1])
     try:
         params.validate()
     except ValueError as exc:

@@ -357,10 +357,9 @@ INIT_ITEMS = tuple(_INIT_TABLE)
 
 
 def verify_init_properties(params: NetworkParams, dataset, beta: float | None = None,
-                           sparsity_s: int | None = None, trials: int = 20,
-                           seed: int = 0, *, allowed_failures: int = 1,
-                           delta: float = 0.05, spectral_tol: float = 1e-3,
-                           probes: int = 64, gradient_probes: int = 8,
+                           sparsity_s: int | None = None, *, trials: int,
+                           seed: int = 0, allowed_failures: int, delta: float,
+                           spectral_tol: float, probes: int, gradient_probes: int,
                            items=None) -> PropertyReport:
     """Measure the initialization properties over `trials` fresh networks.
 

@@ -1,12 +1,21 @@
 """Reference computations that only the tests need: one-shot Box-Muller
 normals, the per-index integer draw, computations built on the batched
-forward pass and the gradient factors of `overparam.network`, and the reader
-of the dataset CSV format."""
+forward pass and the gradient factors of `overparam.network`, the reader
+of the dataset CSV format, and the CLI's default battery settings."""
 
 import numpy as np
 
+from overparam.cli import DEFAULT_CONFIG
 from overparam.data import Dataset
 from overparam.network import batch_forward, gradient_factors
+
+
+def battery_settings(**overrides) -> dict:
+    """The arguments of `verify_init_properties` that the CLI takes from its
+    config, at `DEFAULT_CONFIG`'s values, updated by `overrides`."""
+    keys = ("trials", "delta", "spectral_tol", "probes", "gradient_probes",
+            "allowed_failures")
+    return dict({k: DEFAULT_CONFIG[k] for k in keys}, **overrides)
 
 
 def box_muller(rng, count: int) -> np.ndarray:

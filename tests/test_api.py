@@ -18,6 +18,8 @@ from overparam import cli, verify
 from overparam.data import generate_separated
 from overparam.network import init_network
 
+from oracles import battery_settings
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(cli.__file__).resolve().parent
 
@@ -58,8 +60,8 @@ def test_init_items_match_the_benchmark():
 def test_each_init_item_runs_alone(item):
     ds = generate_separated(n=4, d=3, mu=0.5, phi=0.08, seed=0)
     params = init_network([3, 8, 8], seed=1)
-    report = verify.verify_init_properties(params, ds, trials=1, probes=2,
-                                           gradient_probes=1, items=[item])
+    report = verify.verify_init_properties(params, ds, **battery_settings(
+        trials=1, probes=2, gradient_probes=1, items=[item]))
     assert [e.name for e in report.entries] == [item]
     assert len(report.entries[0].per_trial) == 1
 

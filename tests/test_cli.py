@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam import linalg
+from overparam import cli, linalg
 from overparam.cli import CONFIG_TABLE, DEFAULT_CONFIG, ConfigError, load_config, main
 from overparam.data import generate_separated
 from overparam.network import init_network, load_params, save_params
@@ -39,6 +39,25 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+def provenance(config_path) -> dict:
+    """The provenance header `train` writes for the config file at `config_path`."""
+    return cli._instance(load_config(str(config_path), None))[2]
+
+
+def named_keys(err: str) -> set:
+    """The keys a "checkpoint ... is from another run" message names."""
+    return {part.split()[0]
+            for part in err.split(" is from another run: ", 1)[1].split("; ")}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The checkpoint `train` writes at TINY."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    assert main(["train", "--config", str(write_config(tmp)), "--out", str(tmp)]) == 0
+    return tmp / "checkpoint.net"
 
 
 class TestInitConfig:
@@ -272,37 +291,59 @@ class TestVerify:
         pert = json.loads((out / "perturbation_properties.json").read_text())
         assert pert["meta"]["measured_tau"] > 0
 
-    @pytest.mark.parametrize("verify_args, checkpoint_overrides", [
-        (["--seed", "7"], {}),          # trained from seed 0's network
-        ([], {"m": 12}),                # trained at other layer dims
-    ])
-    def test_checkpoint_from_another_network_rejected(
-            self, tmp_path, capsys, verify_args, checkpoint_overrides):
-        quick = {"trials": 1, "verify_items": ["output_magnitude"]}
-        cfg_train = write_config(tmp_path, checkpoint_overrides, name="train.json")
-        cfg = write_config(tmp_path, quick)
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(cfg_train), "--out", str(run)]) == 0
+    # one key of TINY's run changed per case, and the header keys that then
+    # differ: the dataset's hash differs wherever the data do.  TINY's points
+    # all meet the smaller margin phi 0.02, so only phi tells those runs apart
+    @pytest.mark.parametrize("overrides, verify_args, named", [
+        ({"mu": 0.3}, [], {"mu", "data_sha256"}),
+        ({"phi": 0.02}, [], {"phi"}),
+        ({"n": 10}, [], {"n", "data_sha256"}),
+        ({"d": 5}, [], {"d", "layer_dims", "data_sha256"}),
+        ({"m": 12}, [], {"layer_dims"}),
+        ({"loss": "exponential"}, [], {"loss"}),
+        ({}, ["--seed", "7"], {"init_seed", "data_seed", "data_sha256"}),
+    ], ids=["mu", "phi", "n", "d", "m", "loss", "seed"])
+    def test_checkpoint_from_another_run_rejected(
+            self, tmp_path, capsys, tiny_checkpoint, overrides, verify_args, named):
+        cfg = write_config(tmp_path, dict(
+            overrides, trials=1, verify_items=["output_magnitude"]))
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--checkpoint", str(run / "checkpoint.net")] + verify_args) == 2
-        assert "trained from another network" in capsys.readouterr().err
+                     "--checkpoint", str(tiny_checkpoint)] + verify_args) == 2
+        assert named_keys(capsys.readouterr().err) == named
         # the checkpoint is checked before the init battery runs
         assert not (out / "init_properties.json").exists()
         assert not (out / "perturbation_properties.json").exists()
 
-    def test_checkpoint_without_seed_rejected(self, tmp_path, capsys):
-        params = init_network([4, 16, 16], seed=1)
-        params.seed = None
-        path = tmp_path / "unseeded.net"
-        save_params(params, path)
+    @pytest.mark.parametrize("overrides", [
+        {"eta": 0.5}, {"K": 3}, {"B": 4}, {"tau": 0.01},
+    ], ids=["eta", "K", "B", "tau"])
+    def test_training_schedule_is_not_provenance(self, tmp_path, tiny_checkpoint,
+                                                 overrides):
+        cfg = write_config(tmp_path, dict(
+            overrides, trials=1, verify_items=["output_magnitude"]))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(tiny_checkpoint)]) == 0
+        assert (out / "perturbation_properties.json").exists()
+
+    def test_checkpoint_without_provenance_rejected(self, tmp_path, capsys,
+                                                    tiny_checkpoint):
+        # the header of a checkpoint written before provenance was recorded
+        magic, _, payload = tiny_checkpoint.read_bytes().split(b"\n", 2)
+        path = tmp_path / "old.net"
+        path.write_bytes(magic + b'\n{"layer_dims": [4, 16, 16], "seed": 1}\n'
+                         + payload)
         cfg = write_config(tmp_path, {"trials": 1,
                                       "verify_items": ["output_magnitude"]})
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--checkpoint", str(path)]) == 2
-        assert "records no init seed" in capsys.readouterr().err
-        assert not (out / "perturbation_properties.json").exists()
+        err = capsys.readouterr().err
+        assert named_keys(err) == {"init_seed", "data_seed", "n", "d", "mu", "phi",
+                                   "loss", "data_sha256", "seed"}
+        assert "init_seed missing there, 1 here" in err
+        assert not (out / "init_properties.json").exists()
 
     def test_checkpoint_with_dead_layer(self, tmp_path):
         # W_2 = 0 leaves no active unit past layer 1, so every masked chain
@@ -312,7 +353,7 @@ class TestVerify:
         params = init_network([4, 24, 24, 24], seed=1)
         params.weights[1][:] = 0.0
         path = tmp_path / "dead.net"
-        save_params(params, path)
+        save_params(params, path, provenance(cfg))
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--checkpoint", str(path)]) == 0
@@ -449,7 +490,7 @@ class TestVerify:
         params = init_network([4, 32, 32], seed=1)
         params.weights[1] *= 1e308
         path = tmp_path / "huge.net"
-        save_params(params, path)
+        save_params(params, path, provenance(cfg))
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--checkpoint", str(path)]) == 0
@@ -466,7 +507,7 @@ class TestVerify:
         params = init_network([4, 16, 16], seed=1)
         params.weights[1][2, 3] = bad
         path = tmp_path / "bad.net"
-        save_params(params, path)
+        save_params(params, path, provenance(cfg))
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--checkpoint", str(path)]) == 3
@@ -531,8 +572,9 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out_sweep),
                      "--axis", "m", "--values", "16"]) == 0
         assert main(["train", "--config", str(cfg), "--out", str(out_train)]) == 0
-        assert (out_sweep / "run_m_16" / "trajectory.csv").read_bytes() == \
-            (out_train / "trajectory.csv").read_bytes()
+        for name in ("trajectory.csv", "checkpoint.net"):
+            assert (out_sweep / "run_m_16" / name).read_bytes() == \
+                (out_train / name).read_bytes()
 
     def test_failed_subrun_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"mu": 0.5})

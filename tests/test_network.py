@@ -359,10 +359,11 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         params = random_net(77)
         path = tmp_path / "net.ckpt"
-        save_params(params, path)
+        save_params(params, path, {"init_seed": 77})
         loaded = load_params(path)
         assert tuple(loaded.layer_dims) == tuple(params.layer_dims)
-        assert loaded.seed == params.seed
+        assert checkpoint_header(path) == {"init_seed": 77,
+                                           "layer_dims": list(params.layer_dims)}
         for wa, wb in zip(loaded.weights, params.weights):
             assert np.array_equal(wa, wb)
         assert np.array_equal(loaded.output_vector, params.output_vector)
@@ -373,8 +374,10 @@ class TestSerialization:
         params.weights[0] = np.asfortranarray(params.weights[0])
         params.weights[1] = params.weights[1].astype(">f8")
         path = tmp_path / "net.ckpt"
-        save_params(params, path)
-        header = json.dumps({"layer_dims": [3, 4, 6], "seed": 5}, sort_keys=True)
+        provenance = {"init_seed": 5, "data_seed": 4, "n": 2, "d": 3, "mu": 0.5,
+                      "phi": 0.1, "loss": "logistic", "data_sha256": "0" * 64}
+        save_params(params, path, provenance)
+        header = json.dumps(dict(provenance, layer_dims=[3, 4, 6]), sort_keys=True)
         arrays = (*params.weights, params.output_vector)
         assert path.read_bytes() == b"OPNET1\n" + header.encode("ascii") + b"\n" \
             + b"".join(a.astype("<f8").tobytes(order="C") for a in arrays)
@@ -382,8 +385,8 @@ class TestSerialization:
     def test_byte_identical_rewrites(self, tmp_path):
         params = random_net(78)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_params(params, p1)
-        save_params(params, p2)
+        save_params(params, p1, {"init_seed": 78})
+        save_params(params, p2, {"init_seed": 78})
         assert p1.read_bytes() == p2.read_bytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -394,15 +397,16 @@ class TestSerialization:
         params = init_network(dims + [2 * out], seed)
         params.weights[-1][0, 0] = value   # any float64, -0.0 and nan too
         path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
-        save_params(params, path)
+        save_params(params, path, {"init_seed": seed})
         loaded = load_params(path)
         assert tuple(loaded.layer_dims) == tuple(params.layer_dims)
-        assert loaded.seed == seed
+        header = checkpoint_header(path)
+        assert header == {"init_seed": seed, "layer_dims": dims + [2 * out]}
         for wa, wb in zip(loaded.weights, params.weights):
             assert wa.shape == wb.shape and wa.tobytes() == wb.tobytes()
         assert loaded.output_vector.tobytes() == params.output_vector.tobytes()
         again = path.with_name("again.ckpt")
-        save_params(loaded, again)
+        save_params(loaded, again, header)
         assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_garbage(self, tmp_path):

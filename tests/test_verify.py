@@ -19,7 +19,7 @@ from overparam.verify import (INIT_ITEMS, _bilinear_probe,
                               verify_init_properties,
                               verify_perturbation_properties)
 
-from oracles import loss_gradient
+from oracles import battery_settings, loss_gradient
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -261,8 +261,8 @@ def small_battery_inputs(m=48, depth=3, n=8, d=6, seed=0):
 class TestInitBattery:
     def test_all_items_present_and_finite(self):
         params, ds = small_battery_inputs()
-        report = verify_init_properties(params, ds, trials=3, seed=11,
-                                        probes=8, gradient_probes=4)
+        report = verify_init_properties(params, ds, **battery_settings(
+            trials=3, seed=11, probes=8, gradient_probes=4))
         names = [e.name for e in report.entries]
         assert names == list(INIT_ITEMS)
         for entry in report.entries:
@@ -278,8 +278,8 @@ class TestInitBattery:
             "near_threshold_fraction": ("upper", 1.0),
             "pairwise_inner_product": ("lower", ds.mu ** 2 / 2.0),
         }
-        report = verify_init_properties(params, ds, trials=4, seed=3,
-                                        allowed_failures=0, items=tuple(limits))
+        report = verify_init_properties(params, ds, **battery_settings(
+            trials=4, seed=3, allowed_failures=0, items=tuple(limits)))
         for entry in report.entries:
             direction, limit = limits[entry.name]
             assert entry.direction == direction
@@ -291,7 +291,7 @@ class TestInitBattery:
     def test_item_order_does_not_change_values(self):
         ds = generate_separated(n=6, d=5, mu=0.5, phi=0.08, seed=2)
         params = init_network([5, 40, 40, 40], seed=3)
-        kwargs = dict(trials=2, seed=4, probes=8, gradient_probes=4)
+        kwargs = battery_settings(trials=2, seed=4, probes=8, gradient_probes=4)
         default = verify_init_properties(params, ds, **kwargs)
         backward = verify_init_properties(params, ds, **kwargs,
                                           items=list(reversed(INIT_ITEMS)))
@@ -304,17 +304,18 @@ class TestInitBattery:
 
     def test_beta_zero_counts_exact_zeros(self):
         params, ds = small_battery_inputs()
-        report = verify_init_properties(params, ds, beta=0.0, trials=1,
-                                        seed=0, items=("near_threshold_fraction",))
+        report = verify_init_properties(params, ds, beta=0.0, **battery_settings(
+            trials=1, seed=0, items=("near_threshold_fraction",)))
         assert report.entry("near_threshold_fraction").measured == 0.0
 
     def test_fitted_constants_stable_across_seeds(self):
         params, ds = small_battery_inputs(m=128, depth=2)
         items = ("chain_product_norm", "active_gradient_nodes")
-        r1 = verify_init_properties(params, ds, trials=2, seed=100, probes=8,
-                                    items=items)
+        r1 = verify_init_properties(params, ds, **battery_settings(
+            trials=2, seed=100, probes=8, items=items))
         r2 = verify_init_properties(init_network(params.layer_dims, 999), ds,
-                                    trials=2, seed=200, probes=8, items=items)
+                                    **battery_settings(trials=2, seed=200, probes=8,
+                                                       items=items))
         for name in items:
             a = r1.entry(name).measured
             b = r2.entry(name).measured
@@ -334,9 +335,8 @@ class TestInitBattery:
             c = a * ds.labels / 8
             dense = np.linalg.norm(h_prev.T @ (c[:, None] * active), axis=0)
             low = min(low, np.sort(dense)[::-1][need - 1] * 8 / np.max(a))
-        report = verify_init_properties(params, ds, trials=1, seed=13,
-                                        gradient_probes=4,
-                                        items=("active_gradient_nodes",))
+        report = verify_init_properties(params, ds, **battery_settings(
+            trials=1, seed=13, gradient_probes=4, items=("active_gradient_nodes",)))
         assert report.entry("active_gradient_nodes").per_trial[0] == \
             pytest.approx(low, rel=1e-12, abs=0)
 
@@ -353,18 +353,19 @@ class TestInitBattery:
     def test_bad_arguments_rejected(self, kwargs, name):
         params, ds = small_battery_inputs()
         with pytest.raises(ValueError, match=f"^{name} must"):
-            verify_init_properties(params, ds, trials=1, **kwargs)
+            verify_init_properties(params, ds, **battery_settings(trials=1, **kwargs))
 
     def test_sparsity_out_of_range(self):
         params, ds = small_battery_inputs(m=16)
         with pytest.raises(ValueError):
-            verify_init_properties(params, ds, sparsity_s=64, trials=1)
+            verify_init_properties(params, ds, sparsity_s=64,
+                                   **battery_settings(trials=1))
 
     def test_report_serializes(self):
         import json
         params, ds = small_battery_inputs()
-        report = verify_init_properties(params, ds, trials=1, seed=5, probes=4,
-                                        gradient_probes=2)
+        report = verify_init_properties(params, ds, **battery_settings(
+            trials=1, seed=5, probes=4, gradient_probes=2))
         blob = json.dumps(report.as_dict())
         assert "hidden_norm_deviation" in blob
 
@@ -828,9 +829,9 @@ class TestChainItemsAgainstLoops:
                         prop = _apply_chain(params.weights, patterns, l1, l2 - 1, a, i)
                         value = max(value, float(np.max(np.abs(
                             b.T @ (params.weights[l2 - 1].T @ prop)))))
-            report = verify_init_properties(params, ds, sparsity_s=3, trials=1,
-                                            seed=21, probes=8, items=(name,),
-                                            spectral_tol=1e-10)
+            report = verify_init_properties(
+                params, ds, sparsity_s=3, **battery_settings(
+                    trials=1, seed=21, probes=8, items=(name,), spectral_tol=1e-10))
             assert report.entry(name).per_trial[0] == pytest.approx(value, rel=1e-10)
 
     def test_perturbation_battery(self):
@@ -887,8 +888,8 @@ class TestOutputProbe:
 
     def test_entries_ignore_probes_and_seed(self):
         params, ds = small_battery_inputs(m=48, depth=3, n=6)
-        init = [verify_init_properties(params, ds, trials=1, seed=seed, probes=probes,
-                                       items=("sparse_output_probe",))
+        init = [verify_init_properties(params, ds, **battery_settings(
+                    trials=1, seed=seed, probes=probes, items=("sparse_output_probe",)))
                 .entry("sparse_output_probe").per_trial
                 for seed, probes in ((0, 1), (7, 64))]
         assert init[0] == init[1]

@@ -94,7 +94,7 @@ CONFIG_TABLE = {
     "eta_scale": (float, optim.DEFAULT_ETA_SCALE, False, _above(0)),
     "K": (int, 5000, False, _at_least(0)),
     "B": (int, None, True, _at_least(1)),
-    "epsilon": (float, 1e-4, False, _above(0)),
+    "epsilon": (float, optim.DEFAULT_TARGET_LOSS, False, _above(0)),
     "tau": (float, 0.1, False, _above(0)),
     # verification
     "beta": (float, None, True, _at_least(0)),

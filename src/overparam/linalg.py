@@ -4,10 +4,12 @@ Matrices are numpy float64 arrays in C (row-major) order throughout the
 package.  Activation patterns are numpy bool arrays and are only ever used
 as elementwise masks, never as 0/1 float diagonals.
 
-Every spectral norm of the package is taken here, of a matrix
-(`power_iteration`) or of each example's masked chain (`MaskedChain`), by
-one of two rules.  An operator whose short side is at most ``THIN_SIDE``
-gets its norm exactly from ``eigh`` of its small Gram matrix (`thin_norms`).
+Every spectral norm of the package is taken here, except the training
+gradients' (`network.gradient_norms` takes those from an ``eigh`` of the
+n x n Gram matrices of their factors).  A matrix (`power_iteration`) or each
+example's masked chain (`MaskedChain`) gets its norm by one of two rules.
+An operator whose short side is at most ``THIN_SIDE`` gets its norm exactly
+from ``eigh`` of its small Gram matrix (`thin_norms`).
 Any other gets it from restarted Lanczos on its Gram operator (`_lanczos`).
 Exact scaling keeps both inside the float range: the operator is taken on
 ``a / 2**e``, e the binary exponent of max|a| (`_peak`), which commutes with
@@ -267,12 +269,8 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
             if not fine.all():
                 theta[ids[~fine]] = np.inf
                 return theta, vectors, residual, it
-            if j == 0:
-                # the 1x1 projection is its own Ritz pair
-                th, y = tri[:k, 0, 0].copy(), np.ones((k, 1))
-            else:
-                ritz, vecs = np.linalg.eigh(tri[:k, : j + 1, : j + 1])
-                th, y = ritz[:, -1], vecs[:, :, -1]
+            ritz, vecs = np.linalg.eigh(tri[:k, : j + 1, : j + 1])
+            th, y = ritz[:, -1], vecs[:, :, -1]
             # residual <= tol as |beta_j y_j| <= tol * theta: a breakdown
             # (beta = 0) passes, and a zero operator's theta is not divided by
             live = beta > 0.0

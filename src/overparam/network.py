@@ -149,47 +149,45 @@ def max_pattern_distance(patterns: list, reference: list) -> list:
     return out
 
 
-def backprop_signals(params: NetworkParams, trace: BatchTrace) -> list:
+def backprop_signals(params: NetworkParams, patterns: list) -> list:
     """Per-layer backward signals g_l with rows g_{l,i} (shape (n, m_l)).
 
-    ``g_{L,i}`` is the output vector masked by the layer-L pattern of
-    example i; ``g_{l,i}`` propagates it down through the captured masks.
-    The gradient of f at example i w.r.t. weights[l-1] is the outer
-    product ``hidden[l-1][i] g_{l,i}^T``.
+    ``g_{L,i}`` is the output vector masked by example i's layer-L pattern
+    (`patterns` are a forward pass's, or any rows of them); ``g_{l,i}``
+    propagates it down through the masks.  The gradient of f at example i
+    w.r.t. weights[l-1] is the outer product ``hidden[l-1][i] g_{l,i}^T``.
     """
     v = params.output_vector
-    sig = trace.patterns[-1] * v[None, :]
+    sig = patterns[-1] * v[None, :]
     out = [sig]
     for l in range(params.depth - 1, 0, -1):
-        sig = (sig @ params.weights[l].T) * trace.patterns[l - 1]
+        sig = (sig @ params.weights[l].T) * patterns[l - 1]
         out.append(sig)
     out.reverse()
     return out
 
 
 def gradient_factors(params: NetworkParams, trace: BatchTrace, labels: np.ndarray,
-                     loss, rows: np.ndarray | None = None) -> list:
+                     lprime: np.ndarray, rows: np.ndarray | None = None) -> list:
     """Per-layer factors ``(A_l, B_l)`` of the (batch) mean-loss gradient.
 
     The gradient w.r.t. ``weights[l-1]`` is ``A_l^T B_l``: ``A_l`` holds the
     layer inputs ``hidden[l-1]`` of the batch rows (all rows when `rows` is
-    None) and ``B_l`` their backprop signals weighted by
-    ``l'(y_i f(x_i)) y_i / batch size``.  One backprop pass, over the batch
-    rows only, serves every layer.
+    None) and ``B_l`` their backprop signals weighted by ``lprime_i y_i /
+    batch size``, `lprime` the caller's ``l'(y_i f(x_i))`` of every trace
+    row.  One backprop pass, over the batch rows only, serves every layer.
     """
+    hidden, patterns = trace.hidden[:-1], trace.patterns
     if rows is not None:
-        # backprop reads only the patterns, and the factors only hidden[:-1]
-        trace = BatchTrace(hidden=[h[rows] for h in trace.hidden[:-1]], preacts=[],
-                           patterns=[p[rows] for p in trace.patterns],
-                           outputs=trace.outputs[rows])
-        labels = labels[rows]
-    coeff = np.asarray(loss.deriv(labels * trace.outputs), dtype=np.float64) \
-        * labels / labels.shape[0]
+        hidden = [h[rows] for h in hidden]
+        patterns = [p[rows] for p in patterns]
+        labels, lprime = labels[rows], lprime[rows]
+    coeff = lprime * labels / labels.shape[0]
     # an overflowing product, or an infinite coefficient times a zero
     # signal, is not finite, and gradient_norms reports it as NaN
     with np.errstate(over="ignore", invalid="ignore"):
         return [(h, coeff[:, None] * g)
-                for h, g in zip(trace.hidden, backprop_signals(params, trace))]
+                for h, g in zip(hidden, backprop_signals(params, patterns))]
 
 
 @np.errstate(over="ignore", invalid="ignore")

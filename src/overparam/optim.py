@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import PortableRng, aligned_empty, power_iteration, spectral_norm
+from .linalg import PortableRng, aligned_empty, power_iteration
 from .network import (NetworkParams, batch_forward, gradient_factors,
                       gradient_norms, max_pattern_distance)
 
@@ -38,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "TrajectoryRecord",
     "TrajectoryRow",
-    "perturbation_radius",
     "run_gd",
     "run_sgd",
     "theoretical_step_size",
@@ -50,6 +49,9 @@ log = logging.getLogger(__name__)
 # Default constant in front of phi / (n^3 L^9 m); calibrated so the default
 # desk-scale run converges while staying deep in the lazy regime.
 DEFAULT_ETA_SCALE = 2.0e10
+
+# Default mean loss at which a run stops as converged.
+DEFAULT_TARGET_LOSS = 1e-4
 
 # Ritz-residual tolerance of the warm-started Lanczos solves
 # (linalg.power_iteration) behind the exact radii and the final radii.  The
@@ -90,7 +92,7 @@ class TrainConfig:
     eta: float | None = None            # explicit step size wins over eta_scale
     eta_scale: float = DEFAULT_ETA_SCALE    # else eta = theoretical_step_size(...)
     batch_size: int | None = None       # None => full batch
-    target_loss: float = 1e-4
+    target_loss: float = DEFAULT_TARGET_LOSS
     seed: int = 0
 
     def validate(self, n: int) -> None:
@@ -226,15 +228,6 @@ def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
             fh.write(",".join(row.csv_cells(layers)) + "\n")
 
 
-def perturbation_radius(params: NetworkParams, reference: NetworkParams,
-                        tol: float = 1e-10) -> list:
-    """Per-layer spectral norm of W_l - W_l^(0)."""
-    if tuple(params.layer_dims) != tuple(reference.layer_dims):
-        raise ValueError("parameter shapes do not match")
-    return [spectral_norm(w - w0, tol=tol)
-            for w, w0 in zip(params.weights, reference.weights)]
-
-
 def _snapshot_iterations(max_iters: int) -> set:
     return {0, max_iters // 4, max_iters // 2, (3 * max_iters) // 4, max_iters}
 
@@ -291,7 +284,7 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
         batch = np.arange(n) if batch_size == n \
             else rng.sample_without_replacement(n, batch_size)
 
-        factors = gradient_factors(live, trace, y, loss,
+        factors = gradient_factors(live, trace, y, lprime,
                                    rows=None if batch_size == n else batch)
         spec, fro = gradient_norms(factors)
 

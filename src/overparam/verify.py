@@ -40,11 +40,10 @@ import numpy as np
 
 from .data import cross_class_distance
 from .linalg import MaskedChain, PortableRng, spectral_norm
-from .losses import builtin_loss, check_loss_assumptions
+from .losses import check_loss_assumptions
 from .network import (NetworkParams, backprop_signals, batch_forward,
                       gradient_factors, gradient_norms, init_network,
                       max_pattern_distance)
-from .optim import perturbation_radius
 
 __all__ = [
     "PropertyEntry",
@@ -52,6 +51,7 @@ __all__ = [
     "concavity_inequality_check",
     "lemma_oracles",
     "mc_relu_kernel",
+    "perturbation_radius",
     "relu_kernel_closed_form",
     "subset_mean_variance",
     "verify_init_properties",
@@ -168,7 +168,7 @@ def _output_probe(params: NetworkParams, trace, sparsity: int) -> list:
     pass), which is ``v^T chain_i``.  An overflowing row reads inf."""
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, g in zip(params.weights, backprop_signals(params, trace)):
+        for w, g in zip(params.weights, backprop_signals(params, trace.patterns)):
             rest = max(0, w.shape[0] - sparsity)     # entries outside the support
             sq = np.partition(np.square(g @ w.T), rest, axis=1)
             values.append(float(np.sqrt(np.max(np.sum(sq[:, rest:], axis=1)))))
@@ -470,24 +470,30 @@ def _ratio(num: float, denom: float) -> float:
     return math.inf if num > 0 else 0.0
 
 
+def perturbation_radius(params: NetworkParams, reference: NetworkParams,
+                        tol: float = 1e-10) -> list:
+    """Per-layer spectral norm of W_l - W_l^(0)."""
+    if tuple(params.layer_dims) != tuple(reference.layer_dims):
+        raise ValueError("parameter shapes do not match")
+    return [spectral_norm(w - w0, tol=tol)
+            for w, w0 in zip(params.weights, reference.weights)]
+
+
 def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParams,
-                                   dataset, *, loss=None,
+                                   dataset, *, loss, spectral_tol: float,
                                    declared_tau: float | None = None,
-                                   spectral_tol: float = 1e-3,
                                    seed: int = 0) -> PropertyReport:
     """Compare a trained parameter set with its initialization `params0`.
 
     Radii are measured (never trusted), like every spectral norm here at
     `spectral_tol`; exceeding `declared_tau` flags the report instead of
-    raising.  Gradient entries use `loss` (default: logistic).  The settings
-    of the battery are fixed: the perturbed sparse probe is the exact sup over
-    unit vectors whose support is the expected pattern drift
-    ``min(m, ceil(L^(4/3) tau^(2/3) m))``, and the stochastic gradient entry
-    takes the worst of 8 (`_BATCH_DRAWS`) batches of ``max(1, n // 4)``
-    examples.
+    raising.  Gradient entries use `loss`, whose derivative is evaluated
+    once a network.  The settings of the battery are fixed: the perturbed
+    sparse probe is the exact sup over unit vectors whose support is the
+    expected pattern drift ``min(m, ceil(L^(4/3) tau^(2/3) m))``, and the
+    stochastic gradient entry takes the worst of 8 (`_BATCH_DRAWS`) batches
+    of ``max(1, n // 4)`` examples.
     """
-    if loss is None:
-        loss = builtin_loss("logistic")
     n = dataset.n
     dims = params0.layer_dims
     depth = params0.depth
@@ -555,9 +561,11 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
         note="squared last-layer gradient Frobenius norm, in units of "
              "m_L phi (sum l')^2 / n^5")
     upper = PropertyEntry(name="gradient_upper_ratio", direction="upper", bound=1.0)
-    for net, net_trace in ((trained, trace), (params0, trace0)):
-        spec, fro = gradient_norms(gradient_factors(net, net_trace, y, loss))
-        sum_lp = float(np.sum(loss.deriv(y * net_trace.outputs)))
+    lp, lp0 = (np.asarray(loss.deriv(y * t.outputs), dtype=np.float64)
+               for t in (trace, trace0))
+    for net, net_trace, net_lp in ((trained, trace, lp), (params0, trace0, lp0)):
+        spec, fro = gradient_norms(gradient_factors(net, net_trace, y, net_lp))
+        sum_lp = float(np.sum(net_lp))
         with np.errstate(all="ignore"):   # a numpy power overflows, not raises
             lower.record([float(fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi
                           * np.float64(sum_lp) ** 2)) if sum_lp != 0.0 else math.inf])
@@ -566,12 +574,11 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     entries += [lower, upper]
 
     batch_size = max(1, n // 4)
-    lp = np.asarray(loss.deriv(y * trace.outputs), dtype=np.float64)
     rng = _item_stream(stream, _PERTURBATION_ENTRIES, "stochastic_gradient_upper_ratio")
     ratios = []
     for _ in range(_BATCH_DRAWS):
         batch = rng.sample_without_replacement(n, batch_size)
-        spec, _ = gradient_norms(gradient_factors(trained, trace, y, loss,
+        spec, _ = gradient_norms(gradient_factors(trained, trace, y, lp,
                                                   rows=batch))
         batch_scale = depth ** 2 * math.sqrt(m_max) * abs(float(np.sum(lp[batch])))
         ratios += [_ratio(s * batch_size, batch_scale) for s in spec]

@@ -1,12 +1,14 @@
 """Reference computations that only the tests need: one-shot Box-Muller
 normals, the per-index integer draw, computations built on the batched
 forward pass and the gradient factors of `overparam.network`, the reader
-of the dataset CSV format, and the CLI's default battery settings."""
+of the dataset CSV format, and the CLI's default settings of both
+batteries."""
 
 import numpy as np
 
 from overparam.cli import DEFAULT_CONFIG
 from overparam.data import Dataset
+from overparam.losses import builtin_loss
 from overparam.network import batch_forward, gradient_factors
 
 
@@ -16,6 +18,14 @@ def battery_settings(**overrides) -> dict:
     keys = ("trials", "delta", "spectral_tol", "probes", "gradient_probes",
             "allowed_failures")
     return dict({k: DEFAULT_CONFIG[k] for k in keys}, **overrides)
+
+
+def perturbation_settings(**overrides) -> dict:
+    """The loss and `spectral_tol` that the CLI gives
+    `verify_perturbation_properties`, at `DEFAULT_CONFIG`'s values, updated
+    by `overrides`."""
+    return dict({"loss": builtin_loss(DEFAULT_CONFIG["loss"]),
+                 "spectral_tol": DEFAULT_CONFIG["spectral_tol"]}, **overrides)
 
 
 def box_muller(rng, count: int) -> np.ndarray:
@@ -55,7 +65,8 @@ def loss_gradient(params, dataset, loss) -> list:
     """Gradient of the mean loss, one matrix per layer, at the patterns of
     the current parameters (derivative 0 at ReLU kinks)."""
     trace = batch_forward(params, dataset.inputs)
-    return [a.T @ b for a, b in gradient_factors(params, trace, dataset.labels, loss)]
+    lprime = loss.deriv(dataset.labels * trace.outputs)
+    return [a.T @ b for a, b in gradient_factors(params, trace, dataset.labels, lprime)]
 
 
 def output_telescope(params, trace, layer: int) -> np.ndarray:

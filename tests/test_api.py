@@ -86,3 +86,27 @@ def test_no_module_imports_another_modules_private_name():
              and (node.level > 0 or (node.module or "").startswith("overparam"))
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def package_imports(path) -> set:
+    """The bare names of the `overparam` modules that a module imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("overparam.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("overparam")):
+            # `from . import x` and `from overparam import x` name modules
+            module = (node.module or "").removeprefix("overparam").lstrip(".")
+            found |= {module.split(".")[0]} if module else \
+                {alias.name for alias in node.names}
+    return found
+
+
+def test_only_cli_imports_training_code():
+    # the batteries measure a network they are given, so no module but the
+    # command line, which runs training, needs `optim`
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "optim" in package_imports(path)]
+    assert importers == ["cli.py"]

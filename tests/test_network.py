@@ -337,7 +337,8 @@ class TestGradientNorms:
         ds = generate_separated(n=6, d=4, mu=0.5, phi=0.05, seed=8)
         loss = builtin_loss("logistic")
         trace = batch_forward(params, ds.inputs)
-        factors = gradient_factors(params, trace, ds.labels, loss)
+        factors = gradient_factors(params, trace, ds.labels,
+                                   loss.deriv(ds.labels * trace.outputs))
         spec, fro = gradient_norms(factors)
         for g, s, f in zip(loss_gradient(params, ds, loss), spec, fro):
             assert s == pytest.approx(np.linalg.norm(g, 2), rel=1e-10)

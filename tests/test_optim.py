@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -15,8 +16,9 @@ from overparam.losses import builtin_loss
 from overparam.network import (NetworkParams, backprop_signals, batch_forward,
                                gradient_factors, init_network)
 from overparam.optim import (TrainConfig, TrajectoryRecord, TrajectoryRow,
-                             perturbation_radius, run_gd, run_sgd,
-                             theoretical_step_size, write_trajectory_csv)
+                             run_gd, run_sgd, theoretical_step_size,
+                             write_trajectory_csv)
+from overparam.verify import perturbation_radius
 
 from oracles import loss_gradient
 
@@ -48,7 +50,7 @@ def oracle_iterates(params, ds, loss, eta, steps, batch_size=None, seed=0):
         batch = np.arange(n) if batch_size is None \
             else rng.sample_without_replacement(n, batch_size)
         coeff = lprime[batch] * y[batch] / batch.shape[0]
-        signals = backprop_signals(net, trace)
+        signals = backprop_signals(net, trace.patterns)
         weights = [w - eta * (h[batch].T @ (coeff[:, None] * g[batch]))
                    for w, h, g in zip(weights, trace.hidden, signals)]
         iterates.append(weights)
@@ -226,12 +228,13 @@ class TestRunSgd:
         full = loss_gradient(params, ds, loss)
         trace = batch_forward(params, ds.inputs)
         y = ds.labels
+        lprime = loss.deriv(y * trace.outputs)
         batch_size = 2
         sums = [np.zeros_like(w) for w in params.weights]
         count = 0
         for subset in itertools.combinations(range(6), batch_size):
             rows = np.asarray(subset)
-            factors = gradient_factors(params, trace, y, loss, rows=rows)
+            factors = gradient_factors(params, trace, y, lprime, rows=rows)
             for acc, (a, b) in zip(sums, factors):
                 acc += a.T @ b
             count += 1
@@ -303,8 +306,9 @@ class TestTrainingPath:
         final, rec = run_gd(params, ds, loss,
                             TrainConfig(max_iters=1, eta=eta, tau=10.0))
         assert rec.rows[-1].k == 1
-        factors = gradient_factors(params, batch_forward(params, ds.inputs),
-                                   ds.labels, loss)
+        trace = batch_forward(params, ds.inputs)
+        factors = gradient_factors(params, trace, ds.labels,
+                                   loss.deriv(ds.labels * trace.outputs))
         for w1, w0, (a, b) in zip(final.weights, params.weights, factors):
             np.testing.assert_array_max_ulp(w1, w0 - eta * (a.T @ b), maxulp=2)
 
@@ -337,9 +341,9 @@ class TestTrainingPath:
     def test_one_backprop_pass_per_update_step(self, monkeypatch, batch_size):
         calls = []
 
-        def counting(params, trace):
-            calls.append(trace)
-            return backprop_signals(params, trace)
+        def counting(params, patterns):
+            calls.append(patterns)
+            return backprop_signals(params, patterns)
 
         monkeypatch.setattr(network, "backprop_signals", counting)
         params, ds = small_problem()
@@ -352,9 +356,31 @@ class TestTrainingPath:
         assert len(calls) == len(rec.rows) == rec.rows[-1].k + 1 == 10
         # each pass backprops the batch rows only
         rows = ds.n if batch_size is None else batch_size
-        for trace in calls:
-            assert trace.outputs.shape == (rows,)
-            assert all(p.shape[0] == rows for p in trace.patterns)
+        for patterns in calls:
+            assert all(p.shape[0] == rows for p in patterns)
+
+    @pytest.mark.parametrize("name, batch_size, eta, stop", [
+        ("logistic", None, 0.02, "max_iters"), ("logistic", 3, 0.02, "max_iters"),
+        ("exponential", None, 1e6, "diverged")])
+    def test_one_loss_derivative_per_finite_row(self, name, batch_size, eta, stop):
+        # the row's derivative sums and the update's gradient share one
+        # evaluation of l' on every margin; a row whose loss is not finite
+        # takes none
+        base = builtin_loss(name)
+        calls = []
+
+        def counting(margins):
+            calls.append(margins.shape)
+            return base.deriv(margins)
+
+        params, ds = small_problem()
+        run = run_gd if batch_size is None else run_sgd
+        _, rec = run(params, ds, dataclasses.replace(base, deriv=counting),
+                     TrainConfig(max_iters=9, eta=eta, tau=1e9,
+                                 batch_size=batch_size))
+        assert rec.stop_reason == stop
+        finite = sum(1 for row in rec.rows if math.isfinite(row.loss))
+        assert calls == [(ds.n,)] * finite
 
     def test_budget_warnings_logged_once_per_layer(self, caplog):
         params, ds = small_problem()

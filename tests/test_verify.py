@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -19,7 +20,7 @@ from overparam.verify import (INIT_ITEMS, _bilinear_probe,
                               verify_init_properties,
                               verify_perturbation_properties)
 
-from oracles import battery_settings, loss_gradient
+from oracles import battery_settings, loss_gradient, perturbation_settings
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -373,7 +374,8 @@ class TestInitBattery:
 class TestPerturbationBattery:
     def test_identical_params_all_drift_zero(self):
         params, ds = small_battery_inputs()
-        report = verify_perturbation_properties(params, params, ds)
+        report = verify_perturbation_properties(params, params, ds,
+                                                **perturbation_settings())
         assert report.meta["measured_tau"] == 0.0
         assert report.entry("hidden_drift_ratio").measured == 0.0
         assert report.entry("pattern_drift_ratio").measured == 0.0
@@ -386,8 +388,8 @@ class TestPerturbationBattery:
         u = np.zeros(tilde.weights[1].shape[0]); u[0] = 1.0
         v = np.zeros(tilde.weights[1].shape[1]); v[1] = 1.0
         tilde.weights[1] = tilde.weights[1] + tau * np.outer(u, v)
-        report = verify_perturbation_properties(params, tilde, ds,
-                                                declared_tau=0.1)
+        report = verify_perturbation_properties(
+            params, tilde, ds, declared_tau=0.1, **perturbation_settings())
         assert report.meta["measured_tau"] == pytest.approx(tau, rel=1e-3)
         # hidden drift stays within a small multiple of L * sum ||dW||
         assert report.entry("hidden_drift_ratio").measured <= 5.0
@@ -397,8 +399,8 @@ class TestPerturbationBattery:
         params, ds = small_battery_inputs()
         tilde = params.copy()
         tilde.weights[0] = tilde.weights[0] + 0.5 * np.eye(*tilde.weights[0].shape)
-        report = verify_perturbation_properties(params, tilde, ds,
-                                                declared_tau=1e-3)
+        report = verify_perturbation_properties(
+            params, tilde, ds, declared_tau=1e-3, **perturbation_settings())
         entry = report.entry("perturbation_radius")
         assert not entry.passed()
         assert "exceeds declared tau" in entry.note
@@ -410,7 +412,8 @@ class TestPerturbationBattery:
         tilde = params.copy()
         tilde.weights[1] = tilde.weights[1] + 0.05 * PortableRng(3).normals(
             48 * 48).reshape(48, 48)
-        report = verify_perturbation_properties(params, tilde, ds)
+        report = verify_perturbation_properties(params, tilde, ds,
+                                                **perturbation_settings())
         assert tuple(e.name for e in report.entries) == \
             verify._PERTURBATION_ENTRIES
 
@@ -420,8 +423,8 @@ class TestPerturbationBattery:
         ratios = []
         for seed in range(3):
             params = init_network([6, 96, 96], seed=seed)
-            report = verify_perturbation_properties(params, params, ds,
-                                                    loss=loss)
+            report = verify_perturbation_properties(
+                params, params, ds, **perturbation_settings(loss=loss))
             r = report.entry("gradient_lower_ratio").measured
             assert r > 0
             ratios.append(r)
@@ -429,7 +432,8 @@ class TestPerturbationBattery:
 
     def test_gradient_upper_ratios_finite(self):
         params, ds = small_battery_inputs(m=64)
-        report = verify_perturbation_properties(params, params, ds)
+        report = verify_perturbation_properties(params, params, ds,
+                                                **perturbation_settings())
         assert np.isfinite(report.entry("gradient_upper_ratio").measured)
         assert np.isfinite(
             report.entry("stochastic_gradient_upper_ratio").measured)
@@ -438,7 +442,28 @@ class TestPerturbationBattery:
         params, ds = small_battery_inputs()
         other = init_network([6, 24, 24, 48], seed=9)
         with pytest.raises(ValueError):
-            verify_perturbation_properties(params, other, ds)
+            verify_perturbation_properties(params, other, ds,
+                                           **perturbation_settings())
+
+    def test_one_loss_derivative_per_network(self):
+        # the gradient entries, their l' sums and the stochastic batches of
+        # each network share one evaluation of l' on its margins
+        params, ds = small_battery_inputs()
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.05 * PortableRng(3).normals(
+            48 * 48).reshape(48, 48)
+        base = builtin_loss("logistic")
+        calls = []
+
+        def counting(margins):
+            calls.append(margins.shape)
+            return base.deriv(margins)
+
+        report = verify_perturbation_properties(
+            params, tilde, ds,
+            **perturbation_settings(loss=dataclasses.replace(base, deriv=counting)))
+        assert report.entry("stochastic_gradient_upper_ratio").trials == 1
+        assert calls == [(ds.n,)] * 2
 
     def test_drift_and_gradient_entries_match_dense_oracles(self):
         # one perturbed layer, so layer 1 drifts 0 over a zero radius sum
@@ -840,8 +865,8 @@ class TestChainItemsAgainstLoops:
         # small enough that the derived probe support stays below m = 48
         tilde.weights[1] = tilde.weights[1] + 0.002 * PortableRng(4).normals(
             48 * 48).reshape(48, 48)
-        report = verify_perturbation_properties(params, tilde, ds, seed=5,
-                                                spectral_tol=1e-10)
+        report = verify_perturbation_properties(
+            params, tilde, ds, seed=5, **perturbation_settings(spectral_tol=1e-10))
         tau = report.meta["measured_tau"]
         # the probe support is the expected pattern drift
         s = min(48, math.ceil(3 ** (4.0 / 3.0) * tau ** (2.0 / 3.0) * 48))
@@ -896,6 +921,7 @@ class TestOutputProbe:
         tilde = params.copy()
         tilde.weights[1] = tilde.weights[1] + 0.002 * PortableRng(4).normals(
             48 * 48).reshape(48, 48)
-        pert = [verify_perturbation_properties(params, tilde, ds, seed=seed)
+        pert = [verify_perturbation_properties(params, tilde, ds, seed=seed,
+                                               **perturbation_settings())
                 .entry("perturbed_sparse_probe").per_trial for seed in (0, 7)]
         assert pert[0] == pert[1]

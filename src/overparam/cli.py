@@ -8,6 +8,10 @@ diverged run, a checkpoint whose weights are not finite, or a spectral solve
 that does not converge.  A checkpoint with finite weights whose measurements
 overflow is measured: `verify` exits 0, and the entries that overflowed read
 inf, or NaN where both sides of a ratio did, and fail.
+`verify` takes its wide spectral solves (weight norms, radii and masked
+chains) with float32 Gram products at a `spectral_tol` of 1e-4 or more, the
+default 1e-3 included, and with float64 ones below; training's radius
+telemetry always takes float64.
 
 `CONFIG_TABLE` gives every config key its type, default, null rule and
 range; `--init-config` writes its defaults.  `load_config` checks each key
@@ -107,7 +111,9 @@ CONFIG_TABLE = {
     # a Lanczos residual below about 1e-15 is reached only through roundoff;
     # the floor keeps whether a job converges off the last bits of its GEMMs.
     # A residual r brackets an eigenvalue in [theta (1 - r), theta (1 + r)],
-    # which certifies nothing from r = 1 on.
+    # which certifies nothing from r = 1 on.  From 1e-4 on (the float32 floor
+    # of `linalg`) the Lanczos solves take float32 Gram products; tighter
+    # ones take float64.
     "spectral_tol": (float, 1e-3, False, _from_up_to(1e-12, 1)),
     "verify_items": (list, None, True, _ITEMS),
     "mc_samples": (int, 100000, False, _at_least(1000)),

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra and a portable seeded random stream.
+"""Dense linear algebra and a portable seeded random stream.
 
 Matrices are numpy float64 arrays in C (row-major) order throughout the
 package.  Activation patterns are numpy bool arrays and are only ever used
@@ -14,8 +14,13 @@ Any other gets it from restarted Lanczos on its Gram operator (`_lanczos`).
 Exact scaling keeps both inside the float range: the operator is taken on
 ``a / 2**e``, e the binary exponent of max|a| (`_peak`), which commutes with
 rounding, so ``2**k a`` gets exactly ``2**k`` times the norm.
-`power_iteration`'s Lanczos path scales only to re-solve after an under- or
-overflow.
+One precision rule: a Lanczos solve at a `tol` of at least ``_SINGLE_TOL``
+takes its Gram products in float32, on each weight's exact scaling rounded
+once (`_single`); any other solve, the Lanczos recurrences, the thin rule
+and every returned value are float64.  A float32 solve that could leave the
+float32 range, or whose value lies near its bottom, is made in float64.
+`power_iteration`'s float64 Lanczos path scales only to re-solve after an
+under- or overflow.
 """
 
 from __future__ import annotations
@@ -58,6 +63,23 @@ THIN_SIDE = 16
 # 1000x1000 and from 2.8 to 2.5 ms at 2000x2000 (2 MiB L2 a core); 256 KiB
 # blocks were no faster than two whole-matrix passes.
 _SWEEP_BYTES = 1 << 20
+
+# The smallest `tol` of a Lanczos solve whose Gram products run in float32.
+# Such a solve converges to the norm of the rounded operator: at one BLAS
+# thread that was within 4.4e-11 of the dense norm of a (1000, 1000)
+# training difference, and within 0.8e-9 to 1.4e-9 on a Gaussian weight, at
+# every tol from 1e-5 to 1e-10.  Past that floor the residual certifies
+# nothing (at tol 1e-10 the Gaussian weight took 384 products, against 130
+# in float64), so tighter solves stay float64.  The floor sits above
+# training's warm radius solves (1e-5) and below the battery's default
+# spectral_tol (1e-3).
+_SINGLE_TOL = 1e-4
+
+# The float32 range a float32 solve may use, well inside 2**+-126: a chain
+# whose scaled weights' squared Frobenius norms multiply past this bound
+# could overflow a Gram product, and a top eigenvalue below its inverse may
+# have come through float32 subnormals; both are solved in float64.
+_SINGLE_RANGE = 2.0 ** 100
 
 # Raws that PortableRng.normals turns into normals at a time (an even count,
 # so no Box-Muller pair straddles two chunks).  A chunk's temporaries stay
@@ -314,16 +336,17 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
 def _sweep_gram(a: np.ndarray):
     """`_lanczos`'s one-row product with A^T A (its `ids` go unused): one
     sweep over `a` in row blocks of about ``_SWEEP_BYTES``,
-    ``w += (blk @ q) @ blk``, so a block is read from memory once."""
-    rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
+    ``w += (blk @ q) @ blk``, so a block is read from memory once.  The
+    product runs in the dtype of `a` and returns float64."""
+    rows = max(1, _SWEEP_BYTES // (a.itemsize * a.shape[1]))
 
     def gram(q, ids):
-        q = q[0]
+        q = q[0].astype(a.dtype, copy=False)
         w = (a[:rows] @ q) @ a[:rows]
         for i in range(rows, a.shape[0], rows):
             blk = a[i:i + rows]
             w += (blk @ q) @ blk
-        return w[None]
+        return w.astype(np.float64, copy=False)[None]
     return gram
 
 
@@ -334,6 +357,32 @@ def _peak(a: np.ndarray) -> tuple:
     about 0.1 MiB."""
     peak = np.maximum(np.max(a, axis=(-2, -1)), -np.min(a, axis=(-2, -1)))
     return peak, np.frexp(np.where(np.isfinite(peak), peak, 0.0))[1]
+
+
+def _single(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
+    """``(copy, e)``: the exact scaling ``a / 2**e`` of a matrix rounded to
+    float32, e the binary exponent of max|a| (`_peak`).  With `b`, the copy
+    is of ``(a - b) / 2**e``, e one more than the exponent of
+    max(max|a|, max|b|), so its entries lie below 1 in magnitude too.
+
+    Each entry is scaled exactly in float64 and rounded once, straight into
+    the float32 copy, so ``2**k`` on `a` (and `b`) gives the same copy.  No
+    float64 array of the matrix's size is made: the difference goes through
+    one float64 row block of about ``_SWEEP_BYTES``.
+    """
+    out = np.empty(a.shape, dtype=np.float32)
+    if b is None:
+        e = int(_peak(a)[1])
+        np.multiply(a, np.ldexp(1.0, -e), out=out, casting="same_kind")
+        return out, e
+    peak = np.maximum(_peak(a)[0], _peak(b)[0])
+    e = int(np.frexp(peak if np.isfinite(peak) else 0.0)[1]) + 1
+    rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
+    blk = np.empty((min(rows, a.shape[0]), a.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        diff = np.subtract(a[i:i + rows], b[i:i + rows], out=blk[:len(out[i:i + rows])])
+        np.multiply(diff, np.ldexp(1.0, -e), out=out[i:i + rows], casting="same_kind")
+    return out, e
 
 
 def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,23 +419,32 @@ def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(finite, sigma, np.inf), v
 
 
-def power_iteration(a: np.ndarray, tol: float = 1e-10,
+def power_iteration(a, tol: float = 1e-10,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray, float, int]:
     """Largest singular value of `a` by restarted Lanczos on A^T A, or
     exactly for a thin matrix.
 
-    Returns ``(sigma, right_vector, residual, iterations)``; `iterations`
-    counts products with A^T A.  This is `_lanczos` on one operator: the
-    Ritz residual ``||A^T A x - theta x|| / theta`` at `tol` bounds the
-    relative error of ``sigma**2`` by `tol`.
+    `a` is a matrix, or a pair ``(a, b)`` of matrices of one shape whose
+    difference ``a - b`` is the matrix.  Returns ``(sigma, right_vector,
+    residual, iterations)``; `iterations` counts products with A^T A.  This
+    is `_lanczos` on one operator: the Ritz residual
+    ``||A^T A x - theta x|| / theta`` at `tol` bounds the relative error of
+    ``sigma**2`` by `tol`.
 
     A thin matrix takes its norm and right vector from `thin_norms`, with
     residual 0 and 0 iterations; `tol` and `start` go unused.  On either
     path non-finite entries raise ValueError and the zero matrix returns
-    ``(0.0, zeros, 0.0, 0)``.  The Lanczos path scans `a` only after a solve
-    that ends with theta outside (0, inf) or with residual 0.  Past those
-    two cases the start was zero, null or an eigenvector, or a product
-    under- or overflowed: `_lanczos` runs once more, from a fresh seeded
+    ``(0.0, zeros, 0.0, 0)``.
+
+    At a `tol` below ``_SINGLE_TOL`` the Lanczos path takes float64
+    products on `a` itself (a pair's difference formed once), and scans `a`
+    only after a solve that ends badly.  From that floor on it takes float32
+    products on the copy of its exact scaling (`_single`; a pair's
+    difference goes into that copy in row blocks), and scales sigma back.
+    A solve ends badly with theta outside (0, inf), below
+    ``1 / _SINGLE_RANGE`` on a float32 copy, or with residual 0: the start
+    was zero, null or an eigenvector, or a product under- or overflowed.
+    Then `_lanczos` runs once more, on float64 products, from a fresh seeded
     start on the exact scaling of `a`, and the iterations are summed.
 
     `start` replaces the default fixed seeded start vector (warm starts
@@ -394,15 +452,23 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     calls).  Raises SpectralNormError after `_lanczos`'s cap of 10,000
     products.
     """
+    a, b = a if isinstance(a, tuple) else (a, None)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"need a nonempty 2-d matrix, got shape {a.shape}")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != a.shape:
+            raise ValueError(f"pair shapes differ: {a.shape} and {b.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (a.shape[1],):
             raise ValueError("start vector has wrong length")
+    single = tol >= _SINGLE_TOL and min(a.shape) > THIN_SIDE
+    if b is not None and not single:
+        a, b = a - b, None   # the float64 difference
     if min(a.shape) <= THIN_SIDE:
         sigma, v = thin_norms(a[None])
         # a finite matrix whose norm overflows reads inf as well
@@ -411,9 +477,15 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
         return float(sigma[0]), v[0], 0.0, 0
     if start is None:
         start = PortableRng(_START_SEED).normals(a.shape[1])
-    theta, v, residual, it = _lanczos(_sweep_gram(a), start[None], tol)
-    if 0.0 < theta[0] < np.inf and residual[0] > 0.0:
-        return float(np.sqrt(theta[0])), v[0], float(residual[0]), it
+    copy, e = _single(a, b) if single else (a, 0)
+    theta, v, residual, it = _lanczos(_sweep_gram(copy), start[None], tol)
+    del copy
+    bottom = 1.0 / _SINGLE_RANGE if single else 0.0
+    if bottom < theta[0] < np.inf and residual[0] > 0.0:
+        with np.errstate(over="ignore"):   # a norm past the float range reads inf
+            return float(np.ldexp(np.sqrt(theta[0]), e)), v[0], float(residual[0]), it
+    if b is not None:
+        a = a - b
     peak, e = _peak(a)
     if not np.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
@@ -426,17 +498,29 @@ def power_iteration(a: np.ndarray, tol: float = 1e-10,
     return sigma, v[0], float(residual[0]), it + more
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-10) -> float:
-    """Largest singular value of `a`; exact 0 for the zero matrix."""
+def spectral_norm(a, tol: float = 1e-10) -> float:
+    """Largest singular value of `a`, a matrix or a pair ``(a, b)`` for
+    ``a - b`` (see `power_iteration`); exact 0 for the zero matrix."""
     sigma, _, _, _ = power_iteration(a, tol=tol)
     return sigma
 
 
-def _rows(block: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``block @ w`` over the last axis of an (n, b, dim) block, as one GEMM.
-    The weight goes on the right: on one BLAS thread of a 2-core Xeon,
-    (20, 1000) @ W takes 1.2 ms and W^T @ (1000, 20), the same flops, 2.1 ms."""
-    return (block.reshape(-1, block.shape[-1]) @ w).reshape(*block.shape[:-1], w.shape[1])
+def _rows(block: np.ndarray, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``block @ w`` (``block @ w.T`` with `transpose`) over the last axis of
+    an (n, b, dim) block, as one GEMM on the weight as stored.  A float64
+    weight goes on the right: on one BLAS thread of a 2-core Xeon,
+    (20, 1000) @ W takes 1.2 ms and W^T @ (1000, 20), the same flops,
+    2.1 ms.  A transposed float32 weight goes on the left: on one BLAS
+    thread of a Haswell-class Xeon, (20, 1000) @ W.T took 0.60 ms and
+    (W @ (1000, 20)).T 0.39 ms, where float64 took 0.72 and 0.87 ms."""
+    flat = block.reshape(-1, block.shape[-1])
+    if not transpose:
+        out = flat @ w
+    elif w.dtype == np.float32:
+        out = (w @ flat.T).T
+    else:
+        out = flat @ w.T
+    return out.reshape(*block.shape[:-1], out.shape[1])
 
 
 class MaskedChain:
@@ -447,8 +531,8 @@ class MaskedChain:
     `head` it gains a final unmasked ``W_head^T``.  ``apply`` and
     ``apply_t`` (the transpose) act on row blocks of shape ``(n, b, dim)``,
     taking example i's b rows through example i's operator, so each layer is
-    one GEMM over n*b rows with the weight on the right.  ``first > last``
-    leaves no masked layers.
+    one GEMM over n*b rows (`_rows`).  ``first > last`` leaves no masked
+    layers.  The products run in the dtype of the block and the weights.
     """
 
     def __init__(self, weights, patterns, first: int, last: int,
@@ -471,20 +555,71 @@ class MaskedChain:
     def apply_t(self, block: np.ndarray) -> np.ndarray:
         t = block
         if self.head is not None:
-            t = _rows(t, self.weights[self.head - 1].T)
+            t = _rows(t, self.weights[self.head - 1], transpose=True)
         for r in range(self.last, self.first - 1, -1):
-            t = _rows(self.masks[r] * t, self.weights[r - 1].T)
+            t = _rows(self.masks[r] * t, self.weights[r - 1], transpose=True)
         return t
+
+    def _float64(self, ids=slice(None)) -> tuple:
+        """``(chain, e)``: the chain of examples `ids` with mask r scaled by
+        ``2**-e_r``, e_r the binary exponent of max|W_r| (the head's folded
+        into the last mask, each kept where ``2**-e_r`` is a float), and
+        e the sum of the e_r."""
+        layers = range(self.first, self.last + 1)
+        exps = [int(_peak(self.weights[r - 1])[1]) for r in layers]
+        if self.head is not None:
+            exps[-1] += int(_peak(self.weights[self.head - 1])[1])
+        exps = [min(max(e, -1023), 1074) for e in exps]   # 2**-e stays a float
+        patterns = [p[ids] for p in self.patterns]
+        for r, e in zip(layers, exps):
+            patterns[r - 1] = patterns[r - 1] * np.ldexp(1.0, -e)
+        return (MaskedChain(self.weights, patterns, self.first, self.last, self.head),
+                sum(exps))
+
+    def _float32(self) -> tuple | None:
+        """``(chain, e)``: the chain on the float32 copy of each weight's
+        exact scaling ``W_r / 2**e_r`` (`_single`), with its masks unscaled,
+        and e the sum of the e_r; None where the product of the copies'
+        squared Frobenius norms exceeds ``_SINGLE_RANGE`` (or is not finite),
+        since a Gram product, which takes each weight twice, could then
+        overflow float32."""
+        layers = list(range(self.first, self.last + 1))
+        if self.head is not None:
+            layers.append(self.head)
+        weights, total, bound = list(self.weights), 0, 1.0
+        for r in layers:
+            copy, e = _single(self.weights[r - 1])
+            bound *= float(np.vdot(copy, copy))
+            if not bound <= _SINGLE_RANGE:
+                return None
+            weights[r - 1] = copy
+            total += e
+        return (MaskedChain(weights, self.patterns, self.first, self.last, self.head),
+                total)
+
+    def _solve(self, start: np.ndarray, tol: float) -> np.ndarray:
+        """Top eigenvalue of each example's Gram operator
+        ``apply_t(apply(.))`` by `_lanczos` from the rows of `start`, the
+        products in the weights' dtype.  Whenever examples stop, the chain
+        GEMMs are rebuilt over the masks of the examples left, so a stopped
+        example costs no more flops."""
+        chain = self
+        dtype = self.weights[self.first - 1].dtype
+
+        def gram(rows, ids):
+            nonlocal chain
+            if chain.n > len(ids):   # chain only the examples left
+                chain = None         # one set of mask copies at a time
+                chain = MaskedChain(self.weights, [p[ids] for p in self.patterns],
+                                    self.first, self.last, self.head)
+            out = chain.apply_t(chain.apply(rows[:, None, :].astype(dtype, copy=False)))
+            return out[:, 0].astype(np.float64, copy=False)
+
+        return _lanczos(gram, start, tol)[0]
 
     def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
         """Spectral norm of each example's operator, from one solve on the
         exact scaling of its weights.
-
-        Mask r is scaled by ``2**-e_r``, e_r the binary exponent of max|W_r|
-        (the head's folded into the last mask, each kept where ``2**-e_r`` is
-        a float), and the norms are scaled back by ``2**sum(e_r)``: weights
-        ``2**k W_r`` give exactly the norms times ``2**(k * number of
-        weights)``, and a norm past the float range reads inf.
 
         A thin chain, whose input dimension is at most ``THIN_SIDE`` (such
         as one from layer 1, acting on R^d), draws nothing from `rng`:
@@ -493,36 +628,37 @@ class MaskedChain:
         Lanczos rule on the n Gram operators ``apply_t(apply(.))``,
         example i from the i-th `dim` normals, each until its own Ritz
         residual is at most `tol`; each estimate approaches its norm from
-        below.  Whenever examples stop, the chain GEMMs are rebuilt over the
-        masks of the examples left, so a stopped example costs no more flops.
-        A non-finite
-        operator reads inf, and a zero one (a layer pattern with no active
-        unit) 0.
+        below.
+
+        Below ``_SINGLE_TOL``, and on a thin chain, mask r is scaled by
+        ``2**-e_r`` (`_float64`) and the products are float64.  From it on,
+        the products are float32, on the rounded exact scaling of each
+        weight (`_float32`), unless the chain fails its range check; an
+        example whose float32 eigenvalue lies below ``1 / _SINGLE_RANGE`` is
+        solved again, from its start, in float64.  Either way the norms are
+        scaled back by ``2**sum(e_r)``: weights ``2**k W_r`` give exactly the
+        norms times ``2**(k * number of weights)``, and a norm past the float
+        range reads inf.  A non-finite operator reads inf, and a zero one (a
+        layer pattern with no active unit) 0.
         """
-        layers = range(self.first, self.last + 1)
-        exps = [int(_peak(self.weights[r - 1])[1]) for r in layers]
-        if self.head is not None:
-            exps[-1] += int(_peak(self.weights[self.head - 1])[1])
-        exps = [min(max(e, -1023), 1074) for e in exps]   # 2**-e stays a float
-        patterns = list(self.patterns)
-        for r, e in zip(layers, exps):
-            patterns[r - 1] = self.patterns[r - 1] * np.ldexp(1.0, -e)
-        chain = MaskedChain(self.weights, patterns, self.first, self.last, self.head)
         dim = self.weights[self.first - 1].shape[0]
         if dim <= THIN_SIDE:
+            chain, e = self._float64()
             eye = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma = thin_norms(chain.apply(eye))[0]
         else:
-            def gram(rows, ids):
-                nonlocal chain
-                if chain.n > len(ids):   # chain only the examples left
-                    chain = None         # one set of mask copies at a time
-                    chain = MaskedChain(self.weights, [p[ids] for p in patterns],
-                                        self.first, self.last, self.head)
-                return chain.apply_t(chain.apply(rows[:, None, :]))[:, 0]
-
             start = rng.normals(self.n * dim).reshape(self.n, dim)
-            sigma = np.sqrt(_lanczos(gram, start, tol)[0])
+            single = self._float32() if tol >= _SINGLE_TOL else None
+            chain, e = single or self._float64()
+            theta = chain._solve(start, tol)
+            e = np.full(self.n, e)
+            if single is not None:
+                single = chain = None   # the float32 weights
+                redo = np.flatnonzero(theta < 1.0 / _SINGLE_RANGE)
+                if redo.size:
+                    chain, e[redo] = self._float64(redo)
+                    theta[redo] = chain._solve(start[redo], tol)
+            sigma = np.sqrt(theta)
         with np.errstate(over="ignore"):   # a norm past the float range reads inf
-            return np.ldexp(sigma, sum(exps))
+            return np.ldexp(sigma, e)

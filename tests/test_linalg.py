@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overparam import linalg
-from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SWEEP_BYTES,
-                              THIN_SIDE, PortableRng, SpectralNormError, _lanczos,
-                              _peak, aligned_empty, gaussian_matrix,
+from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SINGLE_RANGE,
+                              _SINGLE_TOL, _SWEEP_BYTES, THIN_SIDE, PortableRng,
+                              SpectralNormError, _lanczos, _peak, _single,
+                              _sweep_gram, aligned_empty, gaussian_matrix,
                               power_iteration, spectral_norm, thin_norms)
 
 from oracles import box_muller, integer_below
@@ -225,7 +226,10 @@ class TestLanczos:
         assert warm < cold_nudged
         assert sigma == pytest.approx(np.linalg.norm(nudged, 2), rel=1e-8)
 
-    def test_first_step_is_a_power_step(self):
+    def test_first_step_is_a_power_step(self, monkeypatch):
+        # tol 1e6 stops at the first step; with the float32 floor above it
+        # the product is float64
+        monkeypatch.setattr(linalg, "_SINGLE_TOL", np.inf)
         a = padded(PortableRng(13).normals(48).reshape(8, 6))
         v = padded(PortableRng(14).normals(6))
         v /= np.linalg.norm(v)
@@ -234,6 +238,20 @@ class TestLanczos:
         sigma, _, residual, iters = power_iteration(a, tol=1e6, start=v)
         assert iters == 1
         assert sigma ** 2 == pytest.approx(lam, rel=1e-14)
+        assert residual == pytest.approx(np.linalg.norm(u - lam * v) / lam,
+                                         rel=1e-12)
+
+    def test_first_float32_step_is_a_power_step(self):
+        # the float32 twin: one product with the float32 copy of a / 2**e
+        a = padded(PortableRng(13).normals(48).reshape(8, 6))
+        v = padded(PortableRng(14).normals(6))
+        v /= np.linalg.norm(v)
+        copy, e = _single(a)
+        u = ((copy @ v.astype(np.float32)) @ copy).astype(np.float64)
+        lam = v @ u
+        sigma, _, residual, iters = power_iteration(a, tol=1e6, start=v)
+        assert iters == 1
+        assert sigma ** 2 == pytest.approx(np.ldexp(lam, 2 * e), rel=1e-14)
         assert residual == pytest.approx(np.linalg.norm(u - lam * v) / lam,
                                          rel=1e-12)
 
@@ -337,6 +355,103 @@ class TestLanczos:
         assert theta[1] == np.inf
         assert (theta[0], residual[0]) == (0.0, np.inf)
         np.testing.assert_allclose(vectors[0], start[0] / np.sqrt(30), rtol=1e-15)
+
+
+def training_pair(rows=1000, cols=1000, rank=8):
+    """(w, w0): a Gaussian weight w0 and w0 plus a rank-`rank` update, the
+    form of a GD difference over `rank` examples."""
+    rng = PortableRng(31)
+    w0 = gaussian_matrix(rows, cols, 2.0 / cols, rng)
+    update = gaussian_matrix(rows, rank, 1.0, rng) @ gaussian_matrix(rank, cols, 1.0, rng)
+    return w0 + 1e-4 * update, w0
+
+
+class TestSinglePrecision:
+    """The float32 copies (`_single`) and power_iteration's float32 path
+    from ``_SINGLE_TOL`` on, against dense norms and its float64 path."""
+
+    def test_copy_is_the_rounded_exact_scaling(self):
+        a = gaussian_matrix(40, 30, 1.0, PortableRng(3))
+        copy, e = _single(a)
+        assert copy.dtype == np.float32
+        assert e == np.frexp(np.abs(a).max())[1]
+        assert np.array_equal(copy, np.ldexp(a, -e).astype(np.float32))
+        assert np.abs(copy).max() < 1.0
+
+    @pytest.mark.parametrize("k", [-340, -1, 1, 300, 990])
+    def test_copies_follow_exact_scaling(self, k):
+        # 2**k on the matrix (and on both of a pair) gives the same copy,
+        # also with entries near 1e298, past float32's range
+        w, w0 = training_pair(300, 200)
+        for pair in ((w, None), (w, w0)):
+            base, e = _single(*pair)
+            copy, ek = _single(*[None if x is None else np.ldexp(x, k) for x in pair])
+            assert np.array_equal(copy, base) and ek == e + k
+            assert np.all(np.isfinite(copy)) and np.abs(copy).max() < 1.0
+
+    def test_difference_copy_across_row_blocks(self):
+        # 3 row blocks of the float64 difference and a partial one
+        rows = 3 * (_SWEEP_BYTES // (8 * 300)) + 17
+        w, w0 = training_pair(rows, 300)
+        copy, e = _single(w, w0)
+        assert e == np.frexp(max(np.abs(w).max(), np.abs(w0).max()))[1] + 1
+        assert np.array_equal(copy, np.ldexp(w - w0, -e).astype(np.float32))
+
+    def test_norms_match_dense_at_the_floor(self):
+        # a (1000, 1000) Gaussian weight and a training difference
+        w, w0 = training_pair()
+        assert spectral_norm(w0, tol=_SINGLE_TOL) == pytest.approx(
+            np.linalg.norm(w0, 2), rel=1e-6)
+        assert spectral_norm((w, w0), tol=_SINGLE_TOL) == pytest.approx(
+            np.linalg.norm(w - w0, 2), rel=1e-6)
+
+    def test_below_the_floor_a_pair_is_its_float64_difference(self):
+        w, w0 = training_pair(200, 300)
+        pair = power_iteration((w, w0), tol=1e-10)
+        diff = power_iteration(w - w0, tol=1e-10)
+        assert pair[0] == diff[0] and np.array_equal(pair[1], diff[1])
+        assert pair[2:] == diff[2:]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize("cols", [THIN_SIDE, 300])
+    def test_equal_pair_reads_zero(self, tol, cols):
+        w = gaussian_matrix(200, cols, 1.0, PortableRng(4))
+        sigma, vec, residual, iters = power_iteration((w, w.copy()), tol=tol)
+        assert (sigma, residual, iters) == (0.0, 0.0, 0)
+        assert np.array_equal(vec, np.zeros(cols))
+
+    def test_pair_shapes_must_match(self):
+        w = np.ones((20, 30))
+        with pytest.raises(ValueError, match="pair shapes"):
+            power_iteration((w, np.ones((30, 20))), tol=1e-3)
+
+    @pytest.mark.parametrize("k", [-72, -150])
+    def test_difference_near_float32_bottom_is_solved_in_float64(self, k):
+        # the difference sits 2**k below the pair's peak.  At -72 its Gram
+        # products fall among float32's subnormals, which keep a few bits;
+        # at -150 its float32 copy is zero or subnormal and they read 0.
+        # Both are solved in float64.
+        w0 = np.zeros((200, 300))
+        w0[0, 0] = 1.0
+        w = w0 + np.ldexp(gaussian_matrix(200, 300, 1.0, PortableRng(8)), k)
+        w[0, 0] = 1.0
+        dense = np.linalg.norm(w - w0, 2)
+        assert 0.0 < dense < 2.0 ** (k + 6)
+        assert spectral_norm((w, w0), tol=_SINGLE_TOL) == pytest.approx(
+            dense, rel=1e-6, abs=0)
+
+    def test_float32_sweep_returns_float64(self):
+        a = gaussian_matrix(300, 200, 1.0, PortableRng(5))
+        copy, _ = _single(a)
+        q = PortableRng(6).normals(200)[None]
+        w = _sweep_gram(copy)(q, np.arange(1))
+        assert w.dtype == np.float64 and w.shape == (1, 200)
+        ref = (copy @ q[0].astype(np.float32)) @ copy
+        np.testing.assert_allclose(w[0], ref, rtol=1e-5)
+
+    def test_range_bound_sits_inside_float32(self):
+        assert np.float32(_SINGLE_RANGE) < np.finfo(np.float32).max / 2 ** 20
+        assert np.float32(1.0 / _SINGLE_RANGE) > np.finfo(np.float32).tiny * 2 ** 20
 
 
 class TestLazyChecks:

@@ -1,13 +1,14 @@
-"""Memory guards: set-up and the bilinear probe allocate little beyond the
-arrays they return.  tracemalloc sees numpy's data buffers, so one
-weight-sized temporary (8 MB at m = 1000) shows as a peak far above it."""
+"""Memory guards: set-up, the bilinear probe and the float32 radius solve
+allocate little beyond the arrays they return.  tracemalloc sees numpy's
+data buffers, so one weight-sized temporary (8 MB at m = 1000) shows as a
+peak far above it."""
 
 import tracemalloc
 
 import pytest
 
 from overparam.data import generate_separated
-from overparam.linalg import PortableRng
+from overparam.linalg import PortableRng, gaussian_matrix, spectral_norm
 from overparam.network import (batch_forward, init_network, load_params,
                                save_params)
 from overparam.verify import _bilinear_probe, _sparse_probes
@@ -61,3 +62,13 @@ def test_bilinear_probe(net, l1, l2):
     b = _sparse_probes(DIMS[l2], 8, 64, rng)
     _, peak = traced(_bilinear_probe, net, patterns, l1, l2, a, b)
     assert peak <= SLACK
+
+
+def test_float32_radius_forms_no_float64_difference(net):
+    # the (1000, 1000) difference goes into a 4 MB float32 copy through
+    # one 1 MiB float64 row block; a float64 difference would take 8 MB
+    w0 = net.weights[1]
+    w = w0 + 1e-3 * gaussian_matrix(1000, 1000, 1.0, PortableRng(7))
+    sigma, peak = traced(spectral_norm, (w, w0), 1e-3)
+    assert sigma > 0.0
+    assert peak <= w.size * 4 + SLACK

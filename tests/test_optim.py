@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overparam import network, optim
+from overparam import linalg, network, optim
 from overparam.data import generate_separated
-from overparam.linalg import THIN_SIDE, PortableRng
+from overparam.linalg import THIN_SIDE, PortableRng, gaussian_matrix, power_iteration
 from overparam.losses import builtin_loss
 from overparam.network import (NetworkParams, backprop_signals, batch_forward,
                                gradient_factors, init_network)
@@ -747,3 +747,20 @@ class TestTrajectoryCsv:
                 assert all(cell.isdigit() for cell in drift), line
             else:
                 assert drift == ["", ""], line
+
+
+def test_warm_radius_solves_stay_float64():
+    # training's radius solves run below the float32 floor, so a warm
+    # solve is the float64 sweep's Lanczos bit for bit, and every training
+    # artifact keeps its bytes
+    assert optim._RADIUS_TOL < linalg._SINGLE_TOL
+    rng = PortableRng(12)
+    a = gaussian_matrix(300, 200, 1.0, rng)
+    _, warm, _, _ = power_iteration(a, tol=optim._RADIUS_TOL)
+    a += 1e-3 * gaussian_matrix(300, 200, 1.0, rng)
+    sigma, vec, residual, iters = power_iteration(a, tol=optim._RADIUS_TOL, start=warm)
+    theta, vectors, residuals, products = linalg._lanczos(
+        linalg._sweep_gram(a), warm[None], optim._RADIUS_TOL)
+    assert sigma == float(np.sqrt(theta[0]))
+    assert np.array_equal(vec, vectors[0])
+    assert (residual, iters) == (float(residuals[0]), products)

@@ -537,6 +537,35 @@ class TestPerturbationBattery:
         assert report.entry("stochastic_gradient_upper_ratio").per_trial == \
             pytest.approx([stochastic], rel=1e-8)
 
+    def test_float32_radius_and_weight_norms_match_dense(self):
+        # the float32 twin of the oracle test's radius check, at the float32
+        # floor: the perturbed layer's radius, its weight norms and its
+        # chains within 1e-6 of the dense norms, and the unperturbed layers'
+        # radii exactly 0
+        ds = generate_separated(n=8, d=6, mu=0.5, phi=0.08, seed=3)
+        params = init_network([6, 32, 32, 32], seed=4)
+        trained = params.copy()
+        trained.weights[1] = trained.weights[1] + 0.3 * PortableRng(7).normals(
+            32 * 32).reshape(32, 32)
+        report = verify_perturbation_properties(
+            params, trained, ds, loss=builtin_loss("logistic"),
+            spectral_tol=linalg._SINGLE_TOL, seed=2)
+        radii = [np.linalg.norm(w - w0, 2)
+                 for w, w0 in zip(trained.weights, params.weights)]
+        measured = verify.perturbation_radius(trained, params, tol=linalg._SINGLE_TOL)
+        assert measured[0] == measured[2] == 0.0
+        np.testing.assert_allclose(measured, radii, rtol=1e-6, atol=0)
+        assert report.meta["measured_tau"] == pytest.approx(max(radii), rel=1e-6)
+        assert report.entry("perturbed_weight_norm").measured == pytest.approx(
+            max(np.linalg.norm(w, 2) for w in trained.weights), rel=1e-6)
+        patterns = batch_forward(trained, ds.inputs).patterns
+        chain = max(_item_chain_norm(trained.weights, patterns, l1, l2, i,
+                                     include_head=False)
+                    for l1, l2 in itertools.combinations(range(1, 4), 2)
+                    for i in range(8))
+        assert report.entry("perturbed_chain_norm").measured * 3 == \
+            pytest.approx(chain, rel=1e-6)
+
 
 # --- per-example reference for the batched masked-chain operator ------------
 
@@ -604,6 +633,10 @@ PAIRS_AND_FORMS = [(l1, l2, head)
                    for l1, l2 in itertools.combinations(range(1, 4), 2)
                    for head in (True, False)]
 
+# one tol on each side of the float32 floor: the wide chains take float64
+# products at the first and float32 products at the second
+TOLS_AROUND_FLOOR = (1e-10, 1e-3)
+
 
 class TestMaskedChain:
     @pytest.fixture
@@ -655,20 +688,37 @@ class TestMaskedChain:
 
     @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
     def test_each_norm_is_its_chain_solved_alone(self, wide_net, l1, l2, head):
-        # at tol 1e-3 the examples stop at different steps; a row kept
-        # iterating past its own stop would read a larger norm
+        # at tol 5e-5, below the float32 floor, the examples stop at
+        # different steps; a row kept iterating past its own stop would read
+        # a larger norm
+        assert 5e-5 < linalg._SINGLE_TOL
         params, patterns = wide_net
         n = patterns[0].shape[0]
         dim = params.weights[l1 - 1].shape[0]
         norms = _chain(params.weights, patterns, l1, l2, head).norms(
-            PortableRng(17), tol=1e-3)
+            PortableRng(17), tol=5e-5)
         starts = PortableRng(17).normals(n * dim).reshape(n, dim)
         for i in range(n):
             alone = _chain(params.weights, [p[i:i + 1] for p in patterns], l1, l2, head)
             theta, _, _, _ = linalg._lanczos(
                 lambda rows, ids: alone.apply_t(alone.apply(rows[:, None, :]))[:, 0],
-                starts[i:i + 1], 1e-3)
+                starts[i:i + 1], 5e-5)
             assert norms[i] == pytest.approx(np.sqrt(theta[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("l1, l2, head", PAIRS_AND_FORMS)
+    def test_each_float32_norm_is_its_chain_solved_alone(self, wide_net, l1, l2, head):
+        # the float32 twin at tol 1e-3: example i's chain alone, from its own
+        # dim normals of the stream, through the same float32 path
+        params, patterns = wide_net
+        n = patterns[0].shape[0]
+        dim = params.weights[l1 - 1].shape[0]
+        norms = _chain(params.weights, patterns, l1, l2, head).norms(
+            PortableRng(17), tol=1e-3)
+        for i in range(n):
+            rng = PortableRng(17)
+            rng.advance(i * dim)        # dim is even: whole Box-Muller pairs
+            alone = _chain(params.weights, [p[i:i + 1] for p in patterns], l1, l2, head)
+            assert norms[i] == pytest.approx(alone.norms(rng, tol=1e-3)[0], rel=1e-6)
 
     @pytest.mark.parametrize("l1, l2, head",
                              [case for case in PAIRS_AND_FORMS if case[0] == 1])
@@ -734,8 +784,9 @@ class TestMaskedChain:
         weights = [w.copy() for w in params.weights]
         weights[1] *= 1e300
         weights[2] *= 1e300
-        norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-3)
-        assert np.array_equal(norms, np.full(patterns[0].shape[0], np.inf))
+        for tol in TOLS_AROUND_FLOOR:
+            norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=tol)
+            assert np.array_equal(norms, np.full(patterns[0].shape[0], np.inf)), tol
 
     @pytest.mark.parametrize("scale", [1e-60, 1e-100])
     def test_underflowing_chain_is_solved_at_scale(self, scale):
@@ -746,12 +797,14 @@ class TestMaskedChain:
         patterns = [p.copy() for p in batch_forward(params, ds.inputs).patterns]
         patterns[1][1] = False
         weights = [scale * w for w in params.weights]
-        norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=1e-10)
         exact = [np.linalg.norm(_dense_chain(weights, patterns, 1, 3, i, False), 2)
                  for i in range(3)]
-        assert exact[1] == norms[1] == 0.0
         assert 0.0 < min(exact[0], exact[2]) < 1e-170
-        np.testing.assert_allclose(norms, exact, rtol=1e-9, atol=0)
+        for tol in TOLS_AROUND_FLOOR:
+            # a Ritz residual r brackets an eigenvalue within r of theta
+            norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=tol)
+            assert exact[1] == norms[1] == 0.0
+            np.testing.assert_allclose(norms, exact, rtol=max(1e-9, tol), atol=0)
 
     @pytest.mark.parametrize("head", [True, False])
     def test_all_examples_dead(self, wide_net, head):
@@ -769,13 +822,14 @@ class TestMaskedChain:
         # exactly 2**(3k), also where the Gram products of the wide path
         # would land in subnormals (k near -170) or overflow (k >= 222)
         params, patterns = request.getfixturevalue(fixture)
-        base = _chain(params.weights, patterns, 1, 3, head).norms(
-            PortableRng(5), tol=1e-10)
-        for k in (-340, -172, -170, 222, 300):
-            weights = [np.ldexp(w, k) for w in params.weights]
-            norms = _chain(weights, patterns, 1, 3, head).norms(
-                PortableRng(5), tol=1e-10)
-            assert np.array_equal(norms, np.ldexp(base, 3 * k)), k
+        for tol in TOLS_AROUND_FLOOR:
+            base = _chain(params.weights, patterns, 1, 3, head).norms(
+                PortableRng(5), tol=tol)
+            for k in (-340, -172, -170, 222, 300):
+                weights = [np.ldexp(w, k) for w in params.weights]
+                norms = _chain(weights, patterns, 1, 3, head).norms(
+                    PortableRng(5), tol=tol)
+                assert np.array_equal(norms, np.ldexp(base, 3 * k)), (tol, k)
 
     @pytest.mark.parametrize("fixture", ["net", "wide_net"])
     def test_head_exponent_folded_past_float_range(self, request, fixture):
@@ -784,11 +838,71 @@ class TestMaskedChain:
         # inf, not 0, and norms near 2**-1120 read 0, with no warning
         params, patterns = request.getfixturevalue(fixture)
         n = patterns[0].shape[0]
-        for k, expected in ((600, np.inf), (-560, 0.0)):
-            weights = params.weights[:1] + [np.ldexp(w, k) for w in params.weights[1:]]
-            norms = MaskedChain(weights, patterns, 1, 2, head=3).norms(
-                PortableRng(5), tol=1e-10)
-            assert np.array_equal(norms, np.full(n, expected)), k
+        for tol in TOLS_AROUND_FLOOR:
+            for k, expected in ((600, np.inf), (-560, 0.0)):
+                weights = params.weights[:1] + [np.ldexp(w, k) for w in params.weights[1:]]
+                norms = MaskedChain(weights, patterns, 1, 2, head=3).norms(
+                    PortableRng(5), tol=tol)
+                assert np.array_equal(norms, np.full(n, expected)), (tol, k)
+
+    def test_tols_straddle_the_float32_floor(self):
+        assert TOLS_AROUND_FLOOR[0] < linalg._SINGLE_TOL <= TOLS_AROUND_FLOOR[1]
+
+    def test_chain_whose_float32_products_could_overflow_reads_its_float64_solve(
+            self, monkeypatch):
+        # all-ones weights and patterns: example i's operator J_64 ... J_64
+        # J_{20x64}^T has norm sqrt(20 * 64) * 64**13, and on the exact
+        # scaling (entries 1/2) its Gram eigenvalue is about 2**138, past the
+        # float32 range; the squared Frobenius norms multiply to 2**138 too
+        dims = [20] + [64] * 14
+        weights = [np.ones((a, b)) for a, b in zip(dims, dims[1:])]
+        patterns = [np.ones((2, 64), dtype=bool)] * 14
+        chain = MaskedChain(weights, patterns, 1, 14)
+        norms = chain.norms(PortableRng(5), tol=1e-3)
+        monkeypatch.setattr(linalg, "_SINGLE_TOL", np.inf)
+        assert np.array_equal(norms, chain.norms(PortableRng(5), tol=1e-3))
+        np.testing.assert_allclose(norms, math.sqrt(20 * 64) * 64.0 ** 13,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [-80, -100])
+    def test_chain_near_float32_bottom_is_solved_in_float64(self, wide_net, k):
+        # W_2 is 2**k times smaller than its peak entry, which sits on a
+        # layer-2 unit no example activates: on the exact scaling the
+        # chain's Gram products lie below float32's range, and would read 0
+        params, patterns = wide_net
+        patterns = [p.copy() for p in patterns]
+        patterns[1][:, 0] = False
+        weights = list(params.weights)
+        weights[1] = np.ldexp(weights[1], k)
+        weights[1][0, 0] = 1.0
+        exact = [np.linalg.norm(_dense_chain(weights, patterns, 1, 3, i, False), 2)
+                 for i in range(3)]
+        assert 0.0 < min(exact) < 2.0 ** (k + 10)
+        for tol in TOLS_AROUND_FLOOR:
+            norms = MaskedChain(weights, patterns, 1, 3).norms(PortableRng(5), tol=tol)
+            np.testing.assert_allclose(norms, exact, rtol=max(1e-9, tol), atol=0)
+
+    def test_float32_norms_match_dense_on_a_gaussian_weight(self):
+        # a (1000, 1000) Gaussian W_2 behind a (20, 1000) W_1, at the float32
+        # floor, within 1e-6 of the dense norms
+        params, ds = small_battery_inputs(m=1000, depth=2, n=3, d=20)
+        patterns = batch_forward(params, ds.inputs).patterns
+        for head in (True, False):
+            norms = _chain(params.weights, patterns, 1, 2, head).norms(
+                PortableRng(5), tol=linalg._SINGLE_TOL)
+            exact = [np.linalg.norm(_dense_chain(params.weights, patterns, 1, 2,
+                                                 i, head), 2) for i in range(3)]
+            np.testing.assert_allclose(norms, exact, rtol=1e-6, atol=0)
+
+    def test_tightest_spectral_tol_converges(self, wide_net):
+        # spectral_tol's floor, 1e-12, takes float64 products and converges
+        params, patterns = wide_net
+        for l1, l2, head in PAIRS_AND_FORMS:
+            norms = _chain(params.weights, patterns, l1, l2, head).norms(
+                PortableRng(17), tol=1e-12)
+            exact = [np.linalg.norm(_dense_chain(params.weights, patterns, l1, l2,
+                                                 i, head), 2) for i in range(3)]
+            np.testing.assert_allclose(norms, exact, rtol=1e-10, atol=0)
 
 
 def _chain_matrix(params, patterns, l1, l2, example):

@@ -19,11 +19,16 @@ takes its Gram products in float32, on each weight's exact scaling rounded
 once (`_single`); any other solve, the Lanczos recurrences, the thin rule
 and every returned value are float64.  A float32 solve that could leave the
 float32 range, or whose value lies near its bottom, is made in float64.
+A rounded copy lives as long as the `Rounded` that made it: solves given
+one `Rounded` share its copy, and a solve given none makes its own and
+drops it when it ends.
 `power_iteration`'s float64 Lanczos path scales only to re-solve after an
 under- or overflow.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.random import PCG64
@@ -31,6 +36,7 @@ from numpy.random import PCG64
 __all__ = [
     "MaskedChain",
     "PortableRng",
+    "Rounded",
     "SpectralNormError",
     "gaussian_matrix",
     "power_iteration",
@@ -94,6 +100,28 @@ _NORMAL_CHUNK = 1 << 16
 _CACHE_LINE = 64
 
 
+def _box_muller(raw: np.ndarray, out: np.ndarray) -> None:
+    """Box-Muller on the raw pairs along the last axis of `raw` (consumed),
+    into `out` of the same leading shape; an `out` one shorter drops the
+    last sine.  Every step is elementwise, so a normal does not depend on
+    the array it is in."""
+    raw >>= np.uint64(11)
+    radius = raw[..., 0::2].astype(np.float64)
+    radius += 1.0
+    radius *= _INV_2_53
+    angle = raw[..., 1::2].astype(np.float64)
+    angle *= _INV_2_53
+    del raw   # before the cosine's temporary
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    np.multiply(radius, np.cos(angle), out=out[..., 0::2])
+    odd = out[..., 1::2]
+    np.sin(angle, out=angle)
+    np.multiply(radius[..., :odd.shape[-1]], angle[..., :odd.shape[-1]], out=odd)
+
+
 class PortableRng:
     """Seeded random stream with a pinned, documented algorithm.
 
@@ -121,7 +149,8 @@ class PortableRng:
         return np.atleast_1d(np.asarray(out, dtype=np.uint64))
 
     def advance(self, draws: int) -> None:
-        """Skip `draws` raw outputs without generating them."""
+        """Skip `draws` raw outputs without generating them (a negative
+        count steps back)."""
         self._bits.advance(draws)
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -141,23 +170,7 @@ class PortableRng:
         pairs = (count + 1) // 2
         for lo in range(0, pairs, _NORMAL_CHUNK // 2):
             hi = min(pairs, lo + _NORMAL_CHUNK // 2)
-            raw = self.raw(2 * (hi - lo))
-            raw >>= np.uint64(11)
-            radius = raw[0::2].astype(np.float64)
-            radius += 1.0
-            radius *= _INV_2_53
-            angle = raw[1::2].astype(np.float64)
-            angle *= _INV_2_53
-            del raw   # before the cosine's temporary
-            np.log(radius, out=radius)
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            angle *= 2.0 * np.pi
-            np.multiply(radius, np.cos(angle), out=out[2 * lo:2 * hi:2])
-            # an odd count drops the sine of its last pair
-            odd = out[2 * lo + 1:2 * hi:2]
-            np.sin(angle, out=angle)
-            np.multiply(radius[:len(odd)], angle[:len(odd)], out=odd)
+            _box_muller(self.raw(2 * (hi - lo)), out[2 * lo:2 * hi])
         return out
 
     def sample_without_replacement(self, population: int, size: int) -> np.ndarray:
@@ -186,6 +199,45 @@ class PortableRng:
         for i, j in enumerate(picks):
             pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
         return np.array([pool[i] for i in range(size)], dtype=np.intp)
+
+    def samples_and_normals(self, population: int, size: int,
+                            count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(samples, normals)``, each ``(count, size)``: row j is what round
+        j of ``sample_without_replacement(population, size)`` then
+        ``normals(size)`` would return, bit for bit, and the stream ends where
+        those rounds would leave it.  The raws are drawn in one call, and the
+        swaps and the Box-Muller pass of all rounds run together.  A raw that
+        a swap would reject (probability below population / 2**64) steps the
+        stream back, and the rounds are drawn one by one."""
+        if not 0 <= size <= population:
+            raise ValueError("size must be in [0, population]")
+        width = size + 2 * ((size + 1) // 2)
+        raws = self.raw(count * width).reshape(count, width)
+        bound = np.arange(population, population - size, -1, dtype=np.uint64)
+        # swap i accepts r < 2**64 - 2**64 % bound_i, that is r <= ~(2**64 % bound_i)
+        top = ~np.array([_TWO_64 % b for b in bound.tolist()], dtype=np.uint64)
+        normals = np.empty((count, size))
+        if np.any(raws[:, :size] > top):
+            self.advance(-raws.size)
+            samples = np.empty((count, size), dtype=np.intp)
+            for j in range(count):
+                samples[j] = self.sample_without_replacement(population, size)
+                normals[j] = self.normals(size)
+            return samples, normals
+        index = np.arange(size)
+        picks = index + (raws[:, :size] % bound).astype(np.intp)
+        # round j's positions are the keys j * population + p, sorted, and its
+        # pool entry for position p sits at the first slot of p's key
+        base = np.arange(count)[:, None] * population
+        keys = np.sort(np.concatenate([base + index, base + picks], axis=1), axis=None)
+        pool = keys % population
+        slot_i = np.searchsorted(keys, base + index)
+        slot_j = np.searchsorted(keys, base + picks)
+        for i in range(size):
+            a, b = slot_i[:, i], slot_j[:, i]
+            pool[a], pool[b] = pool[b], pool[a]
+        _box_muller(raws[:, size:], normals)
+        return pool[slot_i], normals
 
 
 class SpectralNormError(RuntimeError):
@@ -385,6 +437,19 @@ def _single(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
     return out, e
 
 
+class Rounded:
+    """A float64 matrix and ``single``, the ``(copy, e)`` of `_single` that a
+    float32 solve takes its products with, made when a solve first reads it
+    and shared by every solve given this object."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def single(self) -> tuple:
+        return _single(self.matrix)
+
+
 def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral norms and top right singular vectors of a stack of thin
     matrices, exact to roundoff.
@@ -424,8 +489,9 @@ def power_iteration(a, tol: float = 1e-10,
     """Largest singular value of `a` by restarted Lanczos on A^T A, or
     exactly for a thin matrix.
 
-    `a` is a matrix, or a pair ``(a, b)`` of matrices of one shape whose
-    difference ``a - b`` is the matrix.  Returns ``(sigma, right_vector,
+    `a` is a matrix, a pair ``(a, b)`` of matrices of one shape whose
+    difference ``a - b`` is the matrix, or a `Rounded` matrix, whose float32
+    copy the solve shares.  Returns ``(sigma, right_vector,
     residual, iterations)``; `iterations` counts products with A^T A.  This
     is `_lanczos` on one operator: the Ritz residual
     ``||A^T A x - theta x|| / theta`` at `tol` bounds the relative error of
@@ -439,8 +505,9 @@ def power_iteration(a, tol: float = 1e-10,
     At a `tol` below ``_SINGLE_TOL`` the Lanczos path takes float64
     products on `a` itself (a pair's difference formed once), and scans `a`
     only after a solve that ends badly.  From that floor on it takes float32
-    products on the copy of its exact scaling (`_single`; a pair's
-    difference goes into that copy in row blocks), and scales sigma back.
+    products on the copy of its exact scaling (`_single`, or the shared
+    copy of a `Rounded` matrix; a pair's difference goes into that copy in
+    row blocks), and scales sigma back.
     A solve ends badly with theta outside (0, inf), below
     ``1 / _SINGLE_RANGE`` on a float32 copy, or with residual 0: the start
     was zero, null or an eigenvector, or a product under- or overflowed.
@@ -452,7 +519,8 @@ def power_iteration(a, tol: float = 1e-10,
     calls).  Raises SpectralNormError after `_lanczos`'s cap of 10,000
     products.
     """
-    a, b = a if isinstance(a, tuple) else (a, None)
+    rounded = a if isinstance(a, Rounded) else None
+    a, b = a if isinstance(a, tuple) else (a.matrix if rounded else a, None)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"need a nonempty 2-d matrix, got shape {a.shape}")
@@ -477,7 +545,10 @@ def power_iteration(a, tol: float = 1e-10,
         return float(sigma[0]), v[0], 0.0, 0
     if start is None:
         start = PortableRng(_START_SEED).normals(a.shape[1])
-    copy, e = _single(a, b) if single else (a, 0)
+    if single:
+        copy, e = rounded.single if rounded else _single(a, b)
+    else:
+        copy, e = a, 0
     theta, v, residual, it = _lanczos(_sweep_gram(copy), start[None], tol)
     del copy
     bottom = 1.0 / _SINGLE_RANGE if single else 0.0
@@ -533,12 +604,15 @@ class MaskedChain:
     taking example i's b rows through example i's operator, so each layer is
     one GEMM over n*b rows (`_rows`).  ``first > last`` leaves no masked
     layers.  The products run in the dtype of the block and the weights.
+    `rounded`, a `Rounded` for each weight, gives a float32 solve the
+    weights' shared copies; without it each solve makes its own.
     """
 
     def __init__(self, weights, patterns, first: int, last: int,
-                 head: int | None = None):
+                 head: int | None = None, rounded=None):
         self.weights, self.patterns = weights, patterns
         self.first, self.last, self.head = first, last, head
+        self.rounded = rounded
         self.n = patterns[0].shape[0]
         self.masks = {r: patterns[r - 1][:, None, :]
                       for r in range(first, last + 1)}
@@ -560,18 +634,21 @@ class MaskedChain:
             t = _rows(self.masks[r] * t, self.weights[r - 1], transpose=True)
         return t
 
-    def _float64(self, ids=slice(None)) -> tuple:
-        """``(chain, e)``: the chain of examples `ids` with mask r scaled by
-        ``2**-e_r``, e_r the binary exponent of max|W_r| (the head's folded
-        into the last mask, each kept where ``2**-e_r`` is a float), and
-        e the sum of the e_r."""
-        layers = range(self.first, self.last + 1)
-        exps = [int(_peak(self.weights[r - 1])[1]) for r in layers]
+    def _exponents(self) -> list:
+        """e_r of each masked layer r: the binary exponent of max|W_r|, the
+        head's folded into the last, each kept where ``2**-e_r`` is a float."""
+        exps = [int(_peak(self.weights[r - 1])[1])
+                for r in range(self.first, self.last + 1)]
         if self.head is not None:
             exps[-1] += int(_peak(self.weights[self.head - 1])[1])
-        exps = [min(max(e, -1023), 1074) for e in exps]   # 2**-e stays a float
+        return [min(max(e, -1023), 1074) for e in exps]
+
+    def _float64(self, ids=slice(None)) -> tuple:
+        """``(chain, e)``: the chain of examples `ids` with mask r scaled by
+        ``2**-e_r`` (`_exponents`), and e the sum of the e_r."""
+        exps = self._exponents()
         patterns = [p[ids] for p in self.patterns]
-        for r, e in zip(layers, exps):
+        for r, e in zip(range(self.first, self.last + 1), exps):
             patterns[r - 1] = patterns[r - 1] * np.ldexp(1.0, -e)
         return (MaskedChain(self.weights, patterns, self.first, self.last, self.head),
                 sum(exps))
@@ -588,7 +665,8 @@ class MaskedChain:
             layers.append(self.head)
         weights, total, bound = list(self.weights), 0, 1.0
         for r in layers:
-            copy, e = _single(self.weights[r - 1])
+            copy, e = (self.rounded[r - 1].single if self.rounded
+                       else _single(self.weights[r - 1]))
             bound *= float(np.vdot(copy, copy))
             if not bound <= _SINGLE_RANGE:
                 return None
@@ -602,7 +680,10 @@ class MaskedChain:
         ``apply_t(apply(.))`` by `_lanczos` from the rows of `start`, the
         products in the weights' dtype.  Whenever examples stop, the chain
         GEMMs are rebuilt over the masks of the examples left, so a stopped
-        example costs no more flops."""
+        example costs no more flops.  It saves less time: a product's time
+        is mostly the weight's pass through memory, and on one BLAS thread
+        of a Haswell-class Xeon a float32 (k, 1000) @ (1000, 1000) took
+        0.30-0.52 ms for k = 2..20 and 0.14 ms at k = 1."""
         chain = self
         dtype = self.weights[self.first - 1].dtype
 
@@ -616,6 +697,28 @@ class MaskedChain:
             return out[:, 0].astype(np.float64, copy=False)
 
         return _lanczos(gram, start, tol)[0]
+
+    def prefix_norms(self, headed: bool) -> list:
+        """For l2 from ``first + 1`` to `last`, each example's exact norm of
+        the thin chain first..l2, or with `headed` of first..l2-1 headed by
+        ``W_l2^T``, from one pass that scales mask r by ``2**-e_r``.  Bit for
+        bit what `norms` gives each chain alone: `norms` folds a head's
+        exponent into the last mask, a power of two that `thin_norms`' exact
+        scaling takes out again (outside the subnormal range)."""
+        dim = self.weights[self.first - 1].shape[0]
+        exps = self._exponents()
+        t = np.broadcast_to(np.eye(dim), (self.n, dim, dim))
+        norms, e = [], 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, e_r in zip(range(self.first, self.last + 1), exps):
+                t = _rows(t, self.weights[r - 1])
+                if headed and r > self.first:
+                    norms.append(np.ldexp(thin_norms(t)[0], e))
+                t *= self.masks[r] * np.ldexp(1.0, -e_r)
+                e += e_r
+                if not headed and r > self.first:
+                    norms.append(np.ldexp(thin_norms(t)[0], e))
+        return norms
 
     def norms(self, rng: PortableRng, tol: float) -> np.ndarray:
         """Spectral norm of each example's operator, from one solve on the
@@ -654,7 +757,7 @@ class MaskedChain:
             theta = chain._solve(start, tol)
             e = np.full(self.n, e)
             if single is not None:
-                single = chain = None   # the float32 weights
+                single = chain = None   # the float32 chain
                 redo = np.flatnonzero(theta < 1.0 / _SINGLE_RANGE)
                 if redo.size:
                     chain, e[redo] = self._float64(redo)

@@ -39,11 +39,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import cross_class_distance
-from .linalg import MaskedChain, PortableRng, spectral_norm
+from .linalg import THIN_SIDE, MaskedChain, PortableRng, Rounded, spectral_norm
 from .losses import check_loss_assumptions
 from .network import (NetworkParams, backprop_signals, batch_forward,
-                      gradient_factors, gradient_norms, init_network,
-                      max_pattern_distance)
+                      gradient_norms, init_network, max_pattern_distance)
 
 __all__ = [
     "PropertyEntry",
@@ -161,14 +160,34 @@ def _item_stream(seed: int, items: tuple, name: str) -> PortableRng:
     return rng
 
 
-def _output_probe(params: NetworkParams, trace, sparsity: int) -> list:
+def _signals(params: NetworkParams, trace) -> list:
+    """`backprop_signals` of every example of `trace`; a signal that
+    overflows reads inf or NaN, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return backprop_signals(params, trace.patterns)
+
+
+def _factors(trace, signals: list, labels: np.ndarray, lprime: np.ndarray,
+             rows=slice(None)) -> list:
+    """`gradient_factors` of the examples `rows` of `trace`, from the
+    backprop `signals` of all its examples (a BLAS may round a GEMM of a few
+    rows apart from the same rows of a larger one, in the last bits)."""
+    labels, lprime = labels[rows], lprime[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = lprime * labels / labels.shape[0]
+        return [(h[rows], coeff[:, None] * g[rows])
+                for h, g in zip(trace.hidden[:-1], signals)]
+
+
+def _output_probe(params: NetworkParams, signals: list, sparsity: int) -> list:
     """Per layer l, the sup over examples i and s-sparse unit u of
     ``|v . chain_i u|``, chain_i the masked layers l..L: the 2-norm of the
-    min(s, dim) largest |entries| of row i of ``g_l W_l^T`` (one backprop
-    pass), which is ``v^T chain_i``.  An overflowing row reads inf."""
+    min(s, dim) largest |entries| of row i of ``g_l W_l^T``, g_l the
+    backprop `signals`, which is ``v^T chain_i``.  An overflowing row reads
+    inf."""
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, g in zip(params.weights, backprop_signals(params, trace.patterns)):
+        for w, g in zip(params.weights, signals):
             rest = max(0, w.shape[0] - sparsity)     # entries outside the support
             sq = np.partition(np.square(g @ w.T), rest, axis=1)
             values.append(float(np.sqrt(np.max(np.sum(sq[:, rest:], axis=1)))))
@@ -207,17 +226,41 @@ def _bilinear_probe(params: NetworkParams, patterns, l1: int, l2: int,
     return values
 
 
+def _pair_norms(weights: list, patterns: list, headed: bool, rng: PortableRng,
+                tol: float, rounded: list) -> list:
+    """Each example's norm of the masked chain of every layer pair l1 < l2,
+    in pair order: of layers l1..l2-1 headed by ``W_l2^T`` (`headed`), or of
+    layers l1..l2.  The thin chains from one l1 share one pass
+    (`MaskedChain.prefix_norms`) and draw nothing; a wide one draws its
+    start from `rng` and reads the `rounded` copies."""
+    depth = len(weights)
+    thin = {}
+    values = []
+    for l1, l2 in itertools.combinations(range(1, depth + 1), 2):
+        if weights[l1 - 1].shape[0] > THIN_SIDE:
+            values.append(MaskedChain(weights, patterns, l1, l2 - 1 if headed else l2,
+                                      l2 if headed else None, rounded).norms(rng, tol))
+            continue
+        if l1 not in thin:
+            thin[l1] = MaskedChain(weights, patterns, l1, depth).prefix_norms(headed)
+        values.append(thin[l1][l2 - l1 - 1])
+    return values
+
+
 def _sparse_probes(dim: int, s: int, count: int, rng: PortableRng) -> np.ndarray:
-    """(dim, count) block of unit vectors with at most s nonzeros each."""
+    """(dim, count) block of unit vectors with at most s nonzeros each:
+    probe j puts its normals, over their 2-norm, on its support, both from
+    round j of `PortableRng.samples_and_normals` (a zero draw puts 1 on its
+    first index)."""
+    support, vals = rng.samples_and_normals(dim, min(s, dim), count)
+    # each row's own dot, as np.linalg.norm takes it, so the bits do not
+    # depend on the block
+    norm = np.sqrt([v @ v for v in vals])
+    zero = norm == 0.0
+    vals[zero, 0] = 1.0
+    norm[zero] = 1.0
     block = np.zeros((dim, count))
-    for j in range(count):
-        support = rng.sample_without_replacement(dim, min(s, dim))
-        vals = rng.normals(len(support))
-        norm = np.linalg.norm(vals)
-        if norm == 0.0:
-            vals[0] = 1.0
-            norm = 1.0
-        block[support, j] = vals / norm
+    block[support, np.arange(count)[:, None]] = vals / norm[:, None]
     return block
 
 
@@ -241,29 +284,30 @@ class _InitRun:
         return len(self.widths)
 
 
-# Each item measures one trial's candidate values from (run, net, trace, rng);
-# its entry folds them.  A one-layer net has no layer pair, so the pair items
-# give it the vacuous 0.
+# Each item measures one trial's candidate values from (run, net, trace, rng,
+# rounded), `rounded` holding a `Rounded` of each of the trial's weights (None
+# once the last item in `_ROUNDED_READERS` is done); its entry folds them.  A
+# one-layer net has no layer pair, so the pair items give it the vacuous 0.
 
-def _hidden_norm_deviation(run, net, trace, rng) -> list:
+def _hidden_norm_deviation(run, net, trace, rng, rounded) -> list:
     return [float(np.max(np.abs(np.linalg.norm(h, axis=1) - 1.0)))
             for h in trace.hidden[1:]]
 
 
-def _weight_spectral_norm(run, net, trace, rng) -> list:
-    return [spectral_norm(w, tol=run.spectral_tol) for w in net.weights]
+def _weight_spectral_norm(run, net, trace, rng, rounded) -> list:
+    return [spectral_norm(w, tol=run.spectral_tol) for w in rounded]
 
 
-def _cross_class_separation(run, net, trace, rng) -> list:
+def _cross_class_separation(run, net, trace, rng, rounded) -> list:
     return [cross_class_distance(_normalized_rows(h), run.dataset.labels)
             for h in trace.hidden[1:]]
 
 
-def _output_magnitude(run, net, trace, rng) -> np.ndarray:
+def _output_magnitude(run, net, trace, rng, rounded) -> np.ndarray:
     return np.abs(trace.outputs)
 
 
-def _near_threshold_fraction(run, net, trace, rng) -> list:
+def _near_threshold_fraction(run, net, trace, rng, rounded) -> list:
     """Most pre-activations of one example within beta of zero, in units of
     2 m^1.5 beta (the raw count when beta is 0), per layer."""
     return [float(np.max(np.count_nonzero(np.abs(z) <= run.beta, axis=1)))
@@ -271,17 +315,16 @@ def _near_threshold_fraction(run, net, trace, rng) -> list:
             for m, z in zip(run.widths, trace.preacts)]
 
 
-def _chain_product_norm(run, net, trace, rng) -> list:
-    return [float(np.max(MaskedChain(net.weights, trace.patterns, l1, l2 - 1,
-                                     head=l2).norms(rng, run.spectral_tol)))
-            for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2)] or [0.0]
+def _chain_product_norm(run, net, trace, rng, rounded) -> list:
+    return [float(np.max(norms)) for norms in _pair_norms(
+        net.weights, trace.patterns, True, rng, run.spectral_tol, rounded)] or [0.0]
 
 
-def _sparse_output_probe(run, net, trace, rng) -> list:
-    return _output_probe(net, trace, run.sparsity)
+def _sparse_output_probe(run, net, trace, rng, rounded) -> list:
+    return _output_probe(net, _signals(net, trace), run.sparsity)
 
 
-def _sparse_bilinear_probe(run, net, trace, rng) -> list:
+def _sparse_bilinear_probe(run, net, trace, rng, rounded) -> list:
     dims = net.layer_dims
     values = []
     for l1, l2 in itertools.combinations(range(1, run.depth + 1), 2):
@@ -291,7 +334,7 @@ def _sparse_bilinear_probe(run, net, trace, rng) -> list:
     return values or [0.0]
 
 
-def _active_gradient_nodes(run, net, trace, rng) -> list:
+def _active_gradient_nodes(run, net, trace, rng, rounded) -> list:
     # labeled form: nodes j where the norm of
     # (1/n) sum_i a_i y_i 1{<w_j, x_{L-1,i}> > 0} x_{L-1,i}
     # clears rank ceil(m_L phi / n); report that norm in units of
@@ -316,7 +359,7 @@ def _active_gradient_nodes(run, net, trace, rng) -> list:
     return values
 
 
-def _pairwise_inner_product(run, net, trace, rng) -> list:
+def _pairwise_inner_product(run, net, trace, rng, rounded) -> list:
     iu = np.triu_indices(run.dataset.n, k=1)
     return [float(np.min((h @ h.T)[iu]))
             for h in map(_normalized_rows, trace.hidden[1:])]
@@ -354,6 +397,8 @@ _INIT_TABLE = {
         lambda r: r.dataset.mu ** 2 / 2.0),
 }
 INIT_ITEMS = tuple(_INIT_TABLE)
+# the items that read the float32 copies of a trial's weights
+_ROUNDED_READERS = ("weight_spectral_norm", "chain_product_norm")
 
 
 def verify_init_properties(params: NetworkParams, dataset, beta: float | None = None,
@@ -428,12 +473,18 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
         entries["near_threshold_fraction"].note = \
             "beta=0: measured value is the raw count of exactly-zero pre-activations"
 
+    readers = [name for name in selected if name in _ROUNDED_READERS]
     for t in range(trials):
         net = params if t == 0 else init_network(dims, seed + t)
         trace = batch_forward(net, dataset.inputs)
+        # each weight's float32 copy is made once a trial, and dropped after
+        # its last reader
+        rounded = [Rounded(w) for w in net.weights]
         for name, entry in entries.items():
             rng = _item_stream(seed + 7919 * t, INIT_ITEMS, name)
-            entry.record(_INIT_TABLE[name][0](run, net, trace, rng))
+            entry.record(_INIT_TABLE[name][0](run, net, trace, rng, rounded))
+            if readers and name == readers[-1]:
+                rounded = None
 
     return PropertyReport(
         meta={
@@ -489,11 +540,14 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     Radii are measured (never trusted), like every spectral norm here at
     `spectral_tol`; exceeding `declared_tau` flags the report instead of
     raising.  Gradient entries use `loss`, whose derivative is evaluated
-    once a network.  The settings of the battery are fixed: the perturbed
-    sparse probe is the exact sup over unit vectors whose support is the
-    expected pattern drift ``min(m, ceil(L^(4/3) tau^(2/3) m))``, and the
-    stochastic gradient entry takes the worst of 8 (`_BATCH_DRAWS`) batches
-    of ``max(1, n // 4)`` examples.
+    once a network.  One backprop runs a network: the trained network's
+    signals serve its sparse probe, its gradient entries and each
+    stochastic batch, which takes their rows, and the initialization's
+    serve its gradient entries.  The settings of the battery are fixed: the
+    perturbed sparse probe is the exact sup over unit vectors whose support
+    is the expected pattern drift ``min(m, ceil(L^(4/3) tau^(2/3) m))``,
+    and the stochastic gradient entry takes the worst of 8
+    (`_BATCH_DRAWS`) batches of ``max(1, n // 4)`` examples.
     """
     n = dataset.n
     dims = params0.layer_dims
@@ -513,9 +567,18 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     trace0 = batch_forward(params0, dataset.inputs)
     trace = batch_forward(trained, dataset.inputs)
 
+    # the trained weights' chains, then norms, share one float32 copy a
+    # weight (at n=20, m=1000 the norms first raised peak RSS by 0.9 MiB)
+    rounded = [Rounded(w) for w in trained.weights]
+    chain = PropertyEntry(name="perturbed_chain_norm", direction="upper", bound=1.0)
+    if depth >= 2:
+        rng = _item_stream(stream, _PERTURBATION_ENTRIES, "perturbed_chain_norm")
+        chain.record([float(np.max(norms)) / depth for norms in _pair_norms(
+            trained.weights, trace.patterns, False, rng, spectral_tol, rounded)])
     entries = [radius_entry, PropertyEntry(
         name="perturbed_weight_norm", direction="upper", bound=1.0).record(
-        [spectral_norm(w, tol=spectral_tol) for w in trained.weights])]
+        [spectral_norm(w, tol=spectral_tol) for w in rounded])]
+    rounded = None
 
     # hidden drift from the initialization, per unit of L * sum of the
     # per-layer radii; a norm that overflows reads inf, and fails
@@ -540,18 +603,14 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     ).record([_ratio(union, n * drift_scale * widths[-1])]))
 
     if depth >= 2:
-        rng = _item_stream(stream, _PERTURBATION_ENTRIES, "perturbed_chain_norm")
-        entries.append(PropertyEntry(
-            name="perturbed_chain_norm", direction="upper", bound=1.0).record(
-            [float(np.max(MaskedChain(trained.weights, trace.patterns, l1, l2)
-                          .norms(rng, spectral_tol))) / depth
-             for l1, l2 in itertools.combinations(range(1, depth + 1), 2)]))
+        entries.append(chain)
 
+    signals = _signals(trained, trace)
     if tau > 0.0:
         s_pert = max(1, math.ceil(min(drift_scale, 1.0) * m_min))
         scale = depth ** (5.0 / 3.0) * tau ** (1.0 / 3.0) * \
             math.sqrt(m_max * math.log(m_max))
-        probe = _output_probe(trained, trace, s_pert)
+        probe = _output_probe(trained, signals, s_pert)
         entries.append(PropertyEntry(
             name="perturbed_sparse_probe", direction="upper", bound=1.0,
             note=f"probe sparsity {s_pert}").record([v / scale for v in probe]))
@@ -564,8 +623,9 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     upper = PropertyEntry(name="gradient_upper_ratio", direction="upper", bound=1.0)
     lp, lp0 = (np.asarray(loss.deriv(y * t.outputs), dtype=np.float64)
                for t in (trace, trace0))
-    for net, net_trace, net_lp in ((trained, trace, lp), (params0, trace0, lp0)):
-        spec, fro = gradient_norms(gradient_factors(net, net_trace, y, net_lp))
+    for net_trace, net_signals, net_lp in ((trace, signals, lp),
+                                           (trace0, _signals(params0, trace0), lp0)):
+        spec, fro = gradient_norms(_factors(net_trace, net_signals, y, net_lp))
         sum_lp = float(np.sum(net_lp))
         with np.errstate(all="ignore"):   # a numpy power overflows, not raises
             lower.record([float(fro[-1] ** 2 * n ** 5 / (widths[-1] * dataset.phi
@@ -579,8 +639,7 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     ratios = []
     for _ in range(_BATCH_DRAWS):
         batch = rng.sample_without_replacement(n, batch_size)
-        spec, _ = gradient_norms(gradient_factors(trained, trace, y, lp,
-                                                  rows=batch))
+        spec, _ = gradient_norms(_factors(trace, signals, y, lp, rows=batch))
         batch_scale = depth ** 2 * math.sqrt(m_max) * abs(float(np.sum(lp[batch])))
         ratios += [_ratio(s * batch_size, batch_scale) for s in spec]
     entries.append(PropertyEntry(

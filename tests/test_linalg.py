@@ -719,6 +719,23 @@ class TestPortableRng:
             assert fast._bits.pos == ref._bits.pos > size
 
 
+    @pytest.mark.parametrize("population, size, count", [
+        (0, 0, 2), (7, 0, 3), (1, 1, 4), (7, 3, 5), (7, 7, 2), (1000, 8, 64),
+        (40, 39, 3), (100_003, 5, 1)])
+    def test_samples_and_normals_match_per_round_draws(self, population, size, count):
+        for seed in range(5):
+            ref, fast = PortableRng(seed), PortableRng(seed)
+            rounds = [(ref.sample_without_replacement(population, size),
+                       ref.normals(size)) for _ in range(count)]
+            samples, normals = fast.samples_and_normals(population, size, count)
+            assert samples.dtype == np.intp and samples.shape == normals.shape
+            assert samples.shape == (count, size)
+            for (want_s, want_n), got_s, got_n in zip(rounds, samples, normals):
+                assert np.array_equal(got_s, want_s)
+                assert got_n.tobytes() == want_n.tobytes()
+            assert ref.raw(1)[0] == fast.raw(1)[0]
+
+
 class TestNormalChunks:
     """normals in chunks of _NORMAL_CHUNK raws against one Box-Muller pass."""
 

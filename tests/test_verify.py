@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from overparam.data import Dataset, generate_separated
 from overparam import linalg, verify
 from overparam.linalg import MaskedChain, PortableRng
 from overparam.losses import builtin_loss
-from overparam.network import batch_forward, init_network
+from overparam.network import backprop_signals, batch_forward, init_network
 from overparam.verify import (INIT_ITEMS, _bilinear_probe,
                               _sparse_probes, concavity_inequality_check,
                               mc_relu_kernel,
@@ -466,8 +467,18 @@ class TestPerturbationBattery:
         assert calls == [(ds.n,)] * 2
 
     def test_drift_and_gradient_entries_match_dense_oracles(self):
+        self._check_drift_and_gradient_entries(8)
+
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_drift_and_gradient_entries_match_dense_oracles_at_batch_size(self, n):
+        # n = 4 makes each stochastic batch one example, whose one-row
+        # products may take another BLAS path than the rows of all n
+        self._check_drift_and_gradient_entries(n)
+
+    @staticmethod
+    def _check_drift_and_gradient_entries(n):
         # one perturbed layer, so layer 1 drifts 0 over a zero radius sum
-        ds = generate_separated(n=8, d=6, mu=0.5, phi=0.08, seed=3)
+        ds = generate_separated(n=n, d=6, mu=0.5, phi=0.08, seed=3)
         params = init_network([6, 32, 32, 32], seed=4)
         trained = params.copy()
         trained.weights[1] = trained.weights[1] + 0.3 * PortableRng(7).normals(
@@ -509,15 +520,15 @@ class TestPerturbationBattery:
         union = np.count_nonzero(np.any(t1.patterns[-1] != t0.patterns[-1], axis=0))
         assert union > 0
         assert report.entry("pattern_flip_union").per_trial[0] == pytest.approx(
-            union / (8 * drift_scale * 32), rel=1e-8)
+            union / (n * drift_scale * 32), rel=1e-8)
 
         lower, upper = [], []
         for net, trace in ((trained, t1), (params, t0)):
             grads = loss_gradient(net, ds, loss)
             sum_lp = float(np.sum(loss.deriv(ds.labels * trace.outputs)))
-            lower.append(np.linalg.norm(grads[-1]) ** 2 * 8 ** 5
+            lower.append(np.linalg.norm(grads[-1]) ** 2 * n ** 5
                          / (32 * ds.phi * sum_lp ** 2))
-            upper.append(max(np.linalg.norm(g, 2) for g in grads) * 8
+            upper.append(max(np.linalg.norm(g, 2) for g in grads) * n
                          / (3 ** 2 * math.sqrt(32) * abs(sum_lp)))
         assert report.entry("gradient_lower_ratio").per_trial == \
             pytest.approx(lower, rel=1e-8)
@@ -526,14 +537,15 @@ class TestPerturbationBattery:
 
         # 8 batches of n // 4, from entry 9's window of the battery's stream
         rng = item_window(2 + 104729, 9)
+        size = max(1, n // 4)
         stochastic = 0.0
         for _ in range(8):
-            batch = rng.sample_without_replacement(8, 2)
+            batch = rng.sample_without_replacement(n, size)
             sub = Dataset(ds.inputs[batch], ds.labels[batch], ds.mu, ds.phi)
             grads = loss_gradient(trained, sub, loss)
             sum_lp = float(np.sum(loss.deriv(sub.labels * t1.outputs[batch])))
             stochastic = max(stochastic, max(np.linalg.norm(g, 2) for g in grads)
-                             * 2 / (3 ** 2 * math.sqrt(32) * abs(sum_lp)))
+                             * size / (3 ** 2 * math.sqrt(32) * abs(sum_lp)))
         assert report.entry("stochastic_gradient_upper_ratio").per_trial == \
             pytest.approx([stochastic], rel=1e-8)
 
@@ -905,6 +917,34 @@ class TestMaskedChain:
             np.testing.assert_allclose(norms, exact, rtol=1e-10, atol=0)
 
 
+    @pytest.mark.parametrize("scale", ["1", "2**-340", "2**-172", "2**222", "2**300",
+                                       "near 1e298"])
+    @pytest.mark.parametrize("headed", [True, False])
+    @pytest.mark.parametrize("m, depth", [(24, 2), (24, 3), (24, 4), (8, 5)])
+    def test_prefix_norms_are_each_chain_solved_alone(self, m, depth, headed, scale):
+        # one pass from layer l1 gives, bit for bit, the norm of each chain
+        # l1..l2 (headed: l1..l2-1 and W_l2) solved alone; at m = 8 every
+        # chain is thin, so the pass also starts past layer 1
+        params, ds = small_battery_inputs(m=m, depth=depth, n=5, d=6)
+        patterns = batch_forward(params, ds.inputs).patterns
+        if scale == "near 1e298":
+            weights = params.weights[:1] + [w * (1e298 / np.max(np.abs(w)))
+                                            for w in params.weights[1:]]
+        else:
+            weights = [np.ldexp(w, int(scale[3:])) if scale != "1" else w
+                       for w in params.weights]
+        first = range(1, depth) if m <= linalg.THIN_SIDE else [1]
+        for l1 in first:
+            prefix = MaskedChain(weights, patterns, l1, depth).prefix_norms(headed)
+            assert len(prefix) == depth - l1
+            for l2, norms in enumerate(prefix, l1 + 1):
+                alone = _chain(weights, patterns, l1, l2, headed).norms(
+                    PortableRng(5), tol=1e-3)
+                assert norms.tobytes() == alone.tobytes(), (l1, l2)
+        if scale == "near 1e298" and depth >= 3:   # two weights near 1e298
+            assert np.isinf(prefix[-1]).all()
+
+
 def _chain_matrix(params, patterns, l1, l2, example):
     """Example's ``W_l2^T D_{l2-1} W_{l2-1}^T ... D_{l1} W_l1^T`` as one
     explicit matrix, with the masks as diagonal matrices."""
@@ -1008,7 +1048,7 @@ class TestOutputProbe:
         # d = 4 and m = 6: s < dim, s = dim and (layer 1 at s = 6) s > dim
         params, ds = small_battery_inputs(m=6, depth=3, n=4, d=4, seed=2)
         trace = batch_forward(params, ds.inputs)
-        values = verify._output_probe(params, trace, s)
+        values = verify._output_probe(params, verify._signals(params, trace), s)
         exact = [_brute_force_output_probe(params, trace.patterns, l, s)
                  for l in range(1, 4)]
         np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
@@ -1018,7 +1058,8 @@ class TestOutputProbe:
         params, ds = small_battery_inputs(m=48, depth=3, n=6, seed=seed)
         trace = batch_forward(params, ds.inputs)
         rng = PortableRng(seed)
-        for l, (value, w) in enumerate(zip(verify._output_probe(params, trace, 3),
+        signals = verify._signals(params, trace)
+        for l, (value, w) in enumerate(zip(verify._output_probe(params, signals, 3),
                                            params.weights), 1):
             probes = _sparse_probes(w.shape[0], 3, 64, rng)
             sampled = max(float(np.max(np.abs(row @ probes)))
@@ -1039,3 +1080,132 @@ class TestOutputProbe:
                                                **perturbation_settings())
                 .entry("perturbed_sparse_probe").per_trial for seed in (0, 7)]
         assert pert[0] == pert[1]
+
+
+def per_probe_block(dim, s, count, rng):
+    """The probe block drawn one probe at a time: a support draw, then a
+    normals draw, normalised."""
+    block = np.zeros((dim, count))
+    for j in range(count):
+        support = rng.sample_without_replacement(dim, min(s, dim))
+        vals = rng.normals(len(support))
+        norm = np.linalg.norm(vals)
+        if norm == 0.0:
+            vals[0] = 1.0
+            norm = 1.0
+        block[support, j] = vals / norm
+    return block
+
+
+class PatchedBits:
+    """PCG64 with the raws at some positions of its stream replaced."""
+
+    def __init__(self, seed, patches):
+        self.bits, self.patches, self.pos = PCG64(seed), patches, 0
+        self.steps_back = 0
+
+    def random_raw(self, count):
+        out = np.atleast_1d(self.bits.random_raw(count))
+        for at, value in self.patches.items():
+            if self.pos <= at < self.pos + count:
+                out[at - self.pos] = value
+        self.pos += count
+        return out
+
+    def advance(self, delta):
+        self.bits.advance(delta)
+        self.pos += delta
+        self.steps_back += delta < 0
+
+
+class TestSparseProbes:
+    """_sparse_probes' one draw a block against the per-probe draws."""
+
+    @pytest.mark.parametrize("dim, s, count", [
+        (1000, 8, 64), (1000, 5, 64), (10, 3, 64), (6, 6, 7), (4, 9, 5),
+        (40, 40, 3), (40, 63, 2), (1, 1, 4), (48, 3, 1), (2 ** 20, 7, 3)])
+    def test_one_draw_matches_per_probe_draws(self, dim, s, count):
+        # s < dim, s >= dim, odd and even s, from mid-stream
+        for seed in range(4):
+            ref, fast = PortableRng(seed), PortableRng(seed)
+            ref.raw(3)
+            fast.raw(3)
+            want = per_probe_block(dim, s, count, ref)
+            got = _sparse_probes(dim, s, count, fast)
+            assert got.tobytes() == want.tobytes()
+            assert ref.raw(1)[0] == fast.raw(1)[0]
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_rejected_raw_falls_back_to_per_probe_draws(self, s):
+        # raw 2**64 - 1 is rejected for every bound that does not divide
+        # 2**64: here probe 2's second swap (bound 9 of dim 10)
+        dim, count = 10, 5
+        width = s + 2 * ((s + 1) // 2)
+        assert 2 ** 64 % (dim - 1) != 0
+        patches = {2 * width + 1: 2 ** 64 - 1}
+        ref, fast = PortableRng(0), PortableRng(0)
+        ref._bits, fast._bits = PatchedBits(5, patches), PatchedBits(5, patches)
+        want = per_probe_block(dim, s, count, ref)
+        got = _sparse_probes(dim, s, count, fast)
+        assert fast._bits.steps_back == 1
+        assert got.tobytes() == want.tobytes()
+        assert fast._bits.pos == ref._bits.pos == count * width + 1
+
+
+class TestBatteryWork:
+    """Each product of the batteries is made once."""
+
+    @staticmethod
+    def wide_inputs():
+        # d = 20: every weight and every chain is wide
+        return small_battery_inputs(m=40, depth=3, n=6, d=20)
+
+    @staticmethod
+    def count_copies(monkeypatch):
+        made = []
+        single = linalg._single
+
+        def counting(a, b=None):
+            made.append((a.tobytes(), b is None))
+            return single(a, b)
+
+        monkeypatch.setattr(linalg, "_single", counting)
+        return made
+
+    def test_one_float32_copy_per_weight_and_network(self, monkeypatch):
+        params, ds = self.wide_inputs()
+        made = self.count_copies(monkeypatch)
+        verify_init_properties(params, ds, **battery_settings(trials=2, seed=5, probes=4))
+        assert len(made) == len({key for key, _ in made}) == 6
+        assert made[:3] == [(w.tobytes(), True) for w in params.weights]
+        made.clear()
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.05
+        verify_perturbation_properties(params, tilde, ds, **perturbation_settings())
+        # the radii take their own pair copies, the trained weights one each
+        assert sorted(made) == sorted([(w.tobytes(), False) for w in tilde.weights]
+                                      + [(w.tobytes(), True) for w in tilde.weights])
+
+    @pytest.mark.parametrize("name", ["weight_spectral_norm", "chain_product_norm"])
+    def test_copy_readers_alone_read_the_same_values(self, name):
+        params, ds = self.wide_inputs()
+        kwargs = battery_settings(trials=2, seed=3, probes=4)
+        full = verify_init_properties(params, ds, **kwargs)
+        alone = verify_init_properties(params, ds, **kwargs, items=[name])
+        assert alone.entry(name).per_trial == full.entry(name).per_trial
+
+    def test_one_backprop_per_network(self, monkeypatch):
+        params, ds = small_battery_inputs()
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.05
+        calls = []
+
+        def counting(net, patterns):
+            calls.append(net)
+            return backprop_signals(net, patterns)
+
+        monkeypatch.setattr(verify, "backprop_signals", counting)
+        report = verify_perturbation_properties(params, tilde, ds,
+                                                **perturbation_settings())
+        assert report.entry("perturbed_sparse_probe").trials == 1
+        assert calls == [tilde, params]

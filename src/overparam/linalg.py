@@ -15,13 +15,14 @@ Exact scaling keeps both inside the float range: the operator is taken on
 ``a / 2**e``, e the binary exponent of max|a| (`_peak`), which commutes with
 rounding, so ``2**k a`` gets exactly ``2**k`` times the norm.
 One precision rule: a Lanczos solve at a `tol` of at least ``_SINGLE_TOL``
-takes its Gram products in float32, on each weight's exact scaling rounded
-once (`_single`); any other solve, the Lanczos recurrences, the thin rule
-and every returned value are float64.  A float32 solve that could leave the
-float32 range, or whose value lies near its bottom, is made in float64.
-A rounded copy lives as long as the `Rounded` that made it: solves given
-one `Rounded` share its copy, and a solve given none makes its own and
-drops it when it ends.
+takes its Gram products in float32, on the exact scaling of each weight or
+pair difference, rounded once (`_single`); any other solve, the Lanczos
+recurrences, the thin rule and every returned value are float64.  A masked
+chain that could leave the float32 range, or an example whose value lies
+near its bottom, is solved in float64.
+A `power_iteration` operand is a matrix or a `Rounded`, ``Rounded(a)`` or
+``Rounded(a, b)`` for ``a - b``, whose float64 matrix and rounded copy
+live as long as it does and are shared by every solve given it.
 `power_iteration`'s float64 Lanczos path scales only to re-solve after an
 under- or overflow.
 """
@@ -81,10 +82,11 @@ _SWEEP_BYTES = 1 << 20
 # spectral_tol (1e-3).
 _SINGLE_TOL = 1e-4
 
-# The float32 range a float32 solve may use, well inside 2**+-126: a chain
-# whose scaled weights' squared Frobenius norms multiply past this bound
-# could overflow a Gram product, and a top eigenvalue below its inverse may
-# have come through float32 subnormals; both are solved in float64.
+# The float32 range a masked chain's float32 solve may use, well inside
+# 2**+-126 (a matrix's copy peaks in [2**-51, 1] and needs no check): a
+# chain whose scaled weights' squared Frobenius norms multiply past it could
+# overflow a Gram product, and a top eigenvalue below its inverse may have
+# come through float32 subnormals; both are solved in float64.
 _SINGLE_RANGE = 2.0 ** 100
 
 # Raws that PortableRng.normals turns into normals at a time (an even count,
@@ -411,43 +413,57 @@ def _peak(a: np.ndarray) -> tuple:
     return peak, np.frexp(np.where(np.isfinite(peak), peak, 0.0))[1]
 
 
+# a non-finite d makes a non-finite peak, which the callers read
+@np.errstate(invalid="ignore", over="ignore")
 def _single(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
-    """``(copy, e)``: the exact scaling ``a / 2**e`` of a matrix rounded to
-    float32, e the binary exponent of max|a| (`_peak`).  With `b`, the copy
-    is of ``(a - b) / 2**e``, e one more than the exponent of
-    max(max|a|, max|b|), so its entries lie below 1 in magnitude too.
-
-    Each entry is scaled exactly in float64 and rounded once, straight into
-    the float32 copy, so ``2**k`` on `a` (and `b`) gives the same copy.  No
-    float64 array of the matrix's size is made: the difference goes through
-    one float64 row block of about ``_SWEEP_BYTES``.
+    """``(copy, e, peak)``: the exact scaling ``d / 2**e`` of d = `a`, or
+    with `b` d = ``a - b``, rounded to float32; peak is max|d| and e its
+    binary exponent (`_peak`, kept where ``2**-e`` is a float), so the
+    copy's entries are at most 1 in magnitude.  Each entry is scaled exactly
+    in float64 and rounded once, so ``2**k`` on `a` (and `b`) gives the same
+    copy.  A difference goes twice through one float64 row block of about
+    ``_SWEEP_BYTES``, for its peak and then into the copy, so no float64
+    array of the matrix's size is made.
     """
     out = np.empty(a.shape, dtype=np.float32)
-    if b is None:
-        e = int(_peak(a)[1])
-        np.multiply(a, np.ldexp(1.0, -e), out=out, casting="same_kind")
-        return out, e
-    peak = np.maximum(_peak(a)[0], _peak(b)[0])
-    e = int(np.frexp(peak if np.isfinite(peak) else 0.0)[1]) + 1
-    rows = max(1, _SWEEP_BYTES // (8 * a.shape[1]))
-    blk = np.empty((min(rows, a.shape[0]), a.shape[1]))
-    for i in range(0, a.shape[0], rows):
-        diff = np.subtract(a[i:i + rows], b[i:i + rows], out=blk[:len(out[i:i + rows])])
-        np.multiply(diff, np.ldexp(1.0, -e), out=out[i:i + rows], casting="same_kind")
-    return out, e
+    rows = len(a) if b is None else max(1, _SWEEP_BYTES // (8 * a.shape[1]))
+    blk = None if b is None else np.empty((min(rows, len(a)), a.shape[1]))
+
+    def blocks():   # (row slice, its float64 rows of d)
+        for i in range(0, len(a), rows):
+            s = slice(i, i + rows)
+            yield s, a[s] if b is None else np.subtract(a[s], b[s], out=blk[:len(out[s])])
+
+    peak = np.max([_peak(d)[0] for _, d in blocks()])
+    e = max(int(np.frexp(peak if np.isfinite(peak) else 0.0)[1]), -1023)
+    for s, d in blocks():
+        np.multiply(d, np.ldexp(1.0, -e), out=out[s], casting="same_kind")
+    return out, e, float(peak)
 
 
 class Rounded:
-    """A float64 matrix and ``single``, the ``(copy, e)`` of `_single` that a
-    float32 solve takes its products with, made when a solve first reads it
-    and shared by every solve given this object."""
+    """The operand of a spectral solve: a float64 matrix `a`, or with `b`
+    the difference ``a - b`` of a pair of one shape.  ``matrix``, the
+    float64 matrix, and ``single``, the ``(copy, e, peak)`` of `_single`
+    that a float32 solve multiplies with, are each made when a solve first
+    reads them and shared by every solve given this object."""
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, a, b=None):
+        self.a = np.asarray(a, dtype=np.float64)
+        self.shape = self.a.shape
+        if self.a.ndim != 2 or 0 in self.shape:
+            raise ValueError(f"need a nonempty 2-d matrix, got shape {self.shape}")
+        self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        if self.b is not None and self.b.shape != self.shape:
+            raise ValueError(f"pair shapes differ: {self.shape} and {self.b.shape}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.a if self.b is None else self.a - self.b
 
     @cached_property
     def single(self) -> tuple:
-        return _single(self.matrix)
+        return _single(self.a, self.b)
 
 
 def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,89 +505,71 @@ def power_iteration(a, tol: float = 1e-10,
     """Largest singular value of `a` by restarted Lanczos on A^T A, or
     exactly for a thin matrix.
 
-    `a` is a matrix, a pair ``(a, b)`` of matrices of one shape whose
-    difference ``a - b`` is the matrix, or a `Rounded` matrix, whose float32
-    copy the solve shares.  Returns ``(sigma, right_vector,
-    residual, iterations)``; `iterations` counts products with A^T A.  This
-    is `_lanczos` on one operator: the Ritz residual
-    ``||A^T A x - theta x|| / theta`` at `tol` bounds the relative error of
-    ``sigma**2`` by `tol`.
+    `a` is a matrix or a `Rounded`, whose matrix and copy the solve shares.
+    Returns ``(sigma, right_vector, residual, iterations)``; `iterations`
+    counts products with A^T A.  This is `_lanczos` on one operator: the
+    Ritz residual ``||A^T A x - theta x|| / theta`` at `tol` bounds the
+    relative error of ``sigma**2`` by `tol`.
 
     A thin matrix takes its norm and right vector from `thin_norms`, with
     residual 0 and 0 iterations; `tol` and `start` go unused.  On either
     path non-finite entries raise ValueError and the zero matrix returns
     ``(0.0, zeros, 0.0, 0)``.
 
-    At a `tol` below ``_SINGLE_TOL`` the Lanczos path takes float64
-    products on `a` itself (a pair's difference formed once), and scans `a`
-    only after a solve that ends badly.  From that floor on it takes float32
-    products on the copy of its exact scaling (`_single`, or the shared
-    copy of a `Rounded` matrix; a pair's difference goes into that copy in
-    row blocks), and scales sigma back.
-    A solve ends badly with theta outside (0, inf), below
-    ``1 / _SINGLE_RANGE`` on a float32 copy, or with residual 0: the start
-    was zero, null or an eigenvector, or a product under- or overflowed.
-    Then `_lanczos` runs once more, on float64 products, from a fresh seeded
-    start on the exact scaling of `a`, and the iterations are summed.
+    Below ``_SINGLE_TOL`` the Lanczos path takes float64 products on the
+    matrix itself, and scans it only after a solve that ends badly.  From
+    that floor on it takes float32 products on `Rounded.single`, the copy
+    of its exact scaling, whose peak settles a zero or non-finite matrix
+    before any product.  A solve ends badly with theta outside (0, inf) or
+    with residual 0: a zero, null or eigenvector start, or a float64
+    product that under- or overflowed.  Then `_lanczos` runs once more, on
+    float64 products, from a fresh seeded start on the exact scaling of
+    the matrix, and the iterations are summed.
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
     calls).  Raises SpectralNormError after `_lanczos`'s cap of 10,000
     products.
     """
-    rounded = a if isinstance(a, Rounded) else None
-    a, b = a if isinstance(a, tuple) else (a.matrix if rounded else a, None)
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError(f"need a nonempty 2-d matrix, got shape {a.shape}")
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != a.shape:
-            raise ValueError(f"pair shapes differ: {a.shape} and {b.shape}")
+    op = a if isinstance(a, Rounded) else Rounded(a)
+    cols = op.shape[1]
     if tol <= 0:
         raise ValueError("tol must be positive")
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
-        if start.shape != (a.shape[1],):
+        if start.shape != (cols,):
             raise ValueError("start vector has wrong length")
-    single = tol >= _SINGLE_TOL and min(a.shape) > THIN_SIDE
-    if b is not None and not single:
-        a, b = a - b, None   # the float64 difference
-    if min(a.shape) <= THIN_SIDE:
-        sigma, v = thin_norms(a[None])
+    if min(op.shape) <= THIN_SIDE:
+        sigma, v = thin_norms(op.matrix[None])
         # a finite matrix whose norm overflows reads inf as well
-        if sigma[0] == np.inf and not np.isfinite(_peak(a)[0]):
+        if sigma[0] == np.inf and not np.isfinite(_peak(op.matrix)[0]):
             raise ValueError("matrix has non-finite entries")
         return float(sigma[0]), v[0], 0.0, 0
     if start is None:
-        start = PortableRng(_START_SEED).normals(a.shape[1])
-    if single:
-        copy, e = rounded.single if rounded else _single(a, b)
-    else:
-        copy, e = a, 0
-    theta, v, residual, it = _lanczos(_sweep_gram(copy), start[None], tol)
-    del copy
-    bottom = 1.0 / _SINGLE_RANGE if single else 0.0
-    if bottom < theta[0] < np.inf and residual[0] > 0.0:
-        with np.errstate(over="ignore"):   # a norm past the float range reads inf
-            return float(np.ldexp(np.sqrt(theta[0]), e)), v[0], float(residual[0]), it
-    if b is not None:
-        a = a - b
-    peak, e = _peak(a)
+        start = PortableRng(_START_SEED).normals(cols)
+    copy, e, peak = op.single if tol >= _SINGLE_TOL else (op.matrix, 0, None)
+    it = 0
+    if peak is None or 0.0 < peak < np.inf:
+        theta, v, residual, it = _lanczos(_sweep_gram(copy), start[None], tol)
+        if 0.0 < theta[0] < np.inf and residual[0] > 0.0:
+            with np.errstate(over="ignore"):   # a norm past the float range reads inf
+                return float(np.ldexp(np.sqrt(theta[0]), e)), v[0], float(residual[0]), it
+    if peak is None:   # the float64 path scans the matrix only now
+        peak, e = _peak(op.matrix)
     if not np.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
     if peak == 0.0:
-        return 0.0, np.zeros(a.shape[1]), 0.0, 0
-    fresh = PortableRng(_START_SEED + it).normals(a.shape[1])
-    theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(a, -e)), fresh[None], tol)
+        return 0.0, np.zeros(cols), 0.0, 0
+    fresh = PortableRng(_START_SEED + it).normals(cols)
+    theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(op.matrix, -e)), fresh[None], tol)
     with np.errstate(over="ignore"):   # a norm past the float range reads inf
         sigma = float(np.ldexp(np.sqrt(theta[0]), e))
     return sigma, v[0], float(residual[0]), it + more
 
 
 def spectral_norm(a, tol: float = 1e-10) -> float:
-    """Largest singular value of `a`, a matrix or a pair ``(a, b)`` for
-    ``a - b`` (see `power_iteration`); exact 0 for the zero matrix."""
+    """Largest singular value of `a`, a matrix or a `Rounded` (see
+    `power_iteration`); exact 0 for the zero matrix."""
     sigma, _, _, _ = power_iteration(a, tol=tol)
     return sigma
 
@@ -665,8 +663,8 @@ class MaskedChain:
             layers.append(self.head)
         weights, total, bound = list(self.weights), 0, 1.0
         for r in layers:
-            copy, e = (self.rounded[r - 1].single if self.rounded
-                       else _single(self.weights[r - 1]))
+            copy, e, _ = (self.rounded[r - 1].single if self.rounded
+                          else _single(self.weights[r - 1]))
             bound *= float(np.vdot(copy, copy))
             if not bound <= _SINGLE_RANGE:
                 return None

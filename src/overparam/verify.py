@@ -523,11 +523,12 @@ def _ratio(num: float, denom: float) -> float:
 
 def perturbation_radius(params: NetworkParams, reference: NetworkParams,
                         tol: float = 1e-10) -> list:
-    """Per-layer spectral norm of W_l - W_l^(0).  From the float32 floor of
-    `linalg` on, no float64 difference of a wide layer is formed."""
+    """Per-layer spectral norm of W_l - W_l^(0), solved on each pair's
+    `Rounded`: from the float32 floor of `linalg` on, no float64 difference
+    of a wide layer is formed."""
     if tuple(params.layer_dims) != tuple(reference.layer_dims):
         raise ValueError("parameter shapes do not match")
-    return [spectral_norm((w, w0), tol=tol)
+    return [spectral_norm(Rounded(w, w0), tol=tol)
             for w, w0 in zip(params.weights, reference.weights)]
 
 

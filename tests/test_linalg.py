@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from overparam import linalg
 from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SINGLE_RANGE,
                               _SINGLE_TOL, _SWEEP_BYTES, THIN_SIDE, PortableRng,
-                              SpectralNormError, _lanczos, _peak, _single,
-                              _sweep_gram, aligned_empty, gaussian_matrix,
-                              power_iteration, spectral_norm, thin_norms)
+                              Rounded, SpectralNormError, _lanczos, _peak,
+                              _single, _sweep_gram, aligned_empty,
+                              gaussian_matrix, power_iteration, spectral_norm,
+                              thin_norms)
 
 from oracles import box_muller, integer_below
 
@@ -246,7 +247,7 @@ class TestLanczos:
         a = padded(PortableRng(13).normals(48).reshape(8, 6))
         v = padded(PortableRng(14).normals(6))
         v /= np.linalg.norm(v)
-        copy, e = _single(a)
+        copy, e, _ = _single(a)
         u = ((copy @ v.astype(np.float32)) @ copy).astype(np.float64)
         lam = v @ u
         sigma, _, residual, iters = power_iteration(a, tol=1e6, start=v)
@@ -367,14 +368,15 @@ def training_pair(rows=1000, cols=1000, rank=8):
 
 
 class TestSinglePrecision:
-    """The float32 copies (`_single`) and power_iteration's float32 path
-    from ``_SINGLE_TOL`` on, against dense norms and its float64 path."""
+    """The float32 copies (`_single`), the `Rounded` operand and
+    power_iteration's float32 path from ``_SINGLE_TOL`` on, against dense
+    norms and its float64 path."""
 
     def test_copy_is_the_rounded_exact_scaling(self):
         a = gaussian_matrix(40, 30, 1.0, PortableRng(3))
-        copy, e = _single(a)
+        copy, e, peak = _single(a)
         assert copy.dtype == np.float32
-        assert e == np.frexp(np.abs(a).max())[1]
+        assert peak == np.abs(a).max() and e == np.frexp(peak)[1]
         assert np.array_equal(copy, np.ldexp(a, -e).astype(np.float32))
         assert np.abs(copy).max() < 1.0
 
@@ -384,30 +386,39 @@ class TestSinglePrecision:
         # also with entries near 1e298, past float32's range
         w, w0 = training_pair(300, 200)
         for pair in ((w, None), (w, w0)):
-            base, e = _single(*pair)
-            copy, ek = _single(*[None if x is None else np.ldexp(x, k) for x in pair])
-            assert np.array_equal(copy, base) and ek == e + k
+            base, e, peak = _single(*pair)
+            copy, ek, pk = _single(*[None if x is None else np.ldexp(x, k) for x in pair])
+            assert np.array_equal(copy, base) and ek == e + k and pk == np.ldexp(peak, k)
             assert np.all(np.isfinite(copy)) and np.abs(copy).max() < 1.0
+
+    def test_subnormal_peak_keeps_its_scaling_a_float(self):
+        # max|a| below 2**-1024, where 2**-e would overflow: e stays at -1023
+        a = np.ldexp(gaussian_matrix(40, 30, 1.0, PortableRng(3)), -1060)
+        copy, e, peak = _single(a)
+        assert e == -1023 and peak == np.abs(a).max()
+        assert np.array_equal(copy, np.ldexp(a, 1023).astype(np.float32))
 
     def test_difference_copy_across_row_blocks(self):
         # 3 row blocks of the float64 difference and a partial one
         rows = 3 * (_SWEEP_BYTES // (8 * 300)) + 17
         w, w0 = training_pair(rows, 300)
-        copy, e = _single(w, w0)
-        assert e == np.frexp(max(np.abs(w).max(), np.abs(w0).max()))[1] + 1
+        # the exponent is the difference's own, from its peak over the blocks
+        copy, e, peak = _single(w, w0)
+        assert peak == np.abs(w - w0).max() and e == np.frexp(peak)[1]
         assert np.array_equal(copy, np.ldexp(w - w0, -e).astype(np.float32))
+        assert 0.5 <= np.abs(copy).max() <= 1.0
 
     def test_norms_match_dense_at_the_floor(self):
         # a (1000, 1000) Gaussian weight and a training difference
         w, w0 = training_pair()
         assert spectral_norm(w0, tol=_SINGLE_TOL) == pytest.approx(
             np.linalg.norm(w0, 2), rel=1e-6)
-        assert spectral_norm((w, w0), tol=_SINGLE_TOL) == pytest.approx(
+        assert spectral_norm(Rounded(w, w0), tol=_SINGLE_TOL) == pytest.approx(
             np.linalg.norm(w - w0, 2), rel=1e-6)
 
     def test_below_the_floor_a_pair_is_its_float64_difference(self):
         w, w0 = training_pair(200, 300)
-        pair = power_iteration((w, w0), tol=1e-10)
+        pair = power_iteration(Rounded(w, w0), tol=1e-10)
         diff = power_iteration(w - w0, tol=1e-10)
         assert pair[0] == diff[0] and np.array_equal(pair[1], diff[1])
         assert pair[2:] == diff[2:]
@@ -416,33 +427,58 @@ class TestSinglePrecision:
     @pytest.mark.parametrize("cols", [THIN_SIDE, 300])
     def test_equal_pair_reads_zero(self, tol, cols):
         w = gaussian_matrix(200, cols, 1.0, PortableRng(4))
-        sigma, vec, residual, iters = power_iteration((w, w.copy()), tol=tol)
+        sigma, vec, residual, iters = power_iteration(Rounded(w, w.copy()), tol=tol)
         assert (sigma, residual, iters) == (0.0, 0.0, 0)
         assert np.array_equal(vec, np.zeros(cols))
 
     def test_pair_shapes_must_match(self):
         w = np.ones((20, 30))
         with pytest.raises(ValueError, match="pair shapes"):
-            power_iteration((w, np.ones((30, 20))), tol=1e-3)
+            Rounded(w, np.ones((30, 20)))
+
+    def test_tuple_operand_raises(self):
+        # a pair is a `Rounded`; a tuple of two matrices is no operand
+        w, w0 = training_pair(200, 300)
+        with pytest.raises(ValueError, match="2-d matrix"):
+            power_iteration((w, w0), tol=1e-3)
+
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pair_raises_before_any_product(self, monkeypatch, side, entry):
+        w, w0 = training_pair(200, 300)
+        for x in {"a": [w], "b": [w0], "both": [w, w0]}[side]:
+            x[7, 11] = entry
+        calls = []
+        monkeypatch.setattr(linalg, "_lanczos", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iteration(Rounded(w, w0), tol=1e-3)
+        assert calls == []
 
     @pytest.mark.parametrize("k", [-72, -150])
-    def test_difference_near_float32_bottom_is_solved_in_float64(self, k):
-        # the difference sits 2**k below the pair's peak.  At -72 its Gram
-        # products fall among float32's subnormals, which keep a few bits;
-        # at -150 its float32 copy is zero or subnormal and they read 0.
-        # Both are solved in float64.
+    def test_difference_near_float32_bottom_is_solved_in_float32(self, monkeypatch, k):
+        # the difference sits 2**k below the pair's peak.  Its copy takes
+        # the difference's own exponent, so its Gram products stay far from
+        # float32's subnormals, and every one of them is float32.
         w0 = np.zeros((200, 300))
         w0[0, 0] = 1.0
         w = w0 + np.ldexp(gaussian_matrix(200, 300, 1.0, PortableRng(8)), k)
         w[0, 0] = 1.0
         dense = np.linalg.norm(w - w0, 2)
         assert 0.0 < dense < 2.0 ** (k + 6)
-        assert spectral_norm((w, w0), tol=_SINGLE_TOL) == pytest.approx(
+        dtypes = []
+
+        def sweep(a):
+            dtypes.append(a.dtype)
+            return _sweep_gram(a)
+
+        monkeypatch.setattr(linalg, "_sweep_gram", sweep)
+        assert spectral_norm(Rounded(w, w0), tol=_SINGLE_TOL) == pytest.approx(
             dense, rel=1e-6, abs=0)
+        assert dtypes == [np.float32]
 
     def test_float32_sweep_returns_float64(self):
         a = gaussian_matrix(300, 200, 1.0, PortableRng(5))
-        copy, _ = _single(a)
+        copy, _, _ = _single(a)
         q = PortableRng(6).normals(200)[None]
         w = _sweep_gram(copy)(q, np.arange(1))
         assert w.dtype == np.float64 and w.shape == (1, 200)

@@ -1,14 +1,15 @@
-"""Memory guards: set-up, the bilinear probe and the float32 radius solve
+"""Memory guards: set-up, the bilinear probe and the float32 radius solves
 allocate little beyond the arrays they return.  tracemalloc sees numpy's
 data buffers, so one weight-sized temporary (8 MB at m = 1000) shows as a
 peak far above it."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from overparam.data import generate_separated
-from overparam.linalg import PortableRng, gaussian_matrix, spectral_norm
+from overparam.linalg import PortableRng, Rounded, gaussian_matrix, spectral_norm
 from overparam.network import (batch_forward, init_network, load_params,
                                save_params)
 from overparam.verify import _bilinear_probe, _sparse_probes
@@ -69,6 +70,24 @@ def test_float32_radius_forms_no_float64_difference(net):
     # one 1 MiB float64 row block; a float64 difference would take 8 MB
     w0 = net.weights[1]
     w = w0 + 1e-3 * gaussian_matrix(1000, 1000, 1.0, PortableRng(7))
-    sigma, peak = traced(spectral_norm, (w, w0), 1e-3)
+    sigma, peak = traced(spectral_norm, Rounded(w, w0), 1e-3)
     assert sigma > 0.0
+    assert peak <= w.size * 4 + SLACK
+
+
+@pytest.mark.parametrize("k", [None, -72], ids=["equal", "2**-72"])
+def test_float32_radius_never_falls_back_to_float64(net, k):
+    # an equal pair is settled from its copy's peak, and a difference 2**k
+    # below the pair's peak is solved on the float32 copy of its own exact
+    # scaling; a float64 re-solve would take an 8 MB difference and more
+    if k is None:
+        w0, w = net.weights[1], net.weights[1].copy()
+    else:
+        w0 = np.zeros((1000, 1000))
+        w0[0, 0] = 1.0
+        w = w0 + np.ldexp(gaussian_matrix(1000, 1000, 1.0, PortableRng(8)), k)
+        w[0, 0] = 1.0
+    sigma, peak = traced(spectral_norm, Rounded(w, w0), 1e-3)
+    # tol 1e-3 bounds sigma**2's error by 1e-3; the solve reads 2.5e-6 off
+    assert sigma == pytest.approx(np.linalg.norm(w - w0, 2), rel=1e-5, abs=0)
     assert peak <= w.size * 4 + SLACK

@@ -21,10 +21,13 @@ recurrences, the thin rule and every returned value are float64.  A masked
 chain that could leave the float32 range, or an example whose value lies
 near its bottom, is solved in float64.
 A `power_iteration` operand is a matrix or a `Rounded`, ``Rounded(a)`` or
-``Rounded(a, b)`` for ``a - b``, whose float64 matrix and rounded copy
-live as long as it does and are shared by every solve given it.
-`power_iteration`'s float64 Lanczos path scales only to re-solve after an
-under- or overflow.
+``Rounded(a, b)`` for ``a - b``, whose scaling and rounded copy live as
+long as it does and are shared by every solve given it.  A pair's float64
+products form its difference one row block at a time, so only the thin rule
+forms a difference whole, and a pair of finite matrices whose difference
+overflows float64 is taken on the pair's exact scaling and reads inf.
+`power_iteration`'s float64 Lanczos path scales only to re-solve after a
+solve that ends badly.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ THIN_SIDE = 16
 
 # Bytes of the row block of `a` that power_iteration's product A^T A q
 # streams at a time: the block's two products run while it is still in L2.
+# A pair's difference is formed a block of this size at a time.
 # At one BLAS thread, 1 MiB blocks took the product from 0.70 to 0.60 ms at
 # 1000x1000 and from 2.8 to 2.5 ms at 2000x2000 (2 MiB L2 a core); 256 KiB
 # blocks were no faster than two whole-matrix passes.
@@ -98,7 +102,8 @@ _NORMAL_CHUNK = 1 << 16
 
 # Bytes of a cache line.  numpy aligns its buffers to 16 bytes only, and
 # glibc places a buffer of megabytes 16 bytes past a page boundary, so that
-# every 64-byte load or store of it spans two lines.
+# every 64-byte load or store of it spans two lines.  `aligned_empty` backs
+# training's radius work arrays and a pair's difference block.
 _CACHE_LINE = 64
 
 
@@ -387,18 +392,31 @@ def _lanczos(gram, start: np.ndarray, tol: float, max_iter: int = 10_000) -> tup
         residual=float(residual[worst]), iterations=max_iter)
 
 
-def _sweep_gram(a: np.ndarray):
+def _sweep_gram(a, e: int = 0):
     """`_lanczos`'s one-row product with A^T A (its `ids` go unused): one
-    sweep over `a` in row blocks of about ``_SWEEP_BYTES``,
-    ``w += (blk @ q) @ blk``, so a block is read from memory once.  The
-    product runs in the dtype of `a` and returns float64."""
-    rows = max(1, _SWEEP_BYTES // (a.itemsize * a.shape[1]))
+    sweep over A in row blocks of about ``_SWEEP_BYTES``,
+    ``w += (blk @ q) @ blk``, so a block is read from memory once.  `a` is a
+    matrix, whose products run in its dtype, or a `Rounded`, whose float64
+    matrix scaled by ``2**-e`` is taken block by block (`Rounded.blocks`):
+    a pair's difference is formed a block at a time, just before the
+    block's two products, on the row blocks of the difference itself, so
+    the products have the bits of the difference's.  Returns float64."""
+    if isinstance(a, Rounded):
+        blocks, dtype = a.blocks(e), np.float64
+    else:
+        rows = max(1, _SWEEP_BYTES // (a.itemsize * a.shape[1]))
+        dtype = a.dtype
+
+        def blocks():
+            for i in range(0, len(a), rows):
+                yield None, a[i:i + rows]
 
     def gram(q, ids):
-        q = q[0].astype(a.dtype, copy=False)
-        w = (a[:rows] @ q) @ a[:rows]
-        for i in range(rows, a.shape[0], rows):
-            blk = a[i:i + rows]
+        q = q[0].astype(dtype, copy=False)
+        sweep = blocks()
+        _, blk = next(sweep)
+        w = (blk @ q) @ blk
+        for _, blk in sweep:
             w += (blk @ q) @ blk
         return w.astype(np.float64, copy=False)[None]
     return gram
@@ -413,40 +431,42 @@ def _peak(a: np.ndarray) -> tuple:
     return peak, np.frexp(np.where(np.isfinite(peak), peak, 0.0))[1]
 
 
-# a non-finite d makes a non-finite peak, which the callers read
+# a non-finite entry makes a non-finite copy, which the callers read
 @np.errstate(invalid="ignore", over="ignore")
 def _single(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
-    """``(copy, e, peak)``: the exact scaling ``d / 2**e`` of d = `a`, or
-    with `b` d = ``a - b``, rounded to float32; peak is max|d| and e its
-    binary exponent (`_peak`, kept where ``2**-e`` is a float), so the
-    copy's entries are at most 1 in magnitude.  Each entry is scaled exactly
-    in float64 and rounded once, so ``2**k`` on `a` (and `b`) gives the same
-    copy.  A difference goes twice through one float64 row block of about
+    """``(copy, e, peak)``: the exact scaling ``d / 2**e`` of the float64
+    matrix d of ``Rounded(a, b)``, `a` or ``a - b``, rounded to float32,
+    with ``(peak, e)`` its `Rounded.scaling`, so the copy's entries are at
+    most 1 in magnitude.  Each entry is scaled exactly in float64 and
+    rounded once, so ``2**k`` on `a` (and `b`) gives the same copy.  A
+    difference goes twice through one float64 row block of about
     ``_SWEEP_BYTES``, for its peak and then into the copy, so no float64
     array of the matrix's size is made.
     """
-    out = np.empty(a.shape, dtype=np.float32)
-    rows = len(a) if b is None else max(1, _SWEEP_BYTES // (8 * a.shape[1]))
-    blk = None if b is None else np.empty((min(rows, len(a)), a.shape[1]))
-
-    def blocks():   # (row slice, its float64 rows of d)
-        for i in range(0, len(a), rows):
-            s = slice(i, i + rows)
-            yield s, a[s] if b is None else np.subtract(a[s], b[s], out=blk[:len(out[s])])
-
-    peak = np.max([_peak(d)[0] for _, d in blocks()])
-    e = max(int(np.frexp(peak if np.isfinite(peak) else 0.0)[1]), -1023)
-    for s, d in blocks():
-        np.multiply(d, np.ldexp(1.0, -e), out=out[s], casting="same_kind")
-    return out, e, float(peak)
+    op = Rounded(a, b)
+    peak, e = op.scaling
+    out = np.empty(op.shape, dtype=np.float32)
+    for s, d in op.blocks(op.shift)():
+        np.multiply(d, np.ldexp(1.0, op.shift - e), out=out[s], casting="same_kind")
+    return out, e, peak
 
 
 class Rounded:
     """The operand of a spectral solve: a float64 matrix `a`, or with `b`
-    the difference ``a - b`` of a pair of one shape.  ``matrix``, the
-    float64 matrix, and ``single``, the ``(copy, e, peak)`` of `_single`
-    that a float32 solve multiplies with, are each made when a solve first
-    reads them and shared by every solve given this object."""
+    the difference ``a - b`` of a pair of one shape.
+
+    Its float64 matrix is read in row blocks (`blocks`), so a pair's
+    difference is formed a block at a time and never whole, except by
+    ``matrix``, which only the thin rule reads.  ``scaling`` (its peak and
+    exponent), ``matrix`` and ``single``, the ``(copy, e, peak)`` of
+    `_single` that a float32 solve multiplies with, are each made when a
+    solve first reads them and shared by every solve given this object.
+
+    A pair of finite matrices whose difference overflows float64 has a norm
+    past the float range.  Its difference is taken on the pair's exact
+    scaling: `scaling` sets ``shift`` to the binary exponent of
+    max(max|a|, max|b|), and from then on a block is formed as
+    ``a / 2**shift - b / 2**shift``."""
 
     def __init__(self, a, b=None):
         self.a = np.asarray(a, dtype=np.float64)
@@ -456,10 +476,77 @@ class Rounded:
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
         if self.b is not None and self.b.shape != self.shape:
             raise ValueError(f"pair shapes differ: {self.shape} and {self.b.shape}")
+        self.rows = max(1, _SWEEP_BYTES // (8 * self.shape[1]))
+        self.shift = 0
+
+    def blocks(self, e: int = 0):
+        """A function that yields ``(row slice, block)`` for each row block
+        of ``rows`` rows of the float64 matrix scaled by ``2**-e``, e at
+        least -1023 and, for a pair, at least ``shift``.  A plain matrix's
+        blocks at e = 0 are views of it.  Every other block is formed in one
+        aligned buffer that each call reuses, so a block is read before the
+        next one is taken."""
+        a, b, rows = self.a, self.b, self.rows
+        view = b is None and e == 0
+        buf = None if view else aligned_empty((min(rows, len(a)), a.shape[1]))
+
+        def blocks():
+            shift = self.shift
+            step, scale = np.ldexp(1.0, -shift), np.ldexp(1.0, shift - e)
+            for i in range(0, len(a), rows):
+                s = slice(i, i + rows)
+                if view:
+                    yield s, a[s]
+                    continue
+                d = buf[:len(a[s])]
+                if b is None:
+                    np.multiply(a[s], scale, out=d)
+                    yield s, d
+                    continue
+                if shift:
+                    np.subtract(a[s] * step, b[s] * step, out=d)
+                else:
+                    np.subtract(a[s], b[s], out=d)
+                if e != shift:
+                    d *= scale
+                yield s, d
+        return blocks
 
     @cached_property
+    @np.errstate(invalid="ignore", over="ignore")
+    def scaling(self) -> tuple:
+        """``(peak, e)``: max|d| of the float64 matrix d, found over its row
+        blocks, and the binary exponent e of its exact scaling ``d / 2**e``
+        (`_peak`'s, kept at -1023 or above so ``2**-e`` is a float).  peak is
+        NaN where `a` or `b` has a non-finite entry, with e 0, and inf where
+        a pair of finite matrices has a difference past the float range: e
+        is then that of the difference on the pair's exact scaling, plus
+        ``shift``."""
+        def block_peak():
+            return np.max([_peak(d)[0] for _, d in self.blocks(self.shift)()])
+
+        peak = block_peak()
+        if not np.isfinite(peak) and self.b is not None:
+            ends = np.max([_peak(self.a)[0], _peak(self.b)[0]])
+            if np.isfinite(ends):   # the difference overflowed
+                self.shift = int(np.frexp(ends)[1])
+                return np.inf, int(np.frexp(block_peak())[1]) + self.shift
+        if not np.isfinite(peak):
+            return np.nan, 0
+        return float(peak), max(int(np.frexp(peak)[1]), -1023)
+
+    @cached_property
+    @np.errstate(invalid="ignore", over="ignore")
     def matrix(self) -> np.ndarray:
-        return self.a if self.b is None else self.a - self.b
+        """The float64 matrix: `a`, or a pair's difference formed whole,
+        divided by ``2**shift``."""
+        if self.b is None:
+            return self.a
+        self.scaling   # sets the shift
+        out = np.empty(self.shape)
+        for s, d in self.blocks(self.shift)():
+            out[s] = d
+        return out
 
     @cached_property
     def single(self) -> tuple:
@@ -517,14 +604,20 @@ def power_iteration(a, tol: float = 1e-10,
     ``(0.0, zeros, 0.0, 0)``.
 
     Below ``_SINGLE_TOL`` the Lanczos path takes float64 products on the
-    matrix itself, and scans it only after a solve that ends badly.  From
-    that floor on it takes float32 products on `Rounded.single`, the copy
-    of its exact scaling, whose peak settles a zero or non-finite matrix
-    before any product.  A solve ends badly with theta outside (0, inf) or
-    with residual 0: a zero, null or eigenvector start, or a float64
-    product that under- or overflowed.  Then `_lanczos` runs once more, on
-    float64 products, from a fresh seeded start on the exact scaling of
-    the matrix, and the iterations are summed.
+    matrix itself, and scans it only after a solve that ends badly.  A
+    pair's products form its difference a row block at a time, just before
+    the block's two products (`_sweep_gram`), with the bits of the
+    difference's products; only the thin rule forms a pair's difference
+    whole (`Rounded.matrix`).  From that floor on the Lanczos path takes
+    float32 products on `Rounded.single`, the copy of its exact scaling,
+    whose peak settles a zero or non-finite matrix before any product.  A
+    solve ends badly with theta outside (0, inf) or with residual 0: a
+    zero, null or eigenvector start, or a float64 product that under- or
+    overflowed.  Then `_lanczos` runs once more, on float64 products, from
+    a fresh seeded start on the exact scaling of the matrix (a pair's
+    streamed as well), and the iterations are summed.  A pair of finite
+    matrices whose difference overflows float64 reads inf on every path
+    (see `Rounded`).
 
     `start` replaces the default fixed seeded start vector (warm starts
     converge in a handful of iterations when `a` changes slightly between
@@ -542,26 +635,31 @@ def power_iteration(a, tol: float = 1e-10,
     if min(op.shape) <= THIN_SIDE:
         sigma, v = thin_norms(op.matrix[None])
         # a finite matrix whose norm overflows reads inf as well
-        if sigma[0] == np.inf and not np.isfinite(_peak(op.matrix)[0]):
+        if sigma[0] == np.inf and np.isnan(op.scaling[0]):
             raise ValueError("matrix has non-finite entries")
-        return float(sigma[0]), v[0], 0.0, 0
+        with np.errstate(over="ignore"):   # a norm past the float range reads inf
+            return float(np.ldexp(sigma[0], op.shift)), v[0], 0.0, 0
     if start is None:
         start = PortableRng(_START_SEED).normals(cols)
-    copy, e, peak = op.single if tol >= _SINGLE_TOL else (op.matrix, 0, None)
+    if tol >= _SINGLE_TOL:
+        copy, e, peak = op.single
+        gram = _sweep_gram(copy)
+    else:
+        gram, e, peak = _sweep_gram(op), 0, None
     it = 0
-    if peak is None or 0.0 < peak < np.inf:
-        theta, v, residual, it = _lanczos(_sweep_gram(copy), start[None], tol)
+    if peak is None or peak > 0.0:   # not a zero or non-finite (NaN) copy
+        theta, v, residual, it = _lanczos(gram, start[None], tol)
         if 0.0 < theta[0] < np.inf and residual[0] > 0.0:
             with np.errstate(over="ignore"):   # a norm past the float range reads inf
                 return float(np.ldexp(np.sqrt(theta[0]), e)), v[0], float(residual[0]), it
     if peak is None:   # the float64 path scans the matrix only now
-        peak, e = _peak(op.matrix)
-    if not np.isfinite(peak):
+        peak, e = op.scaling
+    if np.isnan(peak):
         raise ValueError("matrix has non-finite entries")
     if peak == 0.0:
         return 0.0, np.zeros(cols), 0.0, 0
     fresh = PortableRng(_START_SEED + it).normals(cols)
-    theta, v, residual, more = _lanczos(_sweep_gram(np.ldexp(op.matrix, -e)), fresh[None], tol)
+    theta, v, residual, more = _lanczos(_sweep_gram(op, e), fresh[None], tol)
     with np.errstate(over="ignore"):   # a norm past the float range reads inf
         sigma = float(np.ldexp(np.sqrt(theta[0]), e))
     return sigma, v[0], float(residual[0]), it + more

@@ -21,6 +21,12 @@ exceeds tau; a diverged row solves nothing.  So an unsolved cell is
 certified inside the budget, and the budget warnings (exact radii above
 tau) are those every radius would give.  The summary's final values and
 the warnings are read from the rows.
+
+A run inside its budget solves its wide layers only at the last row, and
+there each solve streams the difference W_l - W_l^(0) from the two weight
+sets a row block at a time.  A layer solved before the last row gets one
+weight-sized work array for its shape, which the solves of that shape
+reuse.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import PortableRng, aligned_empty, power_iteration
+from .linalg import THIN_SIDE, PortableRng, Rounded, aligned_empty, power_iteration
 from .network import (NetworkParams, batch_forward, gradient_factors,
                       gradient_norms, max_pattern_distance)
 
@@ -253,13 +259,18 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
     # since: by the triangle inequality a bound on ||W_l - W_l^(0)||_2.  A
     # row records it as it stood before the row's own solve
     bound = [0.0] * depth
-    # one weight-sized work array per shape for the radius difference,
-    # starting on a cache line (glibc puts a buffer of megabytes 16 bytes
-    # past one).  With solves only where the bound calls for them, a fresh
-    # np.subtract temporary instead lost 0.8 % steps/s on perfbench's
-    # train-sgd and 0.6 % on sweep-width, and took sweep-width's peak RSS
-    # 201.6 -> 204.4 MiB (medians of 10 alternating pairs, one BLAS thread)
-    scratch = {w.shape: aligned_empty(w.shape) for w in params0.weights}
+    # A wide radius solve at the last row streams W_l - W_l^(0) from the
+    # pair (`Rounded`), so a run that stays inside its budget holds two
+    # weight sets and no third.  A wide solve before the last row makes one
+    # work array for its shape, starting on a cache line (glibc puts a
+    # buffer of megabytes 16 bytes past one), and every later solve of that
+    # shape subtracts into it and sweeps it.  Such solves are warm and take
+    # about six products each: at (1000, 1000) on one BLAS thread a pair
+    # product took 1.22 ms, a product on the array 0.48 ms plus one 0.91 ms
+    # subtract a solve, and streaming every solve took perfbench's
+    # train-sgd radius solves from 36 to 77 ms of a 0.9 s run.  A fresh
+    # np.subtract temporary a solve lost 0.8 % steps/s on train-sgd.
+    work = {}
     init_patterns = None
     prev_outputs = None
 
@@ -308,8 +319,13 @@ def _train(params0: NetworkParams, dataset, loss, config: TrainConfig):
             if k == 0:
                 radii[l] = 0.0
             elif snapshot or bound[l] > config.tau:
-                diff = np.subtract(live.weights[l], params0.weights[l],
-                                   out=scratch[live.weights[l].shape])
+                w, w0 = live.weights[l], params0.weights[l]
+                if stop is None and min(w.shape) > THIN_SIDE and w.shape not in work:
+                    work[w.shape] = aligned_empty(w.shape)
+                if w.shape in work:
+                    diff = np.subtract(w, w0, out=work[w.shape])
+                else:
+                    diff = Rounded(w, w0)
                 radii[l], warm[l], _, _ = power_iteration(
                     diff, tol=_RADIUS_TOL, start=warm[l])
         record.rows.append(TrajectoryRow(

@@ -490,6 +490,84 @@ class TestSinglePrecision:
         assert np.float32(1.0 / _SINGLE_RANGE) > np.finfo(np.float32).tiny * 2 ** 20
 
 
+class TestPairStream:
+    """A pair's float64 products form its difference a row block at a time
+    (`Rounded.blocks`), on the row blocks of the difference itself, so they
+    have the bits of the difference's products, and so has every solve.  A
+    difference past the float range is taken on the pair's exact scaling."""
+
+    @pytest.mark.parametrize("shape", [
+        # 3 full row blocks and a partial one; one-row blocks
+        (3 * (_SWEEP_BYTES // (8 * 300)) + 17, 300),
+        (THIN_SIDE + 1, _SWEEP_BYTES // 16 + 1)], ids=lambda shape: "%dx%d" % shape)
+    def test_streamed_products_are_the_differences(self, shape):
+        w, w0 = training_pair(*shape)
+        op = Rounded(w, w0)
+        # one-row blocks, or a partial last block
+        assert (op.rows == 1) != (shape[0] % op.rows != 0)
+        pair, dense = _sweep_gram(op), _sweep_gram(w - w0)
+        rng = PortableRng(41)
+        for _ in range(3):
+            q = rng.normals(shape[1])[None]
+            assert np.array_equal(pair(q, np.arange(1)), dense(q, np.arange(1)))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pair_solve_is_the_differences(self, warm):
+        w, w0 = training_pair(3 * (_SWEEP_BYTES // (8 * 300)) + 17, 300)
+        start = None
+        if warm:   # the vector of the last iterate's solve, as in training
+            start = power_iteration(w - w0, tol=1e-5)[1]
+            w = w + 1e-6 * gaussian_matrix(*w.shape, 1.0, PortableRng(43))
+        pair = power_iteration(Rounded(w, w0), tol=1e-5, start=start)
+        diff = power_iteration(w - w0, tol=1e-5, start=start)
+        assert pair[0] == diff[0] and np.array_equal(pair[1], diff[1])
+        assert pair[2:] == diff[2:]
+        assert pair[3] > 0
+
+    @pytest.mark.parametrize("k", [0, -600, 600])
+    def test_pair_re_solve_is_the_differences(self, k):
+        # a zero start ends the first solve at its first product; the
+        # re-solve multiplies with the difference's exact scaling
+        w, w0 = (np.ldexp(x, k) for x in training_pair(300, 200))
+        zero = np.zeros(200)
+        pair = power_iteration(Rounded(w, w0), tol=1e-5, start=zero)
+        diff = power_iteration(w - w0, tol=1e-5, start=zero)
+        assert pair[0] == diff[0] and np.array_equal(pair[1], diff[1])
+        assert pair[2:] == diff[2:]
+        peak, e = _peak(w - w0)
+        fresh = PortableRng(linalg._START_SEED + 1).normals(200)
+        theta, vec, residual, its = _lanczos(_sweep_gram(np.ldexp(w - w0, -e)),
+                                             fresh[None], 1e-5)
+        assert pair[0] == float(np.ldexp(np.sqrt(theta[0]), e))
+        assert np.array_equal(pair[1], vec[0])
+        assert pair[2:] == (float(residual[0]), its + 1)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize("rows", [10, 20], ids=["thin", "wide"])
+    def test_difference_past_the_float_range_reads_inf(self, rows, tol):
+        # finite matrices whose difference overflows float64: no overflow
+        # warning (an error under this suite's filter), and the norm of
+        # (a - b) / 2**1024 scaled back past the range
+        a = np.full((rows, 30), 1e308)
+        op = Rounded(a, -a)
+        sigma, vec, _, _ = power_iteration(op, tol=tol)
+        assert sigma == np.inf
+        np.testing.assert_allclose(np.abs(vec), np.full(30, 30 ** -0.5), rtol=1e-6)
+        assert op.scaling == (np.inf, 1025) and op.shift == 1024
+        copy, e, peak = _single(a, -a)
+        assert (e, peak) == (1025, np.inf) and np.all(copy == np.float32(np.ldexp(1e308, -1024)))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize("rows", [10, 20], ids=["thin", "wide"])
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_entry_of_an_overflowing_pair_raises(self, rows, tol, entry):
+        a = np.full((rows, 30), 1e308)
+        b = -a
+        b[3, 4] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iteration(Rounded(a, b), tol=tol)
+
+
 class TestLazyChecks:
     """The input checks that run only when a cycle's first product is off
     (the matrices are past the thin rule)."""

@@ -1,7 +1,7 @@
-"""Memory guards: set-up, the bilinear probe and the float32 radius solves
-allocate little beyond the arrays they return.  tracemalloc sees numpy's
-data buffers, so one weight-sized temporary (8 MB at m = 1000) shows as a
-peak far above it."""
+"""Memory guards: set-up, the bilinear probe, the radius solves and a run
+that stays inside its radius budget allocate little beyond the arrays they
+return.  tracemalloc sees numpy's data buffers, so one weight-sized
+temporary (8 MB at m = 1000) shows as a peak far above it."""
 
 import tracemalloc
 
@@ -10,8 +10,10 @@ import pytest
 
 from overparam.data import generate_separated
 from overparam.linalg import PortableRng, Rounded, gaussian_matrix, spectral_norm
+from overparam.losses import builtin_loss
 from overparam.network import (batch_forward, init_network, load_params,
                                save_params)
+from overparam.optim import TrainConfig, run_gd
 from overparam.verify import _bilinear_probe, _sparse_probes
 
 DIMS = [10, 1000, 1000, 1000]
@@ -91,3 +93,31 @@ def test_float32_radius_never_falls_back_to_float64(net, k):
     # tol 1e-3 bounds sigma**2's error by 1e-3; the solve reads 2.5e-6 off
     assert sigma == pytest.approx(np.linalg.norm(w - w0, 2), rel=1e-5, abs=0)
     assert peak <= w.size * 4 + SLACK
+
+
+def test_float64_radius_forms_no_difference(net):
+    # below the float32 floor the pair's products form the (1000, 1000)
+    # difference one 1 MiB row block at a time; a whole one would take 8 MB
+    w0 = net.weights[1]
+    w = w0 + 1e-3 * gaussian_matrix(1000, 1000, 1.0, PortableRng(7))
+    sigma, peak = traced(spectral_norm, Rounded(w, w0), 1e-10)
+    assert sigma == pytest.approx(np.linalg.norm(w - w0, 2), rel=1e-12)
+    assert peak <= SLACK
+
+
+def test_run_inside_its_budget_holds_two_weight_sets():
+    # a GD run that reaches zero error before its first snapshot row after
+    # k = 0, with its bound inside tau, solves its wide layers only at the
+    # last row, streaming W - W0: the initial and the live weights are the
+    # only weight-sized arrays.  A work array for the difference would add
+    # 8 MB.
+    ds = generate_separated(n=4, d=10, mu=0.5, phi=0.1, seed=1)
+    config = TrainConfig(max_iters=1000, eta=0.01, tau=0.1)
+
+    def train():
+        return run_gd(init_network(DIMS, 3), ds, builtin_loss("logistic"), config)
+
+    (params, record), peak = traced(train)
+    assert record.stop_reason == "zero_error" and record.rows[-1].k < 250
+    assert all(r is None for row in record.rows[1:-1] for r in row.radius)
+    assert peak <= 2 * nbytes(params) + SLACK

@@ -441,6 +441,40 @@ class TestRadiusSolves:
             assert any(len(solved_layers(row)) == 1 for row in rec.rows)
         assert rec.summary()["max_radius_bound"] == max(bounds)
 
+    @staticmethod
+    def count_work_arrays(monkeypatch):
+        shapes = []
+
+        def counting(shape):
+            shapes.append(tuple(shape))
+            return linalg.aligned_empty(shape)
+
+        monkeypatch.setattr(optim, "aligned_empty", counting)
+        return shapes
+
+    def test_last_row_solves_make_no_work_array(self, monkeypatch):
+        # a one-step GD run records radii 0 at k = 0 and solves only at its
+        # last row, where each wide layer streams its difference from the pair
+        shapes = self.count_work_arrays(monkeypatch)
+        params, ds = small_problem(m=64, depth=3)
+        _, rec = run_gd(params, ds, builtin_loss("logistic"),
+                        TrainConfig(max_iters=1, eta=0.05, tau=1e3))
+        assert [row.k for row in rec.rows] == [0, 1]
+        assert solved_layers(rec.rows[-1]) == [1, 2, 3]
+        assert shapes == []
+
+    def test_mid_run_solves_make_one_work_array_per_wide_shape(self, monkeypatch):
+        # every row past the first solves every layer: the thin (4, 20)
+        # layer makes no work array, and each wide shape makes one
+        shapes = self.count_work_arrays(monkeypatch)
+        ds = generate_separated(n=8, d=4, mu=0.5, phi=0.05, seed=1)
+        params = init_network([4, 20, 30, 30], seed=2)
+        _, rec = run_sgd(params, ds, builtin_loss("logistic"),
+                         TrainConfig(max_iters=10, eta=0.05, tau=1e-9, batch_size=3))
+        assert all(solved_layers(row) == [1, 2, 3] for row in rec.rows)
+        assert len(rec.rows) > 3
+        assert shapes == [(20, 30), (30, 30)]
+
     @pytest.mark.parametrize("loss_name, eta, nan_weight", [
         ("exponential", 1e6, False), ("logistic", 0.01, True)],
         ids=["loss-diverged", "gradient-diverged"])

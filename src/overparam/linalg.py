@@ -13,19 +13,19 @@ from ``eigh`` of its small Gram matrix (`thin_norms`).
 Any other gets it from restarted Lanczos on its Gram operator (`_lanczos`).
 Exact scaling keeps both inside the float range: the operator is taken on
 ``a / 2**e``, e the binary exponent of max|a| (`_peak`), which commutes with
-rounding, so ``2**k a`` gets exactly ``2**k`` times the norm.
+rounding, so ``2**k a`` gets exactly ``2**k`` times the norm.  A weight, or
+a pair difference, is scaled and rounded in one place only: its `Rounded`,
+``Rounded(a)`` or ``Rounded(a, b)`` for ``a - b``, whose scaling and float32
+copy live as long as it does and are shared by every solve and chain given
+it.  A `power_iteration` operand is a matrix or a `Rounded`.
 One precision rule: a Lanczos solve at a `tol` of at least ``_SINGLE_TOL``
-takes its Gram products in float32, on the exact scaling of each weight or
-pair difference, rounded once (`_single`); any other solve, the Lanczos
-recurrences, the thin rule and every returned value are float64.  A masked
-chain that could leave the float32 range, or an example whose value lies
-near its bottom, is solved in float64.
-A `power_iteration` operand is a matrix or a `Rounded`, ``Rounded(a)`` or
-``Rounded(a, b)`` for ``a - b``, whose scaling and rounded copy live as
-long as it does and are shared by every solve given it.  A pair's float64
-products form its difference one row block at a time, so only the thin rule
-forms a difference whole, and a pair of finite matrices whose difference
-overflows float64 is taken on the pair's exact scaling and reads inf.
+takes its Gram products in float32, on that copy; any other solve, the
+Lanczos recurrences, the thin rule and every returned value are float64.  A
+masked chain that could leave the float32 range, or an example whose value
+lies near its bottom, is solved in float64.  A pair's float64 products form
+its difference one row block at a time, so only the thin rule forms a
+difference whole, and a pair of finite matrices whose difference overflows
+float64 is taken on the pair's exact scaling and reads inf.
 `power_iteration`'s float64 Lanczos path scales only to re-solve after a
 solve that ends badly.
 """
@@ -42,6 +42,8 @@ __all__ = [
     "PortableRng",
     "Rounded",
     "SpectralNormError",
+    "THIN_SIDE",
+    "aligned_empty",
     "gaussian_matrix",
     "power_iteration",
     "spectral_norm",
@@ -431,26 +433,6 @@ def _peak(a: np.ndarray) -> tuple:
     return peak, np.frexp(np.where(np.isfinite(peak), peak, 0.0))[1]
 
 
-# a non-finite entry makes a non-finite copy, which the callers read
-@np.errstate(invalid="ignore", over="ignore")
-def _single(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
-    """``(copy, e, peak)``: the exact scaling ``d / 2**e`` of the float64
-    matrix d of ``Rounded(a, b)``, `a` or ``a - b``, rounded to float32,
-    with ``(peak, e)`` its `Rounded.scaling`, so the copy's entries are at
-    most 1 in magnitude.  Each entry is scaled exactly in float64 and
-    rounded once, so ``2**k`` on `a` (and `b`) gives the same copy.  A
-    difference goes twice through one float64 row block of about
-    ``_SWEEP_BYTES``, for its peak and then into the copy, so no float64
-    array of the matrix's size is made.
-    """
-    op = Rounded(a, b)
-    peak, e = op.scaling
-    out = np.empty(op.shape, dtype=np.float32)
-    for s, d in op.blocks(op.shift)():
-        np.multiply(d, np.ldexp(1.0, op.shift - e), out=out[s], casting="same_kind")
-    return out, e, peak
-
-
 class Rounded:
     """The operand of a spectral solve: a float64 matrix `a`, or with `b`
     the difference ``a - b`` of a pair of one shape.
@@ -458,9 +440,9 @@ class Rounded:
     Its float64 matrix is read in row blocks (`blocks`), so a pair's
     difference is formed a block at a time and never whole, except by
     ``matrix``, which only the thin rule reads.  ``scaling`` (its peak and
-    exponent), ``matrix`` and ``single``, the ``(copy, e, peak)`` of
-    `_single` that a float32 solve multiplies with, are each made when a
-    solve first reads them and shared by every solve given this object.
+    exponent), ``matrix`` and ``single``, the float32 copy that a float32
+    solve multiplies with, are each made when a solve first reads them and
+    shared by every solve given this object.
 
     A pair of finite matrices whose difference overflows float64 has a norm
     past the float range.  Its difference is taken on the pair's exact
@@ -548,9 +530,22 @@ class Rounded:
             out[s] = d
         return out
 
+    # a non-finite entry makes a non-finite copy, which the callers read
     @cached_property
+    @np.errstate(invalid="ignore", over="ignore")
     def single(self) -> tuple:
-        return _single(self.a, self.b)
+        """``(copy, e, peak)``: the exact scaling ``d / 2**e`` of the float64
+        matrix d, with ``(peak, e)`` its `scaling`, each entry scaled exactly
+        and rounded once to float32, so ``2**k`` on `a` (and `b`) gives the
+        same copy, whose entries are at most 1 in magnitude.  A difference
+        goes twice through one float64 row block of about ``_SWEEP_BYTES``,
+        for its peak and then into the copy, and is never formed whole."""
+        peak, e = self.scaling
+        out = np.empty(self.shape, dtype=np.float32)
+        scale = np.ldexp(1.0, self.shift - e)
+        for s, d in self.blocks(self.shift)():
+            np.multiply(d, scale, out=out[s], casting="same_kind")
+        return out, e, peak
 
 
 def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -560,9 +555,9 @@ def thin_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `stack` is ``(n, k, m)`` with ``min(k, m) <= THIN_SIDE``.  Each matrix
     is taken on its exact scaling, whose entries lie below 1 in magnitude,
     so its Gram matrix on the short side cannot overflow; one stacked
-    ``eigh`` of the n Grams gives every top eigenpair.  Returns ``(sigma, vectors)``: the n norms
-    and the n unit right vectors, ``(n, m)``.  A matrix with a non-finite
-    entry gets inf and the zero matrix 0, both with a zero vector.
+    ``eigh`` of the n Grams gives every top eigenpair.  Returns ``(sigma,
+    vectors)``: the n norms and the n unit right vectors, ``(n, m)``; a
+    non-finite matrix gets inf and the zero matrix 0, both a zero vector.
     """
     k, m = stack.shape[1:]
     peak, e = _peak(stack)
@@ -700,18 +695,22 @@ class MaskedChain:
     taking example i's b rows through example i's operator, so each layer is
     one GEMM over n*b rows (`_rows`).  ``first > last`` leaves no masked
     layers.  The products run in the dtype of the block and the weights.
-    `rounded`, a `Rounded` for each weight, gives a float32 solve the
-    weights' shared copies; without it each solve makes its own.
+    `rounded`, a `Rounded` of each weight, gives the chain every exponent and
+    float32 copy (`Rounded.single`); without it the chain makes its own list
+    when it first needs one.  The chains it derives for a solve never read it.
     """
 
     def __init__(self, weights, patterns, first: int, last: int,
                  head: int | None = None, rounded=None):
         self.weights, self.patterns = weights, patterns
         self.first, self.last, self.head = first, last, head
-        self.rounded = rounded
+        if rounded is not None:   # else made when first read
+            self.rounded = rounded
         self.n = patterns[0].shape[0]
         self.masks = {r: patterns[r - 1][:, None, :]
                       for r in range(first, last + 1)}
+
+    rounded = cached_property(lambda self: [Rounded(w) for w in self.weights])
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         t = block
@@ -731,12 +730,12 @@ class MaskedChain:
         return t
 
     def _exponents(self) -> list:
-        """e_r of each masked layer r: the binary exponent of max|W_r|, the
+        """e_r of each masked layer r: W_r's `Rounded.scaling` exponent, the
         head's folded into the last, each kept where ``2**-e_r`` is a float."""
-        exps = [int(_peak(self.weights[r - 1])[1])
+        exps = [self.rounded[r - 1].scaling[1]
                 for r in range(self.first, self.last + 1)]
         if self.head is not None:
-            exps[-1] += int(_peak(self.weights[self.head - 1])[1])
+            exps[-1] += self.rounded[self.head - 1].scaling[1]
         return [min(max(e, -1023), 1074) for e in exps]
 
     def _float64(self, ids=slice(None)) -> tuple:
@@ -751,18 +750,17 @@ class MaskedChain:
 
     def _float32(self) -> tuple | None:
         """``(chain, e)``: the chain on the float32 copy of each weight's
-        exact scaling ``W_r / 2**e_r`` (`_single`), with its masks unscaled,
-        and e the sum of the e_r; None where the product of the copies'
-        squared Frobenius norms exceeds ``_SINGLE_RANGE`` (or is not finite),
-        since a Gram product, which takes each weight twice, could then
-        overflow float32."""
+        exact scaling ``W_r / 2**e_r`` (`Rounded.single`), its masks
+        unscaled, and e the sum of the e_r; None where the product of the
+        copies' squared Frobenius norms exceeds ``_SINGLE_RANGE`` (or is not
+        finite), since a Gram product, which takes each weight twice, could
+        then overflow float32."""
         layers = list(range(self.first, self.last + 1))
         if self.head is not None:
             layers.append(self.head)
         weights, total, bound = list(self.weights), 0, 1.0
         for r in layers:
-            copy, e, _ = (self.rounded[r - 1].single if self.rounded
-                          else _single(self.weights[r - 1]))
+            copy, e, _ = self.rounded[r - 1].single
             bound *= float(np.vdot(copy, copy))
             if not bound <= _SINGLE_RANGE:
                 return None

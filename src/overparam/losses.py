@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
+    "BUILTIN_LOSSES",
     "LossSpec",
     "builtin_loss",
     "check_loss_assumptions",

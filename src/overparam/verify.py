@@ -232,7 +232,7 @@ def _pair_norms(weights: list, patterns: list, headed: bool, rng: PortableRng,
     in pair order: of layers l1..l2-1 headed by ``W_l2^T`` (`headed`), or of
     layers l1..l2.  The thin chains from one l1 share one pass
     (`MaskedChain.prefix_norms`) and draw nothing; a wide one draws its
-    start from `rng` and reads the `rounded` copies."""
+    start from `rng`.  All chains take each weight's scaling from `rounded`."""
     depth = len(weights)
     thin = {}
     values = []
@@ -242,7 +242,8 @@ def _pair_norms(weights: list, patterns: list, headed: bool, rng: PortableRng,
                                       l2 if headed else None, rounded).norms(rng, tol))
             continue
         if l1 not in thin:
-            thin[l1] = MaskedChain(weights, patterns, l1, depth).prefix_norms(headed)
+            thin[l1] = MaskedChain(weights, patterns, l1, depth,
+                                   rounded=rounded).prefix_norms(headed)
         values.append(thin[l1][l2 - l1 - 1])
     return values
 
@@ -397,7 +398,7 @@ _INIT_TABLE = {
         lambda r: r.dataset.mu ** 2 / 2.0),
 }
 INIT_ITEMS = tuple(_INIT_TABLE)
-# the items that read the float32 copies of a trial's weights
+# the items that read the scalings and float32 copies of a trial's weights
 _ROUNDED_READERS = ("weight_spectral_norm", "chain_product_norm")
 
 
@@ -477,8 +478,8 @@ def verify_init_properties(params: NetworkParams, dataset, beta: float | None = 
     for t in range(trials):
         net = params if t == 0 else init_network(dims, seed + t)
         trace = batch_forward(net, dataset.inputs)
-        # each weight's float32 copy is made once a trial, and dropped after
-        # its last reader
+        # each weight's scaling and float32 copy are made once a trial, and
+        # dropped after their last reader
         rounded = [Rounded(w) for w in net.weights]
         for name, entry in entries.items():
             rng = _item_stream(seed + 7919 * t, INIT_ITEMS, name)
@@ -568,8 +569,8 @@ def verify_perturbation_properties(params0: NetworkParams, trained: NetworkParam
     trace0 = batch_forward(params0, dataset.inputs)
     trace = batch_forward(trained, dataset.inputs)
 
-    # the trained weights' chains, then norms, share one float32 copy a
-    # weight (at n=20, m=1000 the norms first raised peak RSS by 0.9 MiB)
+    # the trained weights' chains, then norms, share one scaling and float32
+    # copy a weight (at n=20, m=1000 the norms first raised peak RSS by 0.9 MiB)
     rounded = [Rounded(w) for w in trained.weights]
     chain = PropertyEntry(name="perturbed_chain_norm", direction="upper", bound=1.0)
     if depth >= 2:

@@ -88,6 +88,24 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+def test_every_name_a_module_imports_from_a_sibling_is_in_its_all():
+    # `__all__` is a module's public interface, so a name that another
+    # module of the package needs belongs in it
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level > 0 or (node.module or "").startswith("overparam")):
+                continue
+            # `from . import x` and `from overparam import x` name modules
+            module = (node.module or "").removeprefix("overparam").lstrip(".")
+            if module:
+                public = importlib.import_module(f"overparam.{module}").__all__
+                missing += [f"{path.name}: {module}.{alias.name}"
+                            for alias in node.names if alias.name not in public]
+    assert missing == []
+
+
 def package_imports(path) -> set:
     """The bare names of the `overparam` modules that a module imports."""
     found = set()

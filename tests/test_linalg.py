@@ -9,7 +9,7 @@ from overparam import linalg
 from overparam.linalg import (_LANCZOS_CYCLE, _NORMAL_CHUNK, _SINGLE_RANGE,
                               _SINGLE_TOL, _SWEEP_BYTES, THIN_SIDE, PortableRng,
                               Rounded, SpectralNormError, _lanczos, _peak,
-                              _single, _sweep_gram, aligned_empty,
+                              _sweep_gram, aligned_empty,
                               gaussian_matrix, power_iteration, spectral_norm,
                               thin_norms)
 
@@ -247,7 +247,7 @@ class TestLanczos:
         a = padded(PortableRng(13).normals(48).reshape(8, 6))
         v = padded(PortableRng(14).normals(6))
         v /= np.linalg.norm(v)
-        copy, e, _ = _single(a)
+        copy, e, _ = Rounded(a).single
         u = ((copy @ v.astype(np.float32)) @ copy).astype(np.float64)
         lam = v @ u
         sigma, _, residual, iters = power_iteration(a, tol=1e6, start=v)
@@ -368,13 +368,13 @@ def training_pair(rows=1000, cols=1000, rank=8):
 
 
 class TestSinglePrecision:
-    """The float32 copies (`_single`), the `Rounded` operand and
+    """The float32 copies (`Rounded.single`), the `Rounded` operand and
     power_iteration's float32 path from ``_SINGLE_TOL`` on, against dense
     norms and its float64 path."""
 
     def test_copy_is_the_rounded_exact_scaling(self):
         a = gaussian_matrix(40, 30, 1.0, PortableRng(3))
-        copy, e, peak = _single(a)
+        copy, e, peak = Rounded(a).single
         assert copy.dtype == np.float32
         assert peak == np.abs(a).max() and e == np.frexp(peak)[1]
         assert np.array_equal(copy, np.ldexp(a, -e).astype(np.float32))
@@ -386,15 +386,16 @@ class TestSinglePrecision:
         # also with entries near 1e298, past float32's range
         w, w0 = training_pair(300, 200)
         for pair in ((w, None), (w, w0)):
-            base, e, peak = _single(*pair)
-            copy, ek, pk = _single(*[None if x is None else np.ldexp(x, k) for x in pair])
+            base, e, peak = Rounded(*pair).single
+            scaled = [None if x is None else np.ldexp(x, k) for x in pair]
+            copy, ek, pk = Rounded(*scaled).single
             assert np.array_equal(copy, base) and ek == e + k and pk == np.ldexp(peak, k)
             assert np.all(np.isfinite(copy)) and np.abs(copy).max() < 1.0
 
     def test_subnormal_peak_keeps_its_scaling_a_float(self):
         # max|a| below 2**-1024, where 2**-e would overflow: e stays at -1023
         a = np.ldexp(gaussian_matrix(40, 30, 1.0, PortableRng(3)), -1060)
-        copy, e, peak = _single(a)
+        copy, e, peak = Rounded(a).single
         assert e == -1023 and peak == np.abs(a).max()
         assert np.array_equal(copy, np.ldexp(a, 1023).astype(np.float32))
 
@@ -403,7 +404,7 @@ class TestSinglePrecision:
         rows = 3 * (_SWEEP_BYTES // (8 * 300)) + 17
         w, w0 = training_pair(rows, 300)
         # the exponent is the difference's own, from its peak over the blocks
-        copy, e, peak = _single(w, w0)
+        copy, e, peak = Rounded(w, w0).single
         assert peak == np.abs(w - w0).max() and e == np.frexp(peak)[1]
         assert np.array_equal(copy, np.ldexp(w - w0, -e).astype(np.float32))
         assert 0.5 <= np.abs(copy).max() <= 1.0
@@ -478,7 +479,7 @@ class TestSinglePrecision:
 
     def test_float32_sweep_returns_float64(self):
         a = gaussian_matrix(300, 200, 1.0, PortableRng(5))
-        copy, _, _ = _single(a)
+        copy, _, _ = Rounded(a).single
         q = PortableRng(6).normals(200)[None]
         w = _sweep_gram(copy)(q, np.arange(1))
         assert w.dtype == np.float64 and w.shape == (1, 200)
@@ -554,7 +555,7 @@ class TestPairStream:
         assert sigma == np.inf
         np.testing.assert_allclose(np.abs(vec), np.full(30, 30 ** -0.5), rtol=1e-6)
         assert op.scaling == (np.inf, 1025) and op.shift == 1024
-        copy, e, peak = _single(a, -a)
+        copy, e, peak = Rounded(a, -a).single
         assert (e, peak) == (1025, np.inf) and np.all(copy == np.float32(np.ldexp(1e308, -1024)))
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from overparam.data import Dataset, generate_separated
 from overparam import linalg, verify
-from overparam.linalg import MaskedChain, PortableRng
+from overparam.linalg import MaskedChain, PortableRng, Rounded
 from overparam.losses import builtin_loss
 from overparam.network import backprop_signals, batch_forward, init_network
 from overparam.verify import (INIT_ITEMS, _bilinear_probe,
@@ -1161,20 +1162,29 @@ class TestBatteryWork:
         return small_battery_inputs(m=40, depth=3, n=6, d=20)
 
     @staticmethod
-    def count_copies(monkeypatch):
+    def thin_inputs():
+        # d = 6: layer 1 starts the thin chains, the other layers wide ones
+        return small_battery_inputs(m=40, depth=3, n=6, d=6)
+
+    @staticmethod
+    def count_evaluations(monkeypatch, name):
+        """Each evaluation of the cached `Rounded` property `name`, as
+        ``(a's bytes, whether the operand is a plain matrix)``."""
         made = []
-        single = linalg._single
+        func = getattr(Rounded, name).func
 
-        def counting(a, b=None):
-            made.append((a.tobytes(), b is None))
-            return single(a, b)
+        def counting(op):
+            made.append((op.a.tobytes(), op.b is None))
+            return func(op)
 
-        monkeypatch.setattr(linalg, "_single", counting)
+        prop = functools.cached_property(counting)
+        prop.__set_name__(Rounded, name)
+        monkeypatch.setattr(Rounded, name, prop)
         return made
 
     def test_one_float32_copy_per_weight_and_network(self, monkeypatch):
         params, ds = self.wide_inputs()
-        made = self.count_copies(monkeypatch)
+        made = self.count_evaluations(monkeypatch, "single")
         verify_init_properties(params, ds, **battery_settings(trials=2, seed=5, probes=4))
         assert len(made) == len({key for key, _ in made}) == 6
         assert made[:3] == [(w.tobytes(), True) for w in params.weights]
@@ -1185,6 +1195,38 @@ class TestBatteryWork:
         # the radii take their own pair copies, the trained weights one each
         assert sorted(made) == sorted([(w.tobytes(), False) for w in tilde.weights]
                                       + [(w.tobytes(), True) for w in tilde.weights])
+
+    @pytest.mark.parametrize("inputs", ["wide_inputs", "thin_inputs"])
+    def test_each_weight_is_scaled_once_per_network(self, monkeypatch, inputs):
+        # a weight's exponent, for its copy or a chain's masks, comes from
+        # its network's one `Rounded`: no other code scans the whole weight
+        params, ds = getattr(self, inputs)()
+        shapes = {w.shape for w in params.weights}
+        outside = []
+        peak = linalg._peak
+
+        def watching(a):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "scaling":
+                frame = frame.f_back
+            if a.shape in shapes and frame is None:
+                outside.append(sys._getframe(1).f_code.co_name)
+            return peak(a)
+
+        monkeypatch.setattr(linalg, "_peak", watching)
+        scaled = self.count_evaluations(monkeypatch, "scaling")
+        verify_init_properties(params, ds, **battery_settings(trials=2, seed=5, probes=4))
+        nets = [params, init_network(params.layer_dims, seed=6)]
+        assert sorted(scaled) == sorted((w.tobytes(), True)
+                                        for net in nets for w in net.weights)
+        scaled.clear()
+        tilde = params.copy()
+        tilde.weights[1] = tilde.weights[1] + 0.05
+        verify_perturbation_properties(params, tilde, ds, **perturbation_settings())
+        # each radius pair and each trained weight
+        assert sorted(scaled) == sorted([(w.tobytes(), False) for w in tilde.weights]
+                                        + [(w.tobytes(), True) for w in tilde.weights])
+        assert outside == []
 
     @pytest.mark.parametrize("name", ["weight_spectral_norm", "chain_product_norm"])
     def test_copy_readers_alone_read_the_same_values(self, name):
